@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    auto_fock_dim,
     branch_decomposition_to_dict,
     evolve_coherent,
     evolve_vacuum,
@@ -36,8 +37,8 @@ from .experiments import (
     sweep_rows_to_csv,
     verify_analytic_numeric,
 )
-from .hilbert import CavityState, min_quadrature_variance, wigner
-from .measurement import measure_qubit, measurement_record_to_dict
+from .hilbert import min_quadrature_variance, wigner
+from .measurement import MeasurementRecord, measure_qubit, measurement_record_to_dict
 from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 
 __all__ = ["RunConfig", "load_config", "run", "main", "example_config", "dumps17"]
@@ -209,35 +210,46 @@ def validate_config(data) -> RunConfig:
     )
 
 
-def _safe_record(state, outcome: str) -> dict:
-    try:
-        return measurement_record_to_dict(measure_qubit(state, outcome))
-    except NullOutcomeError:
-        return {"outcome": outcome, "probability": 0.0, "post_state": None, "analytic_post": None}
+def _measure_both(state) -> list[MeasurementRecord | None]:
+    """Records of the outcomes g and e, None for an outcome that cannot occur."""
+    records = []
+    for outcome in ("g", "e"):
+        try:
+            records.append(measure_qubit(state, outcome))
+        except NullOutcomeError:
+            records.append(None)
+    return records
 
 
-def _wigner_section(records, args) -> list[dict]:
+def _record_dicts(records: list[MeasurementRecord | None]) -> list[dict]:
+    return [
+        {"outcome": outcome, "probability": 0.0, "post_state": None, "analytic_post": None}
+        if record is None
+        else measurement_record_to_dict(record)
+        for record, outcome in zip(records, ("g", "e"))
+    ]
+
+
+def _wigner_section(records: list[MeasurementRecord | None], args) -> list[dict]:
     grid_cfg = args.get("wigner") or {}
     if not isinstance(grid_cfg, dict):
         raise ConfigError("key 'wigner' must be an object with 'extent' and 'points'")
     extent = float(grid_cfg.get("extent", 3.0))
     points = int(grid_cfg.get("points", 41))
     axis = np.linspace(-extent, extent, points)
+    grid = (axis[:, None] * 1j + axis[None, :]).ravel()  # values[i_im][i_re]
     sections = []
     for record in records:
-        if record["post_state"] is None:
+        if record is None:
             continue
-        amp = [complex(re, im) for re, im in record["post_state"]["fock_amplitudes"]]
-        state = CavityState(np.array(amp))
-        grid = axis[:, None] * 1j + axis[None, :]  # values[i_im][i_re]
-        values = wigner(state, grid.ravel()).reshape(points, points)
+        values = wigner(record.post_state, grid).reshape(points, points)
         sections.append(
             {
-                "outcome": record["outcome"],
+                "outcome": record.outcome,
                 "extent": extent,
                 "points": points,
-                "axis": [float(x) for x in axis],
-                "values": [[float(v) for v in row] for row in values],
+                "axis": axis.tolist(),
+                "values": values.tolist(),
             }
         )
     return sections
@@ -248,12 +260,12 @@ def _run_cat(config: RunConfig) -> dict:
     coupling = coupling_xi(params)
     tau = float(config.args["tau"])
     decomposition = evolve_vacuum(params, coupling, tau)
-    records = [_safe_record(decomposition, "g"), _safe_record(decomposition, "e")]
+    records = _measure_both(decomposition)
     return {
         "scenario": "cat",
         "tau": tau,
         "branches": branch_decomposition_to_dict(decomposition),
-        "measurements": records,
+        "measurements": _record_dicts(records),
         "wigner": _wigner_section(records, config.args),
     }
 
@@ -271,7 +283,7 @@ def _run_inject(config: RunConfig) -> dict:
         "alpha_prime": [alpha_prime.real, alpha_prime.imag],
         "pre_pulse": branch_decomposition_to_dict(before),
         "post_pulse": branch_decomposition_to_dict(after),
-        "measurements": [_safe_record(after, "g"), _safe_record(after, "e")],
+        "measurements": _record_dicts(_measure_both(after)),
     }
 
 
@@ -281,9 +293,10 @@ def _run_squeeze(config: RunConfig) -> dict:
     gamma = _as_complex(config.args["gamma"], "gamma")
     t = float(config.args["t"])
     decomposition = squeezed_evolution(params, coupling, gamma, t)
+    labels = decomposition.labels()
+    dim = int(config.args.get("fock_dim") or auto_fock_dim(labels))
     variances = []
-    for label in decomposition.labels():
-        dim = int(config.args.get("fock_dim") or 96)
+    for label in labels:
         state = materialize_label(label, dim)
         r = abs(label.squeeze)
         variances.append(
@@ -300,7 +313,7 @@ def _run_squeeze(config: RunConfig) -> dict:
         "gamma": [gamma.real, gamma.imag],
         "branches": branch_decomposition_to_dict(decomposition),
         "variances": variances,
-        "measurements": [_safe_record(decomposition, "g"), _safe_record(decomposition, "e")],
+        "measurements": _record_dicts(_measure_both(decomposition)),
     }
 
 

@@ -6,6 +6,11 @@ space qubit (x) cavity (dimension 2N).  Joint amplitudes are ordered as
 stored as angular frequencies (divided by hbar), so propagation times are in
 seconds.
 
+Wigner maps are summed from the Fock-basis Wigner functions by Clenshaw
+recurrence of the associated Laguerre polynomials (Johansson, Nation &
+Nori, Comput. Phys. Commun. 184, 1234 (2013)); no state is displaced, so a
+map is exact at any grid extent, whatever the truncation (see ``wigner``).
+
 Everything here is a pure function of its inputs; the state and operator
 types freeze their arrays after construction and are safe to share across
 threads.
@@ -35,8 +40,6 @@ __all__ = [
     "propagate",
     "fidelity",
     "wigner",
-    "displacement_matrix",
-    "displace_state",
     "joint_state",
     "top_level_weight",
     "quadrature_covariance",
@@ -268,65 +271,49 @@ def fidelity(x: CavityState | JointState, y: CavityState | JointState) -> float:
     return float(abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2)
 
 
-def _triangular_exp_lowering(z: complex, dim: int) -> np.ndarray:
-    """Matrix of exp(z a) on the truncated space (exact, upper triangular)."""
-    if z == 0:
-        return np.eye(dim, dtype=complex)
-    ns = np.arange(dim)
-    diff = ns[None, :] - ns[:, None]  # n - m, nonzero entries need n >= m
-    mask = diff >= 0
-    d = np.where(mask, diff, 0)
-    # single combined exponent: |z|^d sqrt(n!/m!)/d! overflows if split up
-    logmag = (
-        0.5 * (gammaln(ns[None, :] + 1) - gammaln(ns[:, None] + 1))
-        - gammaln(d + 1)
-        + d * math.log(abs(z))
-    )
-    return np.where(mask, np.exp(logmag + 1j * d * np.angle(z)), 0.0).astype(complex)
+def _laguerre_series(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sum over k of coeffs[k] (-1)^k L_k^order(x) / sqrt(binom(k + order, k)) at each x.
 
-
-def _triangular_exp_raising(z: complex, dim: int) -> np.ndarray:
-    """Matrix of exp(z a^dag) on the truncated space (exact, lower triangular)."""
-    return _triangular_exp_lowering(np.conj(z), dim).conj().T
-
-
-def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
-    """Truncated displacement operator D(beta) = exp(beta a^dag - beta* a).
-
-    Built from the normal-ordered factorization
-    D(beta) = exp(-|beta|^2/2) exp(beta a^dag) exp(-beta* a), whose matrix
-    elements on the first ``dim`` levels coincide (in exact arithmetic) with
-    the infinite-dimensional operator: neither factor routes amplitude above
-    max(m, n).  In floating point the columns are accurate while
-    |beta| sqrt(column index) stays moderate; entries with both indices
-    large carry the factors' dynamic range and should not be relied on.
+    Clenshaw's backward recurrence for the normalized associated Laguerre
+    polynomials, so no factorial is formed and none overflows at large
+    ``order`` or k.  Needs at least two coefficients.
     """
-    raising = _triangular_exp_raising(beta, dim)
-    lowering = _triangular_exp_lowering(-np.conj(beta), dim)
-    return math.exp(-abs(beta) ** 2 / 2.0) * (raising @ lowering)
-
-
-def displace_state(beta: complex, state: CavityState) -> np.ndarray:
-    """Amplitudes of D(beta)|state>, applying the normal-ordered factors in turn."""
-    lowered = _triangular_exp_lowering(-np.conj(beta), state.fock_dim) @ state.amplitudes
-    raised = _triangular_exp_raising(beta, state.fock_dim) @ lowered
-    return math.exp(-abs(beta) ** 2 / 2.0) * raised
+    k = np.arange(coeffs.size - 1, 1, -1, dtype=float)
+    scale = 1.0 / np.sqrt((order + k) * k)
+    lower = np.sqrt((k - 1.0) * (order + k - 1.0)) * scale
+    centre = (order + 2.0 * k - 1.0) * scale
+    y0 = np.full(x.shape, coeffs[-2], dtype=complex)
+    y1 = np.full(x.shape, coeffs[-1], dtype=complex)
+    steps = zip(coeffs[-3::-1].tolist(), lower.tolist(), centre.tolist(), scale.tolist())
+    for c, a, b, s in steps:
+        y0, y1 = c - a * y1, y0 - y1 * (b - s * x)
+    return y0 - y1 * ((order + 1 - x) / math.sqrt(order + 1))
 
 
 def wigner(state: CavityState, points) -> np.ndarray:
     """Wigner function W(beta) = (2/pi) <D(beta) Pi D(beta)^dag> at complex points.
 
-    Pi is the photon parity operator, so |W| <= 2/pi everywhere.  The caller
-    is responsible for a truncation large enough to hold the state displaced
-    to the farthest grid point.
+    Pi is the photon parity operator, so |W| <= 2/pi everywhere.  The map is
+    the sum of rho_mn times the Fock-basis Wigner functions, which are
+    associated Laguerre polynomials in |2 beta|^2; each diagonal of rho is
+    summed by Clenshaw recurrence over all points at once, and the diagonals
+    are combined Horner-style in 2 beta (Johansson, Nation & Nori,
+    Comput. Phys. Commun. 184, 1234 (2013)).  No state is displaced, so the
+    map is exact to rounding at any grid extent and any truncation, up to
+    the points where exp(2|beta|^2) overflows a double (|beta| near 18.8)
+    for a state with that many photons.
     """
-    parity = (-1.0) ** np.arange(state.fock_dim)
-    pts = np.asarray(points, dtype=complex).ravel()
-    out = np.empty(pts.size, dtype=float)
-    for i, beta in enumerate(pts):
-        displaced = displace_state(-beta, state)
-        out[i] = (2.0 / math.pi) * float(np.sum(parity * np.abs(displaced) ** 2))
-    return out
+    amp = state.amplitudes
+    n = amp.size
+    beta = np.asarray(points, dtype=complex).ravel()
+    x = np.abs(2.0 * beta) ** 2
+    w = np.full(beta.size, 2.0 * amp[0] * np.conj(amp[-1]))  # the corner rho[0, n - 1]
+    for order in range(n - 2, -1, -1):
+        rho_diag = amp[: n - order] * amp[order:].conj()  # rho[k, k + order]
+        if order:
+            rho_diag *= 2.0  # rho[k + order, k] is the conjugate: take Re at the end
+        w = _laguerre_series(order, x, rho_diag) + w * (2.0 * beta / math.sqrt(order + 1))
+    return (2.0 / math.pi) * w.real * np.exp(-0.5 * x)
 
 
 def top_level_weight(state: CavityState | JointState, levels: int = 4) -> float:

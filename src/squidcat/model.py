@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import eigh
@@ -55,7 +55,7 @@ class DeviceParams:
     angular frequency; by default it is derived as 2*pi*c/wavelength.
     ``z0`` is the qubit position along the cavity axis (default: cavity
     midpoint).  ``Q`` is the cavity quality factor, needed only for
-    lifetime estimates.
+    lifetime estimates.  Every numeric field must be finite.
     """
 
     E_J: float
@@ -70,6 +70,10 @@ class DeviceParams:
     omega: float | None = None
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name != "cavity_kind" and value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.E_J <= 0 or self.E_ch <= 0:
             raise ValueError("E_J and E_ch must be positive")
         if self.wavelength <= 0 or self.squid_area <= 0:

@@ -45,6 +45,20 @@ def make_strong_device(omega=1e10, ej_over_omega=50.0, **overrides):
     return DeviceParams(**kwargs)
 
 
+def coherent_wigner(alpha, beta):
+    """Closed-form Wigner map (2/pi) exp(-2|beta - alpha|^2) of a coherent state."""
+    return (2.0 / np.pi) * np.exp(-2.0 * np.abs(beta - alpha) ** 2)
+
+
+def cat_wigner(alpha, sign, beta):
+    """Closed-form Wigner map of the normalized cat |alpha> + sign |-alpha>."""
+    interference = (4.0 / np.pi) * np.exp(-2.0 * np.abs(beta) ** 2) * np.cos(
+        4.0 * np.imag(np.conj(alpha) * beta)
+    )
+    numerator = coherent_wigner(alpha, beta) + coherent_wigner(-alpha, beta) + sign * interference
+    return numerator / (2.0 + sign * 2.0 * np.exp(-2.0 * abs(alpha) ** 2))
+
+
 @pytest.fixture
 def physical_device():
     return make_physical_device()

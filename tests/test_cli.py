@@ -16,6 +16,9 @@ from squidcat.cli import (
 )
 from squidcat.errors import ConfigError
 from squidcat.hilbert import CavityState
+from squidcat.model import coupling_xi
+
+from conftest import cat_wigner, make_strong_device
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -114,6 +117,33 @@ def test_cat_output_round_trip(tmp_path):
     assert rerun.read_bytes() == out.read_bytes()
 
 
+def test_cat_run_wigner_maps_exact_on_diagonal(tmp_path):
+    # kappa = xi E_J / (hbar omega) = sqrt(2) and omega tau = pi/2 give the cat
+    # displacement alpha = kappa (exp(-i omega tau) - 1) = -sqrt(2) (1 + i).
+    omega = 2.0 * math.pi * 3e11
+    probe = make_strong_device(omega=omega)
+    squid_area = probe.squid_area * (math.sqrt(2.0) / 50.0) / abs(coupling_xi(probe).xi)
+    params = make_strong_device(omega=omega, squid_area=squid_area)
+    config = _base_cat_config(tmp_path, tau=0.5 * math.pi / omega)
+    config["device"] = {
+        "E_J": params.E_J,
+        "E_ch": params.E_ch,
+        "lambda": params.wavelength,
+        "S": params.squid_area,
+        "omega": params.omega,
+    }
+    data = json.loads(run(load_config(_write_config(tmp_path, config))).read_text())
+
+    alpha = -math.sqrt(2.0) * (1.0 + 1.0j)
+    assert [w["outcome"] for w in data["wigner"]] == ["g", "e"]
+    for section, sign in zip(data["wigner"], (1.0, -1.0)):  # g even, e odd
+        assert (section["extent"], section["points"]) == (3.0, 41)
+        axis = np.array(section["axis"])
+        beta = axis[None, :] + 1j * axis[:, None]  # values[i_im][i_re]
+        exact = cat_wigner(alpha, sign, beta)
+        assert np.abs(np.array(section["values"]) - exact).max() <= 1e-12
+
+
 def test_inject_run_measurement_structure(tmp_path):
     config = example_config("inject")
     config["output"] = {"path": str(tmp_path / "inject.json"), "format": "json"}
@@ -131,6 +161,21 @@ def test_squeeze_run_variance_section(tmp_path):
     config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
     out = run(load_config(_write_config(tmp_path, config)))
     data = json.loads(out.read_text())
+    assert len(data["variances"]) == 2
+    for section in data["variances"]:
+        assert section["min_variance"] == pytest.approx(
+            section["expected_min_variance"], abs=1e-6
+        )
+
+
+def test_squeeze_run_picks_its_own_truncation(tmp_path, capsys):
+    # |gamma| = 9 needs about 145 Fock levels, beyond any fixed default.
+    config = example_config("squeeze")
+    config["gamma"] = [9.0, 0.0]
+    config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
+    assert main(["--config", _write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "squeeze.json").read_text())
     assert len(data["variances"]) == 2
     for section in data["variances"]:
         assert section["min_variance"] == pytest.approx(
@@ -191,6 +236,19 @@ def test_main_exit_codes(tmp_path, capsys):
     cfg_path.write_text(dumps17(config))
     assert main(["--config", str(cfg_path)]) == 3
     capsys.readouterr()
+
+
+def test_main_rejects_non_finite_device_parameter(tmp_path, capsys):
+    config = example_config("cat")
+    config["device"]["E_J"] = float("nan")
+    config["output"] = {"path": str(tmp_path / "cat.json"), "format": "json"}
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text(json.dumps(config))  # json writes the literal NaN
+    assert "NaN" in cfg_path.read_text()
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "E_J must be finite" in err
+    assert not (tmp_path / "cat.json").exists()
 
 
 def test_main_out_override(tmp_path, capsys):

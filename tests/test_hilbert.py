@@ -10,7 +10,6 @@ from squidcat.hilbert import (
     FockOperator,
     JointState,
     coherent_fock,
-    displacement_matrix,
     fidelity,
     joint_state,
     make_ladder_ops,
@@ -24,7 +23,7 @@ from squidcat.hilbert import (
 )
 from squidcat.model import coupling_xi, hamiltonian
 
-from conftest import make_strong_device
+from conftest import cat_wigner, coherent_wigner, make_strong_device
 
 
 # ---------------------------------------------------------------- ladder ops
@@ -209,17 +208,7 @@ def test_fidelity_rejects_mismatches():
         fidelity(coherent_fock(0.0, 8), joint_state("g", coherent_fock(0.0, 4)))
 
 
-# ---------------------------------------------------------------- displacement and Wigner
-
-def test_displacement_generates_coherent_state():
-    beta = 0.9 - 0.4j
-    dim = 40
-    d = displacement_matrix(beta, dim)
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    assert np.linalg.norm(d @ vac - coherent_fock(beta, dim).amplitudes) <= 1e-10
-    assert np.linalg.norm(d, 2) <= 1.0 + 1e-9
-
+# ---------------------------------------------------------------- Wigner
 
 def test_wigner_vacuum_origin():
     vac = coherent_fock(0.0, 16)
@@ -258,6 +247,33 @@ def test_wigner_grid_normalization(state_fn):
     pts = (axis[:, None] + 1j * axis[None, :]).ravel()
     total = 0.5 * wigner(state, pts).sum() * (2.0 * step * step)
     assert abs(total - 1.0) <= 0.02
+
+
+# The CLI's default map: 41 x 41 points at extent 3, values[i_im][i_re].
+_AXIS = np.linspace(-3.0, 3.0, 41)
+_GRID = (_AXIS[None, :] + 1j * _AXIS[:, None]).ravel()
+_DIAGONAL_ALPHA = -math.sqrt(2.0) * (1.0 + 1.0j)  # |alpha| = 2 towards a grid corner
+
+
+@pytest.mark.parametrize("alpha", [2.0, _DIAGONAL_ALPHA], ids=["axis", "diagonal"])
+def test_wigner_coherent_closed_form_on_cli_grid(alpha):
+    values = wigner(coherent_fock(alpha, 64), _GRID)
+    assert np.abs(values - coherent_wigner(alpha, _GRID)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, sign", [("even", 1.0), ("odd", -1.0)])
+def test_wigner_cat_closed_form_on_cli_grid(kind, sign):
+    state = cat_state(_DIAGONAL_ALPHA, kind, fock_dim=64)
+    values = wigner(state, _GRID)
+    assert np.abs(values - cat_wigner(_DIAGONAL_ALPHA, sign, _GRID)).max() <= 1e-12
+
+
+def test_wigner_single_photon_closed_form():
+    amp = np.zeros(64, dtype=complex)
+    amp[1] = 1.0
+    r2 = np.abs(_GRID) ** 2
+    exact = (2.0 / math.pi) * (4.0 * r2 - 1.0) * np.exp(-2.0 * r2)
+    assert np.abs(wigner(CavityState(amp), _GRID) - exact).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -86,6 +86,22 @@ def test_device_rejects_bad_geometry():
         make_physical_device(z0=2e-3)  # beyond the cavity length
 
 
+def test_device_rejects_nan_energy_and_infinite_wavelength():
+    with pytest.raises(ValueError, match="E_J"):
+        DeviceParams(E_J=float("nan"), E_ch=1.0)
+    with pytest.raises(ValueError, match="wavelength"):
+        DeviceParams(E_J=1.0, E_ch=4.0, wavelength=float("inf"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field", ["E_J", "E_ch", "n_g", "phi_c_ratio", "wavelength", "squid_area", "z0", "Q", "omega"]
+)
+def test_device_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_physical_device(**{field: value})
+
+
 def test_device_gate_detuning_vanishes_at_degeneracy():
     params = make_physical_device(n_g=0.5)
     assert params.ez_rate == 0.0
