@@ -32,7 +32,7 @@ from .hilbert import (
     required_fock_dim,
     top_level_weight,
 )
-from .model import Coupling, DeviceParams, validity_margin
+from .model import Coupling, DeviceParams, require_setting, validity_margin
 
 __all__ = [
     "CoherentLabel",
@@ -187,15 +187,6 @@ def _kappa(params: DeviceParams, coupling: Coupling) -> complex:
     return complex_rabi(params, coupling) / params.omega_cavity
 
 
-def _check_preparation_setting(params: DeviceParams) -> None:
-    if abs(params.n_g - 0.5) > 1e-12:
-        raise ValueError(f"preparation requires n_g = 1/2, got {params.n_g!r}")
-    if abs(params.phi_c_ratio - 0.5) > 1e-12:
-        raise ValueError(
-            f"preparation requires phi_c_ratio = 1/2, got {params.phi_c_ratio!r}"
-        )
-
-
 def _dropped_phase_record(kappa: complex, omega_tau: float) -> str:
     angle = abs(kappa) ** 2 * (omega_tau - math.sin(omega_tau))
     return f"exp(1j*{angle:.17g})"
@@ -213,7 +204,7 @@ def evolve_coherent(
     the common phase exp(i |kappa|^2 (w tau - sin w tau)) is recorded as
     dropped.
     """
-    _check_preparation_setting(params)
+    require_setting(params, 0.5, "preparation")
     omega = params.omega_cavity
     kappa = _kappa(params, coupling)
     alpha_prime = complex(alpha_prime)
@@ -255,25 +246,15 @@ def coherent_overlap(
 def injected_pair_overlap(kappa: float, alpha_prime: float, omega_tau: float) -> complex:
     """Closed-form <alpha_+|alpha_-> for real drive scale and real injected amplitude.
 
-    Equals exp(-4 kappa^2 (1 - cos w tau) + 2i kappa alpha' sin w tau) and is
-    checked against the general Gaussian overlap of the materialized pair
-    before returning.
+    Equals exp(-4 kappa^2 (1 - cos w tau) + 2i kappa alpha' sin w tau), the
+    general Gaussian overlap ``coherent_overlap`` of that pair.
     """
     kappa = float(kappa)
     alpha_prime = float(alpha_prime)
-    closed = cmath.exp(
+    return cmath.exp(
         -4.0 * kappa**2 * (1.0 - math.cos(omega_tau))
         + 2j * kappa * alpha_prime * math.sin(omega_tau)
     )
-    rot = cmath.exp(-1j * omega_tau)
-    alpha_plus = alpha_prime * rot + kappa * (rot - 1.0)
-    alpha_minus = alpha_prime * rot - kappa * (rot - 1.0)
-    general = coherent_overlap(alpha_plus, alpha_minus)
-    if abs(closed - general) > 1e-12 * max(1.0, abs(general)):
-        raise AssertionError(
-            f"specialized overlap {closed!r} disagrees with general form {general!r}"
-        )
-    return closed
 
 
 def cat_normalization(alpha: complex, parity: str) -> float:
@@ -291,9 +272,10 @@ def cat_normalization(alpha: complex, parity: str) -> float:
 def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> CavityState:
     """Normalized even or odd superposition of |alpha> and |-alpha>."""
     const = cat_normalization(alpha, parity)
-    dim = fock_dim if fock_dim is not None else required_fock_dim(alpha, LABEL_TAIL_TOL, minimum=16)
-    plus = coherent_fock(alpha, dim)
-    minus = coherent_fock(-alpha, dim)
+    if fock_dim is None:
+        fock_dim = auto_fock_dim([CoherentLabel(alpha), CoherentLabel(-alpha)])
+    plus = coherent_fock(alpha, fock_dim)
+    minus = coherent_fock(-alpha, fock_dim)
     sign = 1.0 if parity == "even" else -1.0
     v = const * (plus.amplitudes + sign * minus.amplitudes)
     norm = np.linalg.norm(v)
@@ -356,12 +338,7 @@ def squeezed_evolution(
     is accurate while |squeeze| * rotation stays small, which holds for
     physically small couplings over a few cavity periods.
     """
-    if abs(params.n_g - 0.5) > 1e-12:
-        raise ValueError(f"squeezed evolution requires n_g = 1/2, got {params.n_g!r}")
-    if abs(params.phi_c_ratio) > 1e-12:
-        raise ValueError(
-            f"squeezed evolution requires phi_c_ratio = 0, got {params.phi_c_ratio!r}"
-        )
+    require_setting(params, 0.0, "squeezed evolution")
     gamma = complex(gamma)
     validity_margin(coupling, max(0, math.ceil(abs(gamma) ** 2)))
 
@@ -405,46 +382,56 @@ def materialize_label(label: CoherentLabel | SqueezedLabel, fock_dim: int) -> Ca
     return state
 
 
-def auto_fock_dim(
-    labels, start: int = DEFAULT_FOCK_DIM, max_dim: int = MAX_FOCK_DIM
-) -> int:
-    """Truncation at which every label materializes with negligible leakage.
+def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> int:
+    """The package's truncation policy: the Fock dimension at which no checked state leaks.
 
-    Starts from the larger of ``start`` and each label's coherent-tail
-    requirement, then doubles until the top four Fock levels of every
-    materialized label hold less than 1e-10 of the population (or the cap is
-    reached, raising TruncationError).
+    Starts from ``start`` if given, else from the larger of 64 and each
+    label's exact coherent-tail requirement (tail below 1e-12), and doubles
+    up to 512 until the top four Fock levels of every checked state hold less
+    than 1e-10 of the population; at 512 it raises TruncationError.  At each
+    truncation tried, every distinct label is materialized once, and
+    ``propagated(dim, label_states)``, if given, returns further states (such
+    as brute-force propagated ones) that must pass the same check; it gets
+    the labels' states at that truncation so it can reuse them.  An explicit
+    ``start`` too small for a coherent label raises TruncationError.
     """
-    labels = list(labels)
+    labels = list(dict.fromkeys(labels))
     dim = start
-    for label in labels:
-        center = label.alpha if isinstance(label, CoherentLabel) else label.gamma
-        dim = max(dim, required_fock_dim(center, LABEL_TAIL_TOL))
-    while True:
-        worst = 0.0
+    if dim is None:
+        dim = DEFAULT_FOCK_DIM
         for label in labels:
-            worst = max(worst, top_level_weight(materialize_label(label, dim)))
+            centre = label.alpha if isinstance(label, CoherentLabel) else label.gamma
+            dim = max(dim, required_fock_dim(centre, LABEL_TAIL_TOL))
+    while True:
+        label_states = {label: materialize_label(label, dim) for label in labels}
+        checked = list(label_states.values())
+        if propagated is not None:
+            checked += propagated(dim, label_states)
+        worst = max(map(top_level_weight, checked), default=0.0)
         if worst < TOP_WEIGHT_TOL:
             return dim
-        if dim >= max_dim:
+        if dim >= MAX_FOCK_DIM:
             raise TruncationError(
-                f"leakage {worst:.3e} persists at the maximum truncation {max_dim}",
+                f"leakage {worst:.3e} persists at the maximum truncation {MAX_FOCK_DIM}",
                 required_dim=None,
             )
-        dim = min(2 * dim, max_dim)
+        dim = min(2 * dim, MAX_FOCK_DIM)
 
 
-def materialize(state: BranchDecomposition, fock_dim: int | None = None) -> JointState:
+def materialize(
+    state: BranchDecomposition, fock_dim: int | None = None, label_states: dict | None = None
+) -> JointState:
     """Expand a branch decomposition into a joint Fock-space state.
 
-    The truncation is chosen automatically (leakage below 1e-10 per label)
-    unless given.  The combined vector must come out normalized up to
+    The truncation comes from ``auto_fock_dim`` unless given.
+    ``label_states`` may hold labels already materialized at that
+    truncation.  The combined vector must come out normalized up to
     truncation effects, which are recorded as leakage.
     """
     dim = auto_fock_dim(state.labels()) if fock_dim is None else fock_dim
     vec = np.zeros(2 * dim, dtype=complex)
     tail = 0.0
-    cache: dict[CoherentLabel | SqueezedLabel, CavityState] = {}
+    cache = dict(label_states or {})
     for branch in state.branches:
         if branch.label not in cache:
             cache[branch.label] = materialize_label(branch.label, dim)

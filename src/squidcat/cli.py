@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-contract failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,13 @@ from .analytic import (
     materialize_label,
     squeezed_evolution,
 )
-from .errors import ConfigError, HermiticityError, NullOutcomeError, TruncationError
+from .errors import (
+    ConfigError,
+    HermiticityError,
+    NonFiniteError,
+    NullOutcomeError,
+    TruncationError,
+)
 from .experiments import (
     VERIFY_SCENARIOS,
     default_lambda_grid,
@@ -69,7 +75,7 @@ _SCENARIO_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration."""
 
@@ -78,12 +84,11 @@ class RunConfig:
     args: dict
     out_path: str
     out_format: str
-    seed: int | None = None
 
 
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"non-finite float {x!r} in output")
+        raise NonFiniteError(f"non-finite float {x!r} in output")
     return format(float(x), ".17g")
 
 
@@ -166,7 +171,7 @@ def validate_config(data) -> RunConfig:
         raise ConfigError(f"key 'scenario' must be one of {SCENARIOS}, got {scenario!r}")
     required, optional = _SCENARIO_KEYS[scenario]
 
-    base_keys = {"scenario", "device", "output", "seed"}
+    base_keys = {"scenario", "device", "output"}
     for key in data:
         if key.startswith("_"):
             continue
@@ -195,10 +200,6 @@ def validate_config(data) -> RunConfig:
             f"scenario {scenario!r} emits {expected_format!r}; got format {out_format!r}"
         )
 
-    seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError(f"key 'seed' must be an integer, got {seed!r}")
-
     args = {k: v for k, v in data.items() if k in required | optional}
     return RunConfig(
         scenario=scenario,
@@ -206,7 +207,6 @@ def validate_config(data) -> RunConfig:
         args=args,
         out_path=str(output["path"]),
         out_format=out_format,
-        seed=seed,
     )
 
 
@@ -363,7 +363,7 @@ def _run_feasibility(config: RunConfig) -> dict:
         tau_m=float(config.args["tau_m"]),
     )
     out = {"scenario": "feasibility"}
-    out.update(report.to_dict())
+    out.update(dataclasses.asdict(report))
     return out
 
 
@@ -482,7 +482,6 @@ def main(argv=None) -> int:
         help=f"print a config template for one of {', '.join(SCENARIOS)}",
     )
     parser.add_argument("--out", metavar="PATH", help="override the configured output path")
-    parser.add_argument("--seed", type=int, metavar="N", help="reserved; no stochastic paths")
     opts = parser.parse_args(argv)
 
     try:
@@ -495,19 +494,12 @@ def main(argv=None) -> int:
             return 2
         config = load_config(opts.config)
         if opts.out:
-            config = RunConfig(
-                scenario=config.scenario,
-                device=config.device,
-                args=config.args,
-                out_path=opts.out,
-                out_format=config.out_format,
-                seed=opts.seed if opts.seed is not None else config.seed,
-            )
+            config = dataclasses.replace(config, out_path=opts.out)
         out_path = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, HermiticityError) as exc:
+    except (TruncationError, HermiticityError, NonFiniteError) as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -21,6 +21,10 @@ class TruncationError(RuntimeError):
         self.required_dim = required_dim
 
 
+class NonFiniteError(ValueError):
+    """A computed value that must be finite is NaN or infinite."""
+
+
 class NullOutcomeError(ValueError):
     """A measurement outcome has (numerically) zero probability."""
 

@@ -24,14 +24,7 @@ from .analytic import (
     squeezed_evolution,
 )
 from .constants import HBAR, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
-from .errors import TruncationError
-from .hilbert import (
-    Propagator,
-    coherent_fock,
-    fidelity,
-    joint_state,
-    top_level_weight,
-)
+from .hilbert import Propagator, coherent_fock, fidelity, joint_state
 from .model import Coupling, DeviceParams, coupling_xi, hamiltonian
 
 __all__ = [
@@ -53,8 +46,6 @@ VERIFY_SCENARIOS = ("vacuum", "coherent", "pulse", "squeeze")
 DEFAULT_RATIOS = (4.0, 7.0, 10.0, 15.0)
 DEFAULT_KINDS = ("full", "quarter")
 SWEEP_SQUID_AREA = 100e-12
-MAX_VERIFY_DIM = 512
-TOP_WEIGHT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,17 +79,6 @@ class FeasibilityReport:
         for name in ("t_q", "t_d", "T1", "T2", "tau_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "t_q": self.t_q,
-            "t_d": self.t_d,
-            "T1": self.T1,
-            "T2": self.T2,
-            "tau_m": self.tau_m,
-            "operation_faster_than_dephasing": self.operation_faster_than_dephasing,
-            "readout_within_coherence": self.readout_within_coherence,
-        }
 
 
 def rabi_frequency(params: DeviceParams, coupling: Coupling) -> float:
@@ -250,34 +230,31 @@ def verify_analytic_numeric(
     """Max infidelity between closed-form branches and brute-force propagation.
 
     Runs both paths at every grid time and returns max(1 - fidelity).  The
-    truncation is auto-chosen from the branch labels and doubled (up to 512)
-    whenever the propagated state populates the top Fock levels.
+    truncation comes from ``auto_fock_dim``, starting at ``fock_dim`` if
+    given: at each truncation tried it materializes every distinct branch
+    label once and propagates the initial state to every grid time, and it
+    doubles (up to 512) until neither the closed-form nor the propagated
+    states populate the top Fock levels.  The fidelities use those same
+    states.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
         raise ValueError("tau_grid must be nonempty")
     c = coupling_xi(params) if coupling is None else coupling
     analytic_at = _analytic_map(params, c, scenario, alpha_prime, gamma)
-    if fock_dim is None:
-        labels = [label for tau in tau_grid for label in analytic_at(tau).labels()]
-        dim = auto_fock_dim(labels)
-    else:
-        dim = fock_dim
+    decompositions = [analytic_at(tau) for tau in tau_grid]
+    trials = {}
 
-    while True:
+    def propagated(dim, label_states):
         numeric_at = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)
-        worst = 0.0
-        leak = 0.0
-        for tau in tau_grid:
-            numeric = numeric_at(tau)
-            worst = max(worst, 1.0 - fidelity(materialize(analytic_at(tau), dim), numeric))
-            leak = max(leak, top_level_weight(numeric))
-        if leak < TOP_WEIGHT_TOL:
-            return worst
-        if dim >= MAX_VERIFY_DIM:
-            raise TruncationError(
-                f"propagated state keeps {leak:.3e} weight in the top levels at "
-                f"the maximum truncation {MAX_VERIFY_DIM}",
-                required_dim=None,
-            )
-        dim = min(2 * dim, MAX_VERIFY_DIM)
+        numeric = [numeric_at(tau) for tau in tau_grid]
+        trials[dim] = label_states, numeric
+        return numeric
+
+    labels = [label for decomposition in decompositions for label in decomposition.labels()]
+    dim = auto_fock_dim(labels, fock_dim, propagated=propagated)
+    label_states, numeric = trials[dim]
+    return max(
+        1.0 - fidelity(materialize(decomposition, dim, label_states), state)
+        for decomposition, state in zip(decompositions, numeric)
+    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import DimensionError, HermiticityError, TruncationError
 
@@ -170,24 +170,21 @@ def number_op(dim: int) -> FockOperator:
     return FockOperator(np.diag(np.arange(dim, dtype=complex)), hamiltonian=True)
 
 
-def required_fock_dim(alpha: complex, tail_tol: float = COHERENT_TAIL_TOL, minimum: int = 8) -> int:
-    """Smallest truncation whose Poisson tail beyond it is below ``tail_tol``."""
+def required_fock_dim(alpha: complex, tail_tol: float = COHERENT_TAIL_TOL) -> int:
+    """Smallest truncation whose Poisson tail beyond it is below ``tail_tol``.
+
+    The coherent weight beyond ``dim`` levels, P(X >= dim) for
+    X ~ Poisson(|alpha|^2), is the regularized incomplete gamma function
+    gammainc(dim, |alpha|^2), evaluated to relative precision with no
+    ``1 - sum`` cancellation.
+    """
+    if not tail_tol > 0.0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     mu = abs(alpha) ** 2
-    if mu == 0.0:
-        return max(minimum, 2)
-    dim = max(minimum, int(math.ceil(mu)))
-    while _poisson_tail(dim, mu) >= tail_tol:
+    dim = max(2, math.ceil(mu))
+    while gammainc(dim, mu) >= tail_tol:
         dim += 1
-        if dim > 100000:
-            raise TruncationError(f"no adequate truncation found for |alpha|={abs(alpha)!r}")
     return dim
-
-
-def _poisson_tail(dim: int, mu: float) -> float:
-    """P(X >= dim) for X ~ Poisson(mu), i.e. coherent weight beyond the truncation."""
-    ns = np.arange(dim)
-    captured = np.exp(ns * math.log(mu) - mu - gammaln(ns + 1)).sum() if mu > 0 else 1.0
-    return max(0.0, 1.0 - float(captured))
 
 
 def coherent_fock(alpha: complex, dim: int) -> CavityState:
@@ -204,7 +201,7 @@ def coherent_fock(alpha: complex, dim: int) -> CavityState:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return CavityState(v, leakage=0.0)
-    tail = _poisson_tail(dim, abs(alpha) ** 2)
+    tail = float(gammainc(dim, abs(alpha) ** 2))
     if tail >= COHERENT_TAIL_TOL:
         need = required_fock_dim(alpha)
         raise TruncationError(

@@ -35,6 +35,7 @@ __all__ = [
     "Coupling",
     "coupling_xi",
     "validity_margin",
+    "require_setting",
     "hamiltonian",
 ]
 
@@ -45,6 +46,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 VALIDITY_WARN_LEVEL = 0.1
+SETTING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -184,13 +186,12 @@ def validity_margin(coupling: Coupling, n_max: int) -> float:
     return value
 
 
-def _second_order_preconditions(params: DeviceParams) -> None:
-    if abs(params.phi_c_ratio) > 1e-12:
-        raise ValueError(
-            f"order='second' requires phi_c_ratio = 0, got {params.phi_c_ratio!r}"
-        )
-    if abs(params.n_g - 0.5) > 1e-12:
-        raise ValueError(f"order='second' requires n_g = 1/2, got {params.n_g!r}")
+def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> None:
+    """Raise ValueError unless n_g = 1/2 and the classical flux ratio is ``phi_c_ratio``."""
+    for name, wanted in (("n_g", 0.5), ("phi_c_ratio", phi_c_ratio)):
+        value = getattr(params, name)
+        if abs(value - wanted) > SETTING_TOL:
+            raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
 
 
 def hamiltonian(params: DeviceParams, coupling: Coupling, order: str, dim: int) -> FockOperator:
@@ -230,7 +231,7 @@ def hamiltonian(params: DeviceParams, coupling: Coupling, order: str, dim: int) 
         h -= ej * math.cos(flux_angle) * np.kron(SIGMA_X, eye_f)
         h += ej * math.sin(flux_angle) * np.kron(SIGMA_X, linear)
     else:
-        _second_order_preconditions(params)
+        require_setting(params, 0.0, "order='second'")
         quad = (xi**2 / 2.0) * (a @ a) + (np.conj(xi) ** 2 / 2.0) * (adag @ adag)
         xi2 = abs(xi) ** 2
         h -= ej * xi2 * np.kron(SIGMA_X, n_mat)

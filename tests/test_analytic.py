@@ -11,6 +11,7 @@ from squidcat.analytic import (
     BranchDecomposition,
     CoherentLabel,
     SqueezedLabel,
+    auto_fock_dim,
     branch_decomposition_from_dict,
     branch_decomposition_to_dict,
     cat_normalization,
@@ -26,6 +27,7 @@ from squidcat.analytic import (
     materialize_label,
     squeezed_evolution,
 )
+from squidcat.errors import TruncationError
 from squidcat.hilbert import (
     coherent_fock,
     fidelity,
@@ -212,7 +214,12 @@ def test_injected_pair_overlap_random_identity():
         kappa = rng.uniform(0.0, 1.0)
         alpha_prime = rng.uniform(-2.0, 2.0)
         omega_tau = rng.uniform(0.0, 4.0 * math.pi)
-        injected_pair_overlap(kappa, alpha_prime, omega_tau)  # internal identity assert
+        rot = cmath.exp(-1j * omega_tau)
+        general = coherent_overlap(
+            alpha_prime * rot + kappa * (rot - 1.0), alpha_prime * rot - kappa * (rot - 1.0)
+        )
+        closed = injected_pair_overlap(kappa, alpha_prime, omega_tau)
+        assert abs(closed - general) <= 1e-12 * max(1.0, abs(general))
 
 
 # ---------------------------------------------------------------- cat normalization
@@ -382,6 +389,26 @@ def test_squeezed_evolution_preconditions():
         squeezed_evolution(make_physical_device(phi_c_ratio=0.5), c, 0.0, 1.0)
     with pytest.raises(ValueError):
         squeezed_evolution(make_physical_device(phi_c_ratio=0.0, n_g=0.4), c, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------- truncation policy
+
+@pytest.mark.parametrize("r,expected", [(0.5, 64), (1.0, 128), (1.5, 256)])
+def test_auto_fock_dim_doubles_for_squeezed_vacuum(r, expected):
+    label = SqueezedLabel(gamma=0.0, squeeze=r, rotation=0.0)
+    assert auto_fock_dim([label]) == expected
+
+
+def test_auto_fock_dim_raises_at_the_cap():
+    label = SqueezedLabel(gamma=0.0, squeeze=2.0, rotation=0.0)
+    with pytest.raises(TruncationError, match="maximum truncation 512"):
+        auto_fock_dim([label])
+
+
+def test_auto_fock_dim_explicit_start_is_not_raised():
+    assert auto_fock_dim([CoherentLabel(1.0)], start=32) == 32
+    with pytest.raises(TruncationError):
+        auto_fock_dim([CoherentLabel(4.0)], start=8)
 
 
 # ---------------------------------------------------------------- materialization and serialization

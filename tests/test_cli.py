@@ -251,6 +251,20 @@ def test_main_rejects_non_finite_device_parameter(tmp_path, capsys):
     assert not (tmp_path / "cat.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_non_finite_output_is_a_numerical_failure(tmp_path, capsys):
+    # A |alpha| = 15 cat mapped out to |beta| = 20 sqrt(2), where the Wigner sum overflows.
+    config = _base_cat_config(tmp_path)
+    params = validate_config(config).device
+    kappa = abs(coupling_xi(params).xi) * params.ej_rate / params.omega_cavity
+    config["device"]["S"] *= 7.5 / kappa
+    config["tau"] = math.pi / params.omega_cavity
+    config["wigner"] = {"extent": 20.0, "points": 3}
+    assert main(["--config", _write_config(tmp_path, config)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical contract failure" in err and "non-finite" in err
+
+
 def test_main_out_override(tmp_path, capsys):
     config = example_config("feasibility")
     config["output"] = {"path": str(tmp_path / "a.json"), "format": "json"}

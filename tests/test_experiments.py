@@ -166,6 +166,22 @@ def test_verify_squeeze_physical_coupling():
     assert infidelity <= 1e-8
 
 
+def test_verify_materializes_each_distinct_label_once(monkeypatch):
+    from squidcat import analytic
+
+    calls = []
+    original = analytic.materialize_label
+
+    def counting(label, fock_dim):
+        calls.append((label, fock_dim))
+        return original(label, fock_dim)
+
+    monkeypatch.setattr(analytic, "materialize_label", counting)
+    params = make_physical_device(phi_c_ratio=0.0)
+    verify_analytic_numeric(params, "squeeze", _grid(params, points=6), gamma=1.0)
+    assert len(calls) == len(set(calls)) == 11  # t = 0 gives one label, later times two
+
+
 def test_verify_complex_coupling_phase(strong_device):
     # a complex xi must be honored end to end, not just its magnitude
     coupling = Coupling.from_xi(0.01 * np.exp(0.6j))

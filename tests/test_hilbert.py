@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaln
 
 from squidcat.analytic import cat_state, evolve_vacuum, materialize
 from squidcat.errors import DimensionError, HermiticityError, TruncationError
@@ -122,6 +123,29 @@ def test_required_fock_dim_tail_contract():
     dim = required_fock_dim(2.0, 1e-10)
     state = coherent_fock(2.0, dim)
     assert state.leakage < 1e-10
+
+
+def _poisson_tail_sum(dim, mu):
+    """P(X >= dim) summed term by term over the tail, with no cancellation."""
+    ns = np.arange(dim, dim + 2000)
+    return float(np.exp(ns * math.log(mu) - mu - gammaln(ns + 1)).sum())
+
+
+def test_required_fock_dim_exact_tail_at_the_boundary():
+    # A boundary case: the tail at 80 levels exceeds 1e-12 by 0.1 %, less than
+    # the rounding error of a `1 - sum` tail at this |alpha|.
+    alpha = 5.673583395848961
+    assert _poisson_tail_sum(80, alpha**2) >= 1e-12 > _poisson_tail_sum(81, alpha**2)
+    assert required_fock_dim(alpha, 1e-12) == 81
+
+
+def test_required_fock_dim_is_the_smallest_adequate_dim():
+    for alpha in np.linspace(0.05, 20.0, 60):
+        mu = alpha**2
+        dim = required_fock_dim(alpha, 1e-12)
+        assert gammainc(dim, mu) < 1e-12
+        assert dim == 2 or gammainc(dim - 1, mu) >= 1e-12
+        assert _poisson_tail_sum(dim, mu) == pytest.approx(gammainc(dim, mu), rel=1e-9)
 
 
 # ---------------------------------------------------------------- propagation
