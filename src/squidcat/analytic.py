@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import TruncationError
+from .errors import NormalizationError, TruncationError
 from .hilbert import (
     QUBIT_AMPLITUDES,
     CavityState,
@@ -53,6 +53,7 @@ __all__ = [
     "materialize_label",
     "materialize",
     "auto_fock_dim",
+    "fitted_label_states",
     "branch_decomposition_to_dict",
     "branch_decomposition_from_dict",
 ]
@@ -418,17 +419,33 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> int:
         dim = min(2 * dim, MAX_FOCK_DIM)
 
 
+def fitted_label_states(labels, start: int | None = None, *, propagated=None) -> tuple[int, dict]:
+    """``auto_fock_dim`` and the label states it materialized at the truncation it chose."""
+    tried = {}
+
+    def keep(dim, label_states):
+        tried[dim] = label_states
+        return [] if propagated is None else propagated(dim, label_states)
+
+    dim = auto_fock_dim(labels, start, propagated=keep)
+    return dim, tried[dim]
+
+
 def materialize(
     state: BranchDecomposition, fock_dim: int | None = None, label_states: dict | None = None
 ) -> JointState:
     """Expand a branch decomposition into a joint Fock-space state.
 
-    The truncation comes from ``auto_fock_dim`` unless given.
-    ``label_states`` may hold labels already materialized at that
-    truncation.  The combined vector must come out normalized up to
-    truncation effects, which are recorded as leakage.
+    The truncation comes from ``auto_fock_dim`` unless given, and then the
+    label states the policy built are reused.  ``label_states`` may hold
+    labels already materialized at the given truncation.  The combined
+    vector must come out normalized up to truncation effects, which are
+    recorded as leakage; otherwise NormalizationError is raised.
     """
-    dim = auto_fock_dim(state.labels()) if fock_dim is None else fock_dim
+    if fock_dim is None:
+        dim, label_states = fitted_label_states(state.labels())
+    else:
+        dim = fock_dim
     vec = np.zeros(2 * dim, dtype=complex)
     tail = 0.0
     cache = dict(label_states or {})
@@ -440,7 +457,7 @@ def materialize(
         vec += branch.coefficient * np.kron(QUBIT_AMPLITUDES[branch.qubit], cavity.amplitudes)
     norm2 = float(np.real(np.vdot(vec, vec)))
     if abs(norm2 - 1.0) > 1e-8 + 4.0 * tail:
-        raise ValueError(
+        raise NormalizationError(
             f"branch decomposition materializes to norm^2 = {norm2!r}; weights are inconsistent"
         )
     return JointState(vec / math.sqrt(norm2), leakage=tail + abs(1.0 - norm2))

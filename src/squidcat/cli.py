@@ -20,18 +20,20 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
-    auto_fock_dim,
     branch_decomposition_to_dict,
     evolve_coherent,
     evolve_vacuum,
+    fitted_label_states,
     flux_pi_pulse,
     materialize_label,
     squeezed_evolution,
 )
 from .errors import (
     ConfigError,
+    DimensionError,
     HermiticityError,
     NonFiniteError,
+    NormalizationError,
     NullOutcomeError,
     TruncationError,
 )
@@ -50,6 +52,15 @@ from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 __all__ = ["RunConfig", "load_config", "run", "main", "example_config", "dumps17"]
 
 SCENARIOS = ("cat", "inject", "squeeze", "sweep", "verify", "feasibility")
+# Exit code 3; every other ValueError is a configuration error (exit 2).
+_NUMERICAL_FAILURES = (
+    TruncationError,
+    HermiticityError,
+    NonFiniteError,
+    DimensionError,
+    NullOutcomeError,
+    NormalizationError,
+)
 
 _DEVICE_KEY_MAP = {
     "E_J": "E_J",
@@ -66,8 +77,8 @@ _DEVICE_KEY_MAP = {
 _REQUIRED_DEVICE_KEYS = ("E_J", "E_ch")
 
 _SCENARIO_KEYS = {
-    "cat": ({"tau"}, {"fock_dim", "wigner"}),
-    "inject": ({"alpha_prime", "tau1"}, {"fock_dim"}),
+    "cat": ({"tau"}, {"wigner"}),
+    "inject": ({"alpha_prime", "tau1"}, set()),
     "squeeze": ({"gamma", "t"}, {"fock_dim"}),
     "sweep": (set(), {"lambda_points", "ratios", "kinds"}),
     "verify": ({"target"}, {"points", "tau_max", "alpha_prime", "gamma", "fock_dim"}),
@@ -201,6 +212,10 @@ def validate_config(data) -> RunConfig:
         )
 
     args = {k: v for k, v in data.items() if k in required | optional}
+    if "fock_dim" in args:
+        fock_dim = args["fock_dim"]
+        if isinstance(fock_dim, bool) or not isinstance(fock_dim, int) or fock_dim < 2:
+            raise ConfigError(f"key 'fock_dim' must be an integer >= 2, got {fock_dim!r}")
     return RunConfig(
         scenario=scenario,
         device=device,
@@ -294,10 +309,13 @@ def _run_squeeze(config: RunConfig) -> dict:
     t = float(config.args["t"])
     decomposition = squeezed_evolution(params, coupling, gamma, t)
     labels = decomposition.labels()
-    dim = int(config.args.get("fock_dim") or auto_fock_dim(labels))
+    fock_dim = config.args.get("fock_dim")
+    if fock_dim is None:
+        _, states = fitted_label_states(labels)
+    else:
+        states = {label: materialize_label(label, fock_dim) for label in labels}
     variances = []
-    for label in labels:
-        state = materialize_label(label, dim)
+    for label, state in states.items():
         r = abs(label.squeeze)
         variances.append(
             {
@@ -499,7 +517,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, HermiticityError, NonFiniteError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -25,6 +25,10 @@ class NonFiniteError(ValueError):
     """A computed value that must be finite is NaN or infinite."""
 
 
+class NormalizationError(ValueError):
+    """A state that must come out normalized does not, beyond its recorded leakage."""
+
+
 class NullOutcomeError(ValueError):
     """A measurement outcome has (numerically) zero probability."""
 

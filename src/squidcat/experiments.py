@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import (
-    auto_fock_dim,
     evolve_coherent,
     evolve_vacuum,
+    fitted_label_states,
     flux_pi_pulse,
     materialize,
     squeezed_evolution,
@@ -243,18 +243,16 @@ def verify_analytic_numeric(
     c = coupling_xi(params) if coupling is None else coupling
     analytic_at = _analytic_map(params, c, scenario, alpha_prime, gamma)
     decompositions = [analytic_at(tau) for tau in tau_grid]
-    trials = {}
+    numeric = {}
 
     def propagated(dim, label_states):
         numeric_at = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)
-        numeric = [numeric_at(tau) for tau in tau_grid]
-        trials[dim] = label_states, numeric
-        return numeric
+        numeric[dim] = [numeric_at(tau) for tau in tau_grid]
+        return numeric[dim]
 
     labels = [label for decomposition in decompositions for label in decomposition.labels()]
-    dim = auto_fock_dim(labels, fock_dim, propagated=propagated)
-    label_states, numeric = trials[dim]
+    dim, label_states = fitted_label_states(labels, fock_dim, propagated=propagated)
     return max(
         1.0 - fidelity(materialize(decomposition, dim, label_states), state)
-        for decomposition, state in zip(decompositions, numeric)
+        for decomposition, state in zip(decompositions, numeric[dim])
     )

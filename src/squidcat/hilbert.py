@@ -1,10 +1,16 @@
-"""Dense truncated Fock-space linear algebra for a qubit-cavity system.
+"""Truncated Fock-space linear algebra for a qubit-cavity system.
 
 States live either in the cavity space alone (dimension N) or in the joint
 space qubit (x) cavity (dimension 2N).  Joint amplitudes are ordered as
 (qubit g, Fock 0..N-1) followed by (qubit e, Fock 0..N-1).  All energies are
 stored as angular frequencies (divided by hbar), so propagation times are in
 seconds.
+
+Operators are dense (``FockOperator``), except joint Hamiltonians that
+commute with sigma_x, which are held as their two sigma_x sectors
+(``SectorHamiltonian``): real symmetric tridiagonal blocks after a diagonal
+phase gauge, so ``Propagator`` diagonalizes N-level tridiagonal blocks
+instead of the dense 2N x 2N matrix.
 
 Wigner maps are summed from the Fock-basis Wigner functions by Clenshaw
 recurrence of the associated Laguerre polynomials (Johansson, Nation &
@@ -22,13 +28,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import gammainc, gammaln
 
 from .errors import DimensionError, HermiticityError, TruncationError
 
 __all__ = [
     "FockOperator",
+    "SectorHamiltonian",
     "CavityState",
     "JointState",
     "QUBIT_AMPLITUDES",
@@ -59,6 +66,7 @@ QUBIT_AMPLITUDES = {
     "+": np.array([_SQ2, _SQ2], dtype=complex),
     "-": np.array([_SQ2, -_SQ2], dtype=complex),
 }
+_SECTOR_BASIS = np.column_stack((QUBIT_AMPLITUDES["+"], QUBIT_AMPLITUDES["-"])).real
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -94,6 +102,73 @@ class FockOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """Joint Hamiltonian I (x) diag(cavity) + sigma_x (x) G B G^dag, held as bands.
+
+    It commutes with sigma_x, and its sigma_x = +-1 sectors are
+    H_+- = diag(cavity) +- G B G^dag on N Fock levels.  G = diag(e^(-i n phase))
+    is a phase gauge and B is real symmetric: ``coupling_diagonal`` on its
+    diagonal and ``coupling_band`` coupling n to n + ``stride``.  So in the
+    gauge each sector splits into ``stride`` real symmetric tridiagonal
+    chains (``blocks``).  ``matrix`` assembles the dense 2N x 2N joint
+    operator in the (g, e) ordering on request.  Hermitian by construction,
+    so always tagged as a Hamiltonian.
+    """
+
+    cavity: np.ndarray
+    coupling_diagonal: np.ndarray
+    coupling_band: np.ndarray
+    stride: int
+    phase: float
+
+    hamiltonian = True
+
+    def __post_init__(self):
+        for name in ("cavity", "coupling_diagonal", "coupling_band"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n = self.cavity.size
+        shapes = (self.cavity.shape, self.coupling_diagonal.shape, self.coupling_band.shape)
+        if n < 2 or shapes != ((n,), (n,), (n - self.stride,)):
+            raise DimensionError(f"inconsistent band shapes {shapes} at stride {self.stride}")
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.cavity.size
+
+    @property
+    def gauge(self) -> np.ndarray:
+        """Diagonal of G, e^(-i n phase)."""
+        return np.exp(-1j * self.phase * np.arange(self.cavity.size))
+
+    def blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        """(rows, diagonal, off-diagonal) of each real tridiagonal block.
+
+        ``rows`` index the gauged sector vector: H_+ on rows 0..N-1, H_- on
+        rows N..2N-1, each split into chains of Fock levels n = r mod stride.
+        """
+        n, step = self.cavity.size, self.stride
+        out = []
+        for start, sign in ((0, 1.0), (n, -1.0)):
+            diagonal = self.cavity + sign * self.coupling_diagonal
+            band = sign * self.coupling_band
+            for r in range(step):
+                out.append((slice(start + r, start + n, step), diagonal[r::step], band[r::step]))
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense joint operator [[C, G B G^dag], [G B G^dag, C]] with C = diag(cavity)."""
+        b = np.diag(self.coupling_diagonal) + np.diag(self.coupling_band, self.stride)
+        b += np.diag(self.coupling_band, -self.stride)
+        g = self.gauge
+        coupling = b * np.outer(g, g.conj())
+        cavity = np.diag(self.cavity)
+        return _freeze(np.block([[cavity, coupling], [coupling, cavity]]))
 
 
 @dataclass(frozen=True)
@@ -227,27 +302,58 @@ def joint_state(qubit: str | np.ndarray, cavity: CavityState) -> JointState:
 class Propagator:
     """Repeated-use evolver exp(-i H t) with the eigendecomposition done once.
 
-    The eigenbasis route preserves the norm to well below the 1e-10
-    unitarity contract and composes exactly over time.
+    It stores a basis change W = Q (x) diag(u), with a 2 x 2 qubit basis Q
+    and N cavity phases u, and the diagonal blocks of W^dag H W, each with
+    its eigendecomposition.  For a ``SectorHamiltonian`` Q holds the sigma_x
+    eigenvectors, u is its gauge, and each sector chain is a real symmetric
+    tridiagonal block (``scipy.linalg.eigh_tridiagonal``, O(N^2) for N
+    levels); a dense ``FockOperator`` is one block in the identity basis
+    (``scipy.linalg.eigh``, O((2N)^3)).  A call applies each block's
+    exp(-i H_block t) in its eigenbasis, which preserves the norm to well
+    below the 1e-10 unitarity contract and composes exactly over time.
     """
 
-    def __init__(self, hamiltonian: FockOperator):
+    def __init__(self, hamiltonian: FockOperator | SectorHamiltonian):
         if not hamiltonian.hamiltonian:
             raise HermiticityError("propagation requires a Hamiltonian-tagged operator")
         self.dim = hamiltonian.dim
-        self._evals, self._evecs = eigh(hamiltonian.matrix)
+        if isinstance(hamiltonian, SectorHamiltonian):
+            self._qubit_basis, self._gauge = _SECTOR_BASIS, hamiltonian.gauge
+            self._blocks = [
+                (rows, *eigh_tridiagonal(diagonal, band))
+                for rows, diagonal, band in hamiltonian.blocks()
+            ]
+        else:
+            self._qubit_basis, self._gauge = np.eye(2), np.ones(self.dim // 2)
+            self._blocks = [(slice(None), *eigh(hamiltonian.matrix))]
 
     def __call__(self, state: JointState, t: float) -> JointState:
         if self.dim != state.amplitudes.size:
             raise DimensionError(
                 f"dimension mismatch: H is {self.dim}, state is {state.amplitudes.size}"
             )
-        phases = np.exp(-1j * self._evals * t)
-        out = self._evecs @ (phases * (self._evecs.conj().T @ state.amplitudes))
-        return JointState(out, leakage=state.leakage)
+        v = (self._qubit_basis.T @ state.amplitudes.reshape(2, -1)) * self._gauge.conj()
+        v = v.ravel()
+        for rows, evals, evecs in self._blocks:
+            # E^dag v as conj(E^T conj(v)), so E is never copied
+            coeffs = _matvec(evecs.T, v[rows].conj()).conj()
+            v[rows] = _matvec(evecs, np.exp(-1j * evals * t) * coeffs)
+        out = self._qubit_basis @ (v.reshape(2, -1) * self._gauge)
+        return JointState(out.ravel(), leakage=state.leakage)
 
 
-def propagate(hamiltonian: FockOperator, state: JointState, t: float) -> JointState:
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a complex v; a real m acts on its real and imaginary parts as
+    one (n, 2) product, which avoids copying m to complex."""
+    if np.iscomplexobj(m):
+        return m @ v
+    pairs = np.ascontiguousarray(v).view(float).reshape(-1, 2)
+    return (m @ pairs).ravel().view(complex)
+
+
+def propagate(
+    hamiltonian: FockOperator | SectorHamiltonian, state: JointState, t: float
+) -> JointState:
     """Evolve ``state`` by exp(-i H t).
 
     ``hamiltonian`` must be tagged hermitian and act on the joint space of

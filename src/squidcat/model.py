@@ -10,6 +10,7 @@ second-order expansion (quadratic, squeezing-type coupling).
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -26,7 +27,7 @@ from .constants import (
     ev_to_rate,
 )
 from .errors import DimensionError
-from .hilbert import FockOperator, make_ladder_ops
+from .hilbert import FockOperator, SectorHamiltonian, make_ladder_ops
 
 __all__ = [
     "CAVITY_KINDS",
@@ -43,7 +44,6 @@ CAVITY_KINDS = {"full": 1.0, "half": 0.5, "quarter": 0.25}
 HAMILTONIAN_ORDERS = ("cosine", "first", "second")
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 VALIDITY_WARN_LEVEL = 0.1
 SETTING_TOL = 1e-12
@@ -194,48 +194,57 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
             raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
 
 
-def hamiltonian(params: DeviceParams, coupling: Coupling, order: str, dim: int) -> FockOperator:
+def hamiltonian(
+    params: DeviceParams, coupling: Coupling, order: str, dim: int
+) -> FockOperator | SectorHamiltonian:
     """Joint-space Hamiltonian (angular-frequency units) at the given expansion order.
 
     order='cosine' builds the full operator cosine of the total flux via an
     eigendecomposition of its hermitian argument; order='first' keeps the
     linear field coupling; order='second' additionally keeps the quadratic
     (squeezing) terms and is defined at phi_c_ratio = 0, n_g = 1/2.
+
+    The first and second orders are omega n + sigma_x B + E_z sigma_z with a
+    band operator B on the cavity.  At n_g = 1/2, where E_z = 0, they are
+    returned as a ``SectorHamiltonian`` built in O(N) from the bands of B,
+    gauged real by G = diag(e^(-i n arg xi)): first order couples n to n+-1,
+    second order n to n+-2.  Otherwise, and for order='cosine', the result
+    is a dense ``FockOperator``.
     """
     if order not in HAMILTONIAN_ORDERS:
         raise ValueError(f"order must be one of {HAMILTONIAN_ORDERS}, got {order!r}")
     if dim < 2:
         raise DimensionError(f"Fock truncation must be >= 2, got {dim}")
 
-    a_op, adag_op = make_ladder_ops(dim)
-    a = a_op.matrix
-    adag = adag_op.matrix
-    n_mat = adag @ a
-    eye_f = np.eye(dim, dtype=complex)
-    eye_q = np.eye(2, dtype=complex)
-
     omega = params.omega_cavity
     ej = params.ej_rate
     xi = coupling.xi
     flux_angle = math.pi * params.phi_c_ratio
-
-    h = omega * np.kron(eye_q, n_mat) + params.ez_rate * np.kron(SIGMA_Z, eye_f)
+    levels = np.arange(dim, dtype=float)
+    charge = np.repeat([params.ez_rate, -params.ez_rate], dim)  # E_z sigma_z
 
     if order == "cosine":
-        argument = flux_angle * eye_f + xi * a + np.conj(xi) * adag
+        a_op, adag_op = make_ladder_ops(dim)
+        argument = flux_angle * np.eye(dim) + xi * a_op.matrix + np.conj(xi) * adag_op.matrix
         evals, evecs = eigh(argument)
         cos_mat = (evecs * np.cos(evals)) @ evecs.conj().T
-        h -= ej * np.kron(SIGMA_X, cos_mat)
-    elif order == "first":
-        linear = xi * a + np.conj(xi) * adag
-        h -= ej * math.cos(flux_angle) * np.kron(SIGMA_X, eye_f)
-        h += ej * math.sin(flux_angle) * np.kron(SIGMA_X, linear)
+        h = np.diag(np.tile(omega * levels, 2) + charge) - ej * np.kron(SIGMA_X, cos_mat)
+        return FockOperator(h, hamiltonian=True)
+
+    xi_abs = abs(xi)
+    if order == "first":
+        # B = -E_J cos(phi) + E_J sin(phi) (xi a + xi^* adag)
+        diagonal = np.full(dim, -ej * math.cos(flux_angle))
+        band = ej * math.sin(flux_angle) * xi_abs * np.sqrt(levels[1:])
+        stride = 1
     else:
         require_setting(params, 0.0, "order='second'")
-        quad = (xi**2 / 2.0) * (a @ a) + (np.conj(xi) ** 2 / 2.0) * (adag @ adag)
-        xi2 = abs(xi) ** 2
-        h -= ej * xi2 * np.kron(SIGMA_X, n_mat)
-        h -= ej * (1.0 + xi2 / 2.0) * np.kron(SIGMA_X, eye_f)
-        h -= ej * np.kron(SIGMA_X, quad)
-
-    return FockOperator(h, hamiltonian=True)
+        # B = -E_J (|xi|^2 n + 1 + |xi|^2/2 + (xi^2 a^2 + xi^*2 adag^2)/2)
+        xi2 = xi_abs**2
+        diagonal = -ej * xi2 * levels - ej * (1.0 + xi2 / 2.0)
+        band = -ej * (xi2 / 2.0) * np.sqrt(levels[2:] * levels[1:-1])
+        stride = 2
+    h = SectorHamiltonian(omega * levels, diagonal, band, stride, cmath.phase(xi))
+    if params.ez_rate == 0.0:
+        return h
+    return FockOperator(h.matrix + np.diag(charge), hamiltonian=True)

@@ -27,7 +27,7 @@ from squidcat.analytic import (
     materialize_label,
     squeezed_evolution,
 )
-from squidcat.errors import TruncationError
+from squidcat.errors import NormalizationError, TruncationError
 from squidcat.hilbert import (
     coherent_fock,
     fidelity,
@@ -416,7 +416,7 @@ def test_auto_fock_dim_explicit_start_is_not_raised():
 def test_materialize_rejects_inconsistent_weights():
     label = CoherentLabel(0.3)
     bad = BranchDecomposition((Branch("g", 1.0, label), Branch("e", 1.0, label)))
-    with pytest.raises(ValueError):
+    with pytest.raises(NormalizationError):
         materialize(bad, 16)
 
 

@@ -14,7 +14,7 @@ from squidcat.cli import (
     run,
     validate_config,
 )
-from squidcat.errors import ConfigError
+from squidcat.errors import ConfigError, DimensionError, NormalizationError, NullOutcomeError
 from squidcat.hilbert import CavityState
 from squidcat.model import coupling_xi
 
@@ -183,6 +183,25 @@ def test_squeeze_run_picks_its_own_truncation(tmp_path, capsys):
         )
 
 
+def test_squeeze_run_reuses_the_policy_label_states(tmp_path, monkeypatch):
+    from squidcat import analytic, cli
+
+    calls = []
+    original = analytic.materialize_label
+
+    def counting(label, fock_dim):
+        calls.append((label, fock_dim))
+        return original(label, fock_dim)
+
+    monkeypatch.setattr(analytic, "materialize_label", counting)
+    monkeypatch.setattr(cli, "materialize_label", counting)
+    config = example_config("squeeze")
+    config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
+    run(load_config(_write_config(tmp_path, config)))
+    # the policy once for the variances, then once per measured outcome
+    assert len(set(calls)) == 2 and len(calls) == 6
+
+
 def test_sweep_run_and_determinism(tmp_path):
     config = example_config("sweep")
     config["lambda_points"] = 10
@@ -236,6 +255,47 @@ def test_main_exit_codes(tmp_path, capsys):
     cfg_path.write_text(dumps17(config))
     assert main(["--config", str(cfg_path)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario", ["cat", "inject"])
+def test_fock_dim_is_not_a_cat_or_inject_key(tmp_path, capsys, scenario):
+    config = example_config(scenario)
+    config["fock_dim"] = 3
+    config["output"] = {"path": str(tmp_path / "out.json"), "format": "json"}
+    assert main(["--config", _write_config(tmp_path, config)]) == 2
+    assert "unknown key 'fock_dim'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["squeeze", "verify"])
+@pytest.mark.parametrize("fock_dim", [0, 1, -64, 2.5, "64", True, None])
+def test_fock_dim_must_be_an_integer_of_at_least_two(tmp_path, capsys, scenario, fock_dim):
+    config = example_config(scenario)
+    config["fock_dim"] = fock_dim
+    config["output"] = {"path": str(tmp_path / "out.json"), "format": "json"}
+    assert main(["--config", _write_config(tmp_path, config)]) == 2
+    assert "fock_dim" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        DimensionError("dimension mismatch"),
+        NullOutcomeError("outcome 'g' has probability 0"),
+        NormalizationError("weights are inconsistent"),
+    ],
+)
+def test_main_numerical_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+    from squidcat import cli
+
+    def failing(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run", failing)
+    config = example_config("feasibility")
+    config["output"] = {"path": str(tmp_path / "out.json"), "format": "json"}
+    assert main(["--config", _write_config(tmp_path, config)]) == 3
+    assert "numerical contract failure" in capsys.readouterr().err
 
 
 def test_main_rejects_non_finite_device_parameter(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.special import gammainc, gammaln
 
 from squidcat.analytic import cat_state, evolve_vacuum, materialize
@@ -10,6 +12,8 @@ from squidcat.hilbert import (
     CavityState,
     FockOperator,
     JointState,
+    Propagator,
+    SectorHamiltonian,
     coherent_fock,
     fidelity,
     joint_state,
@@ -22,7 +26,7 @@ from squidcat.hilbert import (
     top_level_weight,
     wigner,
 )
-from squidcat.model import coupling_xi, hamiltonian
+from squidcat.model import Coupling, coupling_xi, hamiltonian
 
 from conftest import cat_wigner, coherent_wigner, make_strong_device
 
@@ -64,6 +68,11 @@ def test_hamiltonian_tag_requires_hermitian():
     with pytest.raises(HermiticityError):
         FockOperator(bad, hamiltonian=True)
     FockOperator(bad)  # untagged is fine
+
+
+def test_sector_hamiltonian_rejects_inconsistent_bands():
+    with pytest.raises(DimensionError):
+        SectorHamiltonian(np.arange(3.0), np.zeros(3), np.ones(2), 2, 0.0)
 
 
 def test_states_require_normalization():
@@ -193,6 +202,49 @@ def test_propagate_dimension_mismatch():
     psi = joint_state("g", coherent_fock(0.0, 8))
     with pytest.raises(DimensionError):
         propagate(h, psi, 1.0)
+
+
+def _sector_case(scenario, dim):
+    """Hamiltonian and initial state of one verify scenario, with a complex xi.
+
+    E_J = 5 hbar omega keeps |H| t small enough that eigenvalue rounding
+    stays far below the 1e-12 comparison over two cavity periods.
+    """
+    device = functools.partial(make_strong_device, ej_over_omega=5.0)
+    coupling = Coupling.from_xi(0.1 * np.exp(0.6j))
+    if scenario == "squeeze":
+        coupling = Coupling.from_xi(0.15 * np.exp(0.6j))
+        psi0 = joint_state("g", coherent_fock(1.0 - 0.5j, dim))
+        return hamiltonian(device(phi_c_ratio=0.0), coupling, "second", dim), psi0
+    if scenario == "pulse":
+        # at phi_c = 1 the linear coupling carries sin(pi) != 0: still a tridiagonal block
+        psi0 = materialize(evolve_vacuum(device(), coupling, 1e-10), dim)
+        return hamiltonian(device(phi_c_ratio=1.0), coupling, "first", dim), psi0
+    start = 0.0 if scenario == "vacuum" else 1.0 + 0.5j
+    psi0 = joint_state("g", coherent_fock(start, dim))
+    return hamiltonian(device(), coupling, "first", dim), psi0
+
+
+@pytest.mark.parametrize("scenario", ["vacuum", "coherent", "pulse", "squeeze"])
+def test_sector_propagator_matches_dense_eigh(scenario):
+    dim = 40
+    h, psi0 = _sector_case(scenario, dim)
+    assert isinstance(h, SectorHamiltonian)
+    evals, evecs = eigh(h.matrix)
+    evolve = Propagator(h)
+    period = 2.0 * math.pi / make_strong_device().omega_cavity
+    for t in np.linspace(0.0, 2.0 * period, 7)[1:]:
+        dense = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi0.amplitudes))
+        assert np.abs(evolve(psi0, t).amplitudes - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scenario", ["coherent", "squeeze"])
+def test_sector_propagator_keeps_the_norm_at_512_levels(scenario):
+    h, psi0 = _sector_case(scenario, 512)
+    evolve = Propagator(h)
+    period = 2.0 * math.pi / make_strong_device().omega_cavity
+    for t in (0.3 * period, 2.0 * period):
+        assert abs(np.linalg.norm(evolve(psi0, t).amplitudes) - 1.0) <= 1e-10
 
 
 def test_propagate_unitarity_and_composition():

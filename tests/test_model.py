@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from squidcat.constants import FLUX_QUANTUM
-from squidcat.hilbert import make_ladder_ops
+from squidcat.hilbert import FockOperator, SectorHamiltonian, make_ladder_ops
 from squidcat.model import (
     Coupling,
     DeviceParams,
@@ -14,7 +14,7 @@ from squidcat.model import (
     validity_margin,
 )
 
-from conftest import make_physical_device
+from conftest import make_physical_device, make_strong_device
 
 
 # ---------------------------------------------------------------- coupling
@@ -150,6 +150,47 @@ def test_first_order_coupling_weight_at_half_flux():
     a, adag = make_ladder_ops(dim)
     expected = params.ej_rate * (c.xi * a.matrix + np.conj(c.xi) * adag.matrix)
     assert np.allclose(_coupling_block(h, dim), expected, atol=1e-16 * params.ej_rate)
+
+
+def _kron_hamiltonian(params, coupling, order, dim):
+    """The joint first- or second-order Hamiltonian built densely from Kronecker products."""
+    a_op, adag_op = make_ladder_ops(dim)
+    a, adag = a_op.matrix, adag_op.matrix
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ej, xi, phi = params.ej_rate, coupling.xi, math.pi * params.phi_c_ratio
+    h = params.omega_cavity * np.kron(np.eye(2), adag @ a)
+    h += params.ez_rate * np.kron(np.diag([1.0, -1.0]), np.eye(dim))
+    if order == "first":
+        b = -ej * math.cos(phi) * np.eye(dim) + ej * math.sin(phi) * (xi * a + np.conj(xi) * adag)
+    else:
+        xi2 = abs(xi) ** 2
+        quad = (xi**2 / 2.0) * (a @ a) + (np.conj(xi) ** 2 / 2.0) * (adag @ adag)
+        b = -ej * (xi2 * (adag @ a) + (1.0 + xi2 / 2.0) * np.eye(dim) + quad)
+    return h + np.kron(sigma_x, b)
+
+
+@pytest.mark.parametrize(
+    "order, overrides, route",
+    [
+        ("first", {}, SectorHamiltonian),
+        ("first", {"phi_c_ratio": 1.0}, SectorHamiltonian),
+        ("second", {"phi_c_ratio": 0.0}, SectorHamiltonian),
+        ("first", {"n_g": 0.3}, FockOperator),
+    ],
+)
+def test_hamiltonian_matches_kronecker_build(order, overrides, route):
+    params = make_strong_device(**overrides)
+    coupling = Coupling.from_xi(0.05 * np.exp(2.2j))
+    dim = 24
+    h = hamiltonian(params, coupling, order, dim)
+    assert type(h) is route and h.dim == 2 * dim
+    reference = _kron_hamiltonian(params, coupling, order, dim)
+    assert np.abs(h.matrix - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_cosine_order_stays_dense():
+    params = make_physical_device()
+    assert type(hamiltonian(params, coupling_xi(params), "cosine", 8)) is FockOperator
 
 
 def test_second_order_preconditions():
