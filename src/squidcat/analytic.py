@@ -3,9 +3,10 @@
 The linear-coupling Hamiltonian splits over the qubit's sigma_x eigenstates
 into driven-oscillator problems, so vacuum or coherent input evolves into
 qubit-entangled coherent branches with displacements and phases given in
-closed form.  The quadratic Hamiltonian analogously produces squeezed
-coherent branches (valid while the accumulated squeeze stays small compared
-to the inverse rotation angle).  A BranchDecomposition records those branches
+closed form.  The quadratic Hamiltonian is a squeezing oscillator in each
+sector, so coherent input evolves exactly into squeezed coherent branches,
+solved from the Heisenberg equations of the mode and materialized by Yuen's
+three-term Fock recurrence.  A BranchDecomposition records those branches
 symbolically; ``materialize`` turns one into a Fock-space state for
 comparison against brute-force propagation.
 
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NormalizationError, TruncationError
 from .hilbert import (
@@ -28,7 +28,7 @@ from .hilbert import (
     CavityState,
     JointState,
     coherent_fock,
-    make_ladder_ops,
+    coherent_tail,
     required_fock_dim,
     top_level_weight,
 )
@@ -65,6 +65,7 @@ TOP_WEIGHT_TOL = 1e-10
 
 _SERIES_SWITCH = 0.25
 _SERIES_TERMS = 16
+_AMPLITUDE_RESCALE = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -327,33 +328,62 @@ def flux_pi_pulse(
     return BranchDecomposition(tuple(new_branches), state.dropped_global_phase)
 
 
+def _sector_label(
+    omega: float, lam: complex, shift: float, gamma: complex, t: float
+) -> SqueezedLabel:
+    """Exact label of exp(-i H t)|gamma> for H = omega n + (lam a^2 + lam^* adag^2)/2 + shift.
+
+    The Heisenberg solution is U^dag a U = u a + v adag with
+    u = cos(w t) - i omega sin(w t)/w and v = -i lam^* sin(w t)/w, where
+    w = sqrt(omega^2 - |lam|^2) is a complex root (sin(w t)/w = t at w = 0),
+    so one expression covers the oscillating, critical and unstable cases.
+    U = exp(i phase) exp(-i rotation n) S(squeeze) with rotation = arg conj(u)
+    and squeeze = asinh|v| e^(i(arg v + rotation)).  The phase follows from
+    the su(1,1) vacuum amplitude <0|U|gamma>, which carries conj(u)^(-1/2)
+    times exp(i(omega/2 - shift) t) (Truax, Phys. Rev. D 31, 1988 (1985)):
+    phase = (omega t - rotation)/2 - shift t, with arg conj(u) unwrapped
+    continuously in t from conj(u(0)) = 1 rather than taken as a principal value.
+    """
+    w = cmath.sqrt((omega - abs(lam)) * (omega + abs(lam)))
+    sin_over_w = t if w == 0 else cmath.sin(w * t) / w
+    u_bar = cmath.cos(w * t).conjugate() + 1j * omega * sin_over_w.conjugate()
+    v = -1j * lam.conjugate() * sin_over_w
+    # arg conj(u) stays within pi/2 of sign(omega) Re(w) t, so that reference unwraps it.
+    principal = cmath.phase(u_bar)
+    reference = math.copysign(1.0, omega) * w.real * t
+    rotation = principal + 2.0 * math.pi * round((reference - principal) / (2.0 * math.pi))
+    squeeze = math.asinh(abs(v)) * cmath.exp(1j * (cmath.phase(v) + rotation))
+    phase = (omega * t - rotation) / 2.0 - shift * t
+    return SqueezedLabel(gamma=gamma, squeeze=squeeze, rotation=rotation, phase=phase)
+
+
 def squeezed_evolution(
     params: DeviceParams, coupling: Coupling, gamma: complex, t: float
 ) -> BranchDecomposition:
     """Evolve a coherent state (x) qubit ground under the quadratic coupling.
 
-    Requires n_g = 1/2 and phi_c_ratio = 0.  The sigma_x = +1 sector carries
-    branch phase +theta*t/hbar with theta = E_J (1 + |xi|^2/2), rotation
-    (omega - |xi|^2 E_J/hbar) t and squeeze parameter +i xi*^2 E_J t / hbar;
-    the sigma_x = -1 sector carries the opposite signs.  The factorized form
-    is accurate while |squeeze| * rotation stays small, which holds for
-    physically small couplings over a few cavity periods.
+    Requires n_g = 1/2 and phi_c_ratio = 0.  The sigma_x = s sector
+    (s = +-1) is the squeezing oscillator
+    H_s = Omega_s n + (lam_s a^2 + lam_s^* adag^2)/2 + c_s with
+    Omega_s = omega - s |xi|^2 E_J/hbar, lam_s = -s xi^2 E_J/hbar and
+    c_s = -s E_J (1 + |xi|^2/2)/hbar.  Each sector's branch is its exact
+    squeezed coherent state (``_sector_label``) at any coupling and time;
+    its squeeze degree is asinh|lam_s sin(w_s t)/w_s| with
+    w_s = sqrt(Omega_s^2 - |lam_s|^2), which stays below asinh(|lam_s|/w_s)
+    in a stable sector and grows without bound where |lam_s| >= |Omega_s|.
     """
     require_setting(params, 0.0, "squeezed evolution")
     gamma = complex(gamma)
+    t = float(t)
     validity_margin(coupling, max(0, math.ceil(abs(gamma) ** 2)))
 
     omega = params.omega_cavity
     ej = params.ej_rate
     xi = coupling.xi
     xi2 = abs(xi) ** 2
-    theta_t = ej * (1.0 + xi2 / 2.0) * t
-    squeeze = 1j * np.conj(xi) ** 2 * ej * t
-    label_plus = SqueezedLabel(
-        gamma=gamma, squeeze=squeeze, rotation=(omega - xi2 * ej) * t, phase=theta_t
-    )
-    label_minus = SqueezedLabel(
-        gamma=gamma, squeeze=-squeeze, rotation=(omega + xi2 * ej) * t, phase=-theta_t
+    label_plus, label_minus = (
+        _sector_label(omega - s * xi2 * ej, -s * xi**2 * ej, -s * ej * (1.0 + xi2 / 2.0), gamma, t)
+        for s in (1, -1)
     )
     branches = (
         Branch("g", 0.5, label_plus),
@@ -364,23 +394,51 @@ def squeezed_evolution(
     return BranchDecomposition(branches)
 
 
-def _squeeze_matrix(squeeze: complex, dim: int) -> np.ndarray:
-    """Unitary exp((squeeze adag^2 - squeeze^* a^2)/2) on the truncated space."""
-    a_op, adag_op = make_ladder_ops(dim)
-    gen = (squeeze * (adag_op.matrix @ adag_op.matrix) - np.conj(squeeze) * (a_op.matrix @ a_op.matrix)) / 2.0
-    return expm(gen)
-
-
 def materialize_label(label: CoherentLabel | SqueezedLabel, fock_dim: int) -> CavityState:
-    """Fock-space vector of a cavity branch label (phase factor not included)."""
+    """Fock-space vector of a cavity branch label (phase factor not included).
+
+    A squeezed label exp(-i rotation n) S(squeeze)|gamma> is annihilated by
+    mu a + nu adag - gamma with mu = cosh(r) e^(i rotation) and
+    nu = -sinh(r) e^(i(arg squeeze - rotation)), r = |squeeze|, so its Fock
+    amplitudes obey mu sqrt(n+1) c_(n+1) = gamma c_n - nu sqrt(n) c_(n-1)
+    (Yuen, Phys. Rev. A 13, 2226 (1976)), run in O(N) from the closed-form
+    vacuum amplitude
+    c_0 = exp(-|gamma|^2/2 - e^(-i arg squeeze) tanh(r) gamma^2/2)/sqrt(cosh r).
+    The weight beyond the truncation, 1 - sum |c_n|^2, is its leakage.  A
+    truncation too small for the coherent |gamma> raises TruncationError,
+    as for a coherent label.
+    """
     if isinstance(label, CoherentLabel):
         return coherent_fock(label.alpha, fock_dim)
-    base = coherent_fock(label.gamma, fock_dim)
-    v = _squeeze_matrix(label.squeeze, fock_dim) @ base.amplitudes
-    v = np.exp(-1j * label.rotation * np.arange(fock_dim)) * v
-    norm = np.linalg.norm(v)
-    state = CavityState(v / norm, leakage=base.leakage + abs(1.0 - norm**2))
-    return state
+    gamma = complex(label.gamma)
+    coherent_tail(gamma, fock_dim)
+    r = abs(label.squeeze)
+    spin = cmath.exp(1j * cmath.phase(label.squeeze))
+    turn = cmath.exp(1j * label.rotation)
+    mu = math.cosh(r) * turn
+    nu = -math.sinh(r) * spin / turn
+    log_vacuum = (
+        -abs(gamma) ** 2 / 2.0
+        - spin.conjugate() * math.tanh(r) * gamma**2 / 2.0
+        - math.log(math.cosh(r)) / 2.0
+    )
+    # The amplitudes are carried in units of e^log_scale, rescaled as they
+    # grow, so that a far-displaced c_0 cannot underflow nor the peak overflow.
+    log_scale = log_vacuum.real
+    amps, prev = [cmath.exp(1j * log_vacuum.imag)], 0.0
+    roots = np.sqrt(np.arange(fock_dim)).tolist()
+    for n in range(fock_dim - 1):
+        amp = (gamma * amps[n] - nu * roots[n] * prev) / (mu * roots[n + 1])
+        prev = amps[n]
+        amps.append(amp)
+        if abs(amp) > _AMPLITUDE_RESCALE:
+            amps = [a / _AMPLITUDE_RESCALE for a in amps]
+            prev /= _AMPLITUDE_RESCALE
+            log_scale += math.log(_AMPLITUDE_RESCALE)
+    v = np.array(amps)
+    sum2 = float(np.vdot(v, v).real)
+    norm2 = math.exp(2.0 * log_scale + math.log(sum2))
+    return CavityState(v / math.sqrt(sum2), leakage=abs(1.0 - norm2))
 
 
 def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> int:
@@ -446,7 +504,7 @@ def materialize(
         dim, label_states = fitted_label_states(state.labels())
     else:
         dim = fock_dim
-    vec = np.zeros(2 * dim, dtype=complex)
+    blocks = np.zeros((2, dim), dtype=complex)
     tail = 0.0
     cache = dict(label_states or {})
     for branch in state.branches:
@@ -454,7 +512,10 @@ def materialize(
             cache[branch.label] = materialize_label(branch.label, dim)
         cavity = cache[branch.label]
         tail += abs(branch.weight) ** 2 * cavity.leakage
-        vec += branch.coefficient * np.kron(QUBIT_AMPLITUDES[branch.qubit], cavity.amplitudes)
+        for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
+            if amplitude:
+                block += (branch.coefficient * amplitude) * cavity.amplitudes
+    vec = blocks.ravel()
     norm2 = float(np.real(np.vdot(vec, vec)))
     if abs(norm2 - 1.0) > 1e-8 + 4.0 * tail:
         raise NormalizationError(

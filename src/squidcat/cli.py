@@ -20,11 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    BranchDecomposition,
     branch_decomposition_to_dict,
     evolve_coherent,
     evolve_vacuum,
     fitted_label_states,
     flux_pi_pulse,
+    materialize,
     materialize_label,
     squeezed_evolution,
 )
@@ -225,12 +227,20 @@ def validate_config(data) -> RunConfig:
     )
 
 
-def _measure_both(state) -> list[MeasurementRecord | None]:
-    """Records of the outcomes g and e, None for an outcome that cannot occur."""
+def _measure_both(
+    decomposition: BranchDecomposition, fitted: tuple[int, dict] | None = None
+) -> list[MeasurementRecord | None]:
+    """Records of the outcomes g and e, None for an outcome that cannot occur.
+
+    The decomposition is materialized once, at the policy truncation and
+    with the label states of ``fitted`` (``fitted_label_states`` of its
+    labels) when given, and both outcomes are measured from that state.
+    """
+    joint = materialize(decomposition, *(fitted or fitted_label_states(decomposition.labels())))
     records = []
     for outcome in ("g", "e"):
         try:
-            records.append(measure_qubit(state, outcome))
+            records.append(measure_qubit(decomposition, outcome, joint=joint))
         except NullOutcomeError:
             records.append(None)
     return records
@@ -310,8 +320,10 @@ def _run_squeeze(config: RunConfig) -> dict:
     decomposition = squeezed_evolution(params, coupling, gamma, t)
     labels = decomposition.labels()
     fock_dim = config.args.get("fock_dim")
+    fitted = None
     if fock_dim is None:
-        _, states = fitted_label_states(labels)
+        fitted = fitted_label_states(labels)
+        states = fitted[1]
     else:
         states = {label: materialize_label(label, fock_dim) for label in labels}
     variances = []
@@ -331,7 +343,7 @@ def _run_squeeze(config: RunConfig) -> dict:
         "gamma": [gamma.real, gamma.imag],
         "branches": branch_decomposition_to_dict(decomposition),
         "variances": variances,
-        "measurements": _record_dicts(_measure_both(decomposition)),
+        "measurements": _record_dicts(_measure_both(decomposition, fitted)),
     }
 
 

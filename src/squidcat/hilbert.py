@@ -42,6 +42,7 @@ __all__ = [
     "make_ladder_ops",
     "number_op",
     "coherent_fock",
+    "coherent_tail",
     "required_fock_dim",
     "Propagator",
     "propagate",
@@ -262,6 +263,23 @@ def required_fock_dim(alpha: complex, tail_tol: float = COHERENT_TAIL_TOL) -> in
     return dim
 
 
+def coherent_tail(alpha: complex, dim: int) -> float:
+    """Weight of the coherent state |alpha> beyond ``dim`` Fock levels.
+
+    Raises TruncationError (with a dimension estimate) when it reaches the
+    1e-10 contract.
+    """
+    tail = float(gammainc(dim, abs(alpha) ** 2))
+    if tail >= COHERENT_TAIL_TOL:
+        need = required_fock_dim(alpha)
+        raise TruncationError(
+            f"truncation {dim} insufficient for coherent |alpha|={abs(alpha):.6g} "
+            f"(tail {tail:.3e}); need >= {need}",
+            required_dim=need,
+        )
+    return tail
+
+
 def coherent_fock(alpha: complex, dim: int) -> CavityState:
     """Coherent state with displacement ``alpha`` on ``dim`` Fock levels.
 
@@ -276,14 +294,7 @@ def coherent_fock(alpha: complex, dim: int) -> CavityState:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return CavityState(v, leakage=0.0)
-    tail = float(gammainc(dim, abs(alpha) ** 2))
-    if tail >= COHERENT_TAIL_TOL:
-        need = required_fock_dim(alpha)
-        raise TruncationError(
-            f"truncation {dim} insufficient for coherent |alpha|={abs(alpha):.6g} "
-            f"(tail {tail:.3e}); need >= {need}",
-            required_dim=need,
-        )
+    tail = coherent_tail(alpha, dim)
     ns = np.arange(dim)
     logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * gammaln(ns + 1)
     v = np.exp(logmag + 1j * np.angle(alpha) * ns)
@@ -296,7 +307,7 @@ def joint_state(qubit: str | np.ndarray, cavity: CavityState) -> JointState:
     q = QUBIT_AMPLITUDES[qubit] if isinstance(qubit, str) else np.asarray(qubit, dtype=complex)
     if q.size != 2:
         raise DimensionError(f"qubit amplitudes must have length 2, got {q.size}")
-    return JointState(np.kron(q, cavity.amplitudes), leakage=cavity.leakage)
+    return JointState(np.outer(q, cavity.amplitudes).ravel(), leakage=cavity.leakage)
 
 
 class Propagator:

@@ -84,9 +84,10 @@ def _collapse_branches(state: BranchDecomposition, outcome: str) -> list[Branch]
     return collected
 
 
-def _measure_decomposition(state: BranchDecomposition, outcome: str) -> MeasurementRecord:
-    joint = materialize(state)
-    record = _measure_joint(joint, outcome)
+def _measure_decomposition(
+    state: BranchDecomposition, outcome: str, joint: JointState | None
+) -> MeasurementRecord:
+    record = _measure_joint(materialize(state) if joint is None else joint, outcome)
 
     collected = _collapse_branches(state, outcome)
     norm2 = None
@@ -115,19 +116,23 @@ def _measure_decomposition(state: BranchDecomposition, outcome: str) -> Measurem
     )
 
 
-def measure_qubit(state: JointState | BranchDecomposition, outcome: str) -> MeasurementRecord:
+def measure_qubit(
+    state: JointState | BranchDecomposition, outcome: str, *, joint: JointState | None = None
+) -> MeasurementRecord:
     """Project the qubit onto ``outcome`` ('g' or 'e') and renormalize the cavity.
 
     For branch decompositions, the record additionally carries the
-    post-selected label combination with its closed-form normalization.
-    Outcomes below the 1e-14 probability threshold raise NullOutcomeError.
+    post-selected label combination with its closed-form normalization;
+    ``joint`` may hold the decomposition already materialized, which is then
+    measured instead of materializing it again.  Outcomes below the 1e-14
+    probability threshold raise NullOutcomeError.
     """
     if outcome not in ("g", "e"):
         raise ValueError(f"outcome must be 'g' or 'e', got {outcome!r}")
     if isinstance(state, JointState):
         return _measure_joint(state, outcome)
     if isinstance(state, BranchDecomposition):
-        return _measure_decomposition(state, outcome)
+        return _measure_decomposition(state, outcome, joint)
     raise TypeError(f"cannot measure object of type {type(state).__name__}")
 
 

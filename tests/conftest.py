@@ -45,6 +45,20 @@ def make_strong_device(omega=1e10, ej_over_omega=50.0, **overrides):
     return DeviceParams(**kwargs)
 
 
+def squeeze_degrees(params, coupling, t):
+    """Exact squeeze degrees asinh(|lam sin(w t)|/w) of the sigma_x = +1 and -1 branches.
+
+    The sector s has Omega_s = omega - s |xi|^2 E_J, |lam| = |xi|^2 E_J and
+    w_s = sqrt(Omega_s^2 - |lam|^2); both sectors must be stable.
+    """
+    lam = params.ej_rate * abs(coupling.xi) ** 2
+    degrees = []
+    for s in (1, -1):
+        w = np.sqrt((params.omega_cavity - s * lam) ** 2 - lam**2)
+        degrees.append(np.arcsinh(lam * abs(np.sin(w * t)) / w))
+    return degrees
+
+
 def coherent_wigner(alpha, beta):
     """Closed-form Wigner map (2/pi) exp(-2|beta - alpha|^2) of a coherent state."""
     return (2.0 / np.pi) * np.exp(-2.0 * np.abs(beta - alpha) ** 2)

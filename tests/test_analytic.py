@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -29,6 +30,7 @@ from squidcat.analytic import (
 )
 from squidcat.errors import NormalizationError, TruncationError
 from squidcat.hilbert import (
+    Propagator,
     coherent_fock,
     fidelity,
     joint_state,
@@ -38,7 +40,7 @@ from squidcat.hilbert import (
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
-from conftest import make_physical_device, make_strong_device
+from conftest import make_physical_device, make_strong_device, squeeze_degrees
 
 
 # ---------------------------------------------------------------- disentangling
@@ -357,11 +359,11 @@ def test_squeezed_evolution_zero_time(physical_device):
 def test_squeeze_degree_invariant(physical_device):
     params = make_physical_device(phi_c_ratio=0.0)
     c = coupling_xi(params)
-    t = 2.0 * math.pi / params.omega_cavity
+    # 1.25 periods: sin(w t) is near 1, so the degree is well conditioned
+    t = 2.5 * math.pi / params.omega_cavity
     state = squeezed_evolution(params, c, 0.0, t)
-    expected = abs(c.xi) ** 2 * params.ej_rate * t
-    for branch in state.branches:
-        assert abs(branch.label.squeeze) == pytest.approx(expected, rel=1e-12)
+    for label, degree in zip(state.labels(), squeeze_degrees(params, c, t)):
+        assert abs(label.squeeze) == pytest.approx(degree, rel=1e-12)
 
 
 def test_squeezed_label_variance_law():
@@ -369,6 +371,61 @@ def test_squeezed_label_variance_law():
         label = SqueezedLabel(gamma=0.0, squeeze=r * cmath.exp(0.3j), rotation=1.1)
         state = materialize_label(label, 96)
         assert min_quadrature_variance(state) == pytest.approx(0.5 * math.exp(-2.0 * r), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "gamma,squeeze,rotation",
+    [
+        (1.2 - 0.7j, 0.4 * cmath.exp(0.9j), 2.3),
+        (3.0j, 0.05 * cmath.exp(-2.0j), 41.0),
+        (0.0, 0.8 * cmath.exp(0.3j), -0.6),
+        (-2.5, 0.0, 7.0),
+    ],
+)
+def test_squeezed_label_matches_dense_expm(gamma, squeeze, rotation):
+    # exp(-i rotation n) S(squeeze)|gamma> by dense exponentials at twice the truncation
+    dim = 96
+    a, adag = make_ladder_ops(2 * dim)
+    generator = (squeeze * adag.matrix @ adag.matrix - np.conj(squeeze) * a.matrix @ a.matrix) / 2.0
+    dense = expm(generator) @ coherent_fock(gamma, 2 * dim).amplitudes
+    dense *= np.exp(-1j * rotation * np.arange(2 * dim))
+    state = materialize_label(SqueezedLabel(gamma, squeeze, rotation), dim)
+    assert state.leakage <= 1e-13
+    assert np.abs(state.amplitudes - dense[:dim]).max() <= 1e-12
+
+
+def test_squeezed_label_far_displaced():
+    # c_0 = e^(-800) underflows a double: the recurrence must carry its scale
+    dim = 2000
+    state = materialize_label(SqueezedLabel(gamma=40.0, squeeze=0.0, rotation=0.3), dim)
+    reference = coherent_fock(40.0 * cmath.exp(-0.3j), dim)
+    assert state.leakage <= 1e-12
+    assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
+
+
+def test_squeezed_label_too_small_for_its_displacement_raises():
+    with pytest.raises(TruncationError):
+        materialize_label(SqueezedLabel(gamma=4.0, squeeze=0.1, rotation=0.0), 8)
+
+
+@pytest.mark.filterwarnings("ignore:expansion margin")
+@pytest.mark.parametrize("omega_over_lam", [2.0, 1.5, 50.0])
+def test_squeezed_evolution_exact_in_critical_and_unstable_sectors(omega_over_lam):
+    # omega = 2|lam| makes the sigma_x = +1 sector critical (Omega = |lam|,
+    # w = 0 exactly); omega = 1.5|lam| makes it unstable (|lam| > Omega);
+    # omega = 50|lam| keeps both stable, and t = 1/|lam| is then 8 periods
+    c = Coupling.from_xi(0.1)
+    device = make_strong_device(phi_c_ratio=0.0)
+    lam = abs(c.xi) ** 2 * device.ej_rate
+    params = dataclasses.replace(device, omega=omega_over_lam * lam)
+    dim = 256
+    evolve = Propagator(hamiltonian(params, c, "second", dim))
+    psi0 = joint_state("g", coherent_fock(0.8 + 0.3j, dim))
+    for t in np.linspace(0.0, 1.0 / lam, 5)[1:]:
+        analytic = materialize(squeezed_evolution(params, c, 0.8 + 0.3j, t), dim)
+        # phase-sensitive: the branch phases carry the whole phase of exp(-i H t)
+        overlap = np.vdot(analytic.amplitudes, evolve(psi0, t).amplitudes)
+        assert abs(overlap - 1.0) <= 1e-10
 
 
 def test_squeezed_evolution_against_propagation_oracle():

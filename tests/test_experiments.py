@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -164,6 +165,54 @@ def test_verify_squeeze_physical_coupling():
     params = make_physical_device(phi_c_ratio=0.0)
     infidelity = verify_analytic_numeric(params, "squeeze", _grid(params), gamma=1.0)
     assert infidelity <= 1e-8
+
+
+# The E_J = 50 hbar omega device of the squeezed-branch benchmark, over its
+# default grid of 20 points on two cavity periods.
+_squeeze_bench_device = functools.partial(make_strong_device, phi_c_ratio=0.0)
+
+
+@pytest.mark.parametrize("xi,gamma", [(1e-4, 6.0), (1e-2, 1.0)])
+def test_verify_squeeze_benchmark_inputs(xi, gamma):
+    params = _squeeze_bench_device()
+    infidelity = verify_analytic_numeric(
+        params, "squeeze", _grid(params, points=20), coupling=Coupling.from_xi(xi), gamma=gamma
+    )
+    assert infidelity <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:expansion margin")
+@pytest.mark.parametrize("xi", [1e-3, 3e-2])
+@pytest.mark.parametrize("size", [1.0, 6.0])
+def test_verify_squeeze_exact_at_strong_coupling(xi, size):
+    params = _squeeze_bench_device()
+    gamma = size * np.exp(0.7j)
+    infidelity = verify_analytic_numeric(
+        params, "squeeze", _grid(params, points=20), coupling=Coupling.from_xi(xi), gamma=gamma
+    )
+    assert infidelity <= 1e-8
+
+
+def test_verify_squeeze_branch_phase_over_twenty_periods():
+    # the branch phases wind through many turns of 2 pi; a wrong branch of
+    # conj(u)^(-1/2) flips the sign of one sector's branch
+    params = _squeeze_bench_device()
+    grid = _grid(params, points=41, span=40.0 * math.pi)
+    infidelity = verify_analytic_numeric(
+        params, "squeeze", grid, coupling=Coupling.from_xi(1e-2), gamma=1.0
+    )
+    assert infidelity <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:expansion margin")
+def test_verify_squeeze_unstable_sector_raises():
+    # at xi = 0.1 the sigma_x = +1 sector has |lam| = Omega (w = 0), so its
+    # squeezing grows without bound and leaves 512 levels within two periods
+    params = _squeeze_bench_device()
+    with pytest.raises(TruncationError, match="maximum truncation 512"):
+        verify_analytic_numeric(
+            params, "squeeze", _grid(params, points=20), coupling=Coupling.from_xi(0.1), gamma=1.0
+        )
 
 
 def test_verify_materializes_each_distinct_label_once(monkeypatch):

@@ -53,6 +53,24 @@ def test_completeness_and_post_states(strong_device, strong_coupling):
     assert fidelity(rec_e.post_state, odd) >= 1.0 - 1e-10
 
 
+def test_measure_decomposition_reuses_a_given_joint_state(strong_device, strong_coupling, monkeypatch):
+    from squidcat import measurement
+
+    state, _ = _cat_run(strong_device, strong_coupling)
+    expected = [measure_qubit(state, outcome) for outcome in ("g", "e")]
+    joint = materialize(state)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the decomposition was materialized again")
+
+    monkeypatch.setattr(measurement, "materialize", fail)
+    for outcome, record in zip(("g", "e"), expected):
+        reused = measure_qubit(state, outcome, joint=joint)
+        assert reused.probability == record.probability
+        assert np.array_equal(reused.post_state.amplitudes, record.post_state.amplitudes)
+        assert reused.analytic_post == record.analytic_post
+
+
 def test_zero_time_measurement(strong_device, strong_coupling):
     state, _ = _cat_run(strong_device, strong_coupling, omega_tau=0.0)
     record = measure_qubit(state, "g")
