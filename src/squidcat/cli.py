@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
+    TOP_WEIGHT_TOL,
     BranchDecomposition,
     branch_decomposition_to_dict,
     evolve_coherent,
@@ -47,7 +48,7 @@ from .experiments import (
     sweep_rows_to_csv,
     verify_analytic_numeric,
 )
-from .hilbert import min_quadrature_variance, wigner
+from .hilbert import min_quadrature_variance, top_level_weight, wigner
 from .measurement import MeasurementRecord, measure_qubit, measurement_record_to_dict
 from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 
@@ -326,6 +327,12 @@ def _run_squeeze(config: RunConfig) -> dict:
         states = fitted[1]
     else:
         states = {label: materialize_label(label, fock_dim) for label in labels}
+        worst = max(map(top_level_weight, states.values()))
+        if worst >= TOP_WEIGHT_TOL:
+            raise TruncationError(
+                f"fock_dim {fock_dim} too small for the squeezed labels: their top four "
+                f"levels hold {worst:.3e} of the population (limit {TOP_WEIGHT_TOL:g})"
+            )
     variances = []
     for label, state in states.items():
         r = abs(label.squeeze)

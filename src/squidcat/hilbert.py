@@ -17,6 +17,11 @@ recurrence of the associated Laguerre polynomials (Johansson, Nation &
 Nori, Comput. Phys. Commun. 184, 1234 (2013)); no state is displaced, so a
 map is exact at any grid extent, whatever the truncation (see ``wigner``).
 
+Coherent-state truncation tails are exact Poisson upper tails, summed over
+positive terms from Loader's saddle-point form of the Poisson probability
+(see ``coherent_tail``), so this module needs only numpy unless a
+``Propagator`` diagonalizes a Hamiltonian, which imports ``scipy.linalg``.
+
 Everything here is a pure function of its inputs; the state and operator
 types freeze their arrays after construction and are safe to share across
 threads.
@@ -28,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.special import gammainc, gammaln
 
 from .errors import DimensionError, HermiticityError, TruncationError
 
@@ -60,6 +63,8 @@ LEAKAGE_THRESHOLD = 1e-8
 HERMITICITY_RTOL = 1e-12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_FACTORIALS = np.zeros(0)
 
 QUBIT_AMPLITUDES = {
     "g": np.array([1.0, 0.0], dtype=complex),
@@ -188,7 +193,7 @@ class CavityState:
         if v.size < 2:
             raise DimensionError(f"cavity state needs at least 2 levels, got {v.size}")
         norm2 = float(np.real(np.vdot(v, v)))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"cavity state not normalized: |amplitudes|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _freeze(v))
 
@@ -209,7 +214,7 @@ class JointState:
         if v.size < 4 or v.size % 2 != 0:
             raise DimensionError(f"joint state needs even length >= 4, got {v.size}")
         norm2 = float(np.real(np.vdot(v, v)))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"joint state not normalized: |amplitudes|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _freeze(v))
 
@@ -246,30 +251,103 @@ def number_op(dim: int) -> FockOperator:
     return FockOperator(np.diag(np.arange(dim, dtype=complex)), hamiltonian=True)
 
 
+def _poisson_pmf(n: int, mu: float) -> float:
+    """P(X = n) for X ~ Poisson(mu) by Loader's saddle-point form, as in R's dpois.
+
+    exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n) keeps relative precision
+    where exp(-mu + n log mu - log n!) loses it to cancellation (C. Loader,
+    "Fast and accurate computation of binomial probabilities", 2000).
+    """
+    if n == 0:
+        return math.exp(-mu)
+    if mu == 0.0:
+        return 0.0
+    if n <= 15:
+        # stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n), to a few 1e-15 absolute
+        stirlerr = math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    else:
+        # Stirling's series; the next term is below 1e-16 of the first
+        nn = float(n) * n
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+    return math.exp(-stirlerr - _bd0(n, mu)) / math.sqrt(2.0 * math.pi * n)
+
+
+def _bd0(x: float, m: float) -> float:
+    """The deviance x log(x/m) + m - x, by its series in (x - m)/(x + m) near x = m."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    total, power, v2, j = (x - m) * v, 2.0 * x * v, v * v, 1
+    while True:
+        power *= v2
+        step = total + power / (2 * j + 1)
+        if step == total:
+            return total
+        total, j = step, j + 1
+
+
+def _tail_width(mu: float) -> int:
+    """Terms summed past the largest one: beyond them the Poisson(mu) terms
+    fall below about e^-72 of it."""
+    return math.ceil(12.0 * math.sqrt(mu)) + 60
+
+
+def _poisson_terms(mu: float, start: int, width: int) -> np.ndarray:
+    """P(X = n) for X ~ Poisson(mu), n = start .. max(start, floor(mu)) + width - 1.
+
+    The largest term, at the anchor max(start, floor(mu)), comes from
+    Loader's form, and the others from it by the ratio P(X = n + 1) / P(X = n)
+    = mu / (n + 1) on either side, so the terms fall away from the anchor and
+    none underflows before it is negligible.
+    """
+    anchor = max(start, math.floor(mu))
+    ratios = mu / np.arange(anchor + 1, anchor + width)
+    terms = np.cumprod(np.concatenate(([_poisson_pmf(anchor, mu)], ratios)))
+    if anchor > start:
+        below = terms[0] * np.cumprod(np.arange(anchor, start, -1) / mu)[::-1]
+        terms = np.concatenate((below, terms))
+    return terms
+
+
+def _poisson_tail(mu: float, dim: int) -> float:
+    """P(X >= dim) for X ~ Poisson(mu), to about 1e-13 relative, with no ``1 - sum``."""
+    return float(_poisson_terms(mu, dim, _tail_width(mu)).sum())
+
+
 def required_fock_dim(alpha: complex, tail_tol: float = COHERENT_TAIL_TOL) -> int:
     """Smallest truncation whose Poisson tail beyond it is below ``tail_tol``.
 
-    The coherent weight beyond ``dim`` levels, P(X >= dim) for
-    X ~ Poisson(|alpha|^2), is the regularized incomplete gamma function
-    gammainc(dim, |alpha|^2), evaluated to relative precision with no
-    ``1 - sum`` cancellation.
+    The coherent weight beyond ``dim`` levels is the Poisson upper tail
+    P(X >= dim) for X ~ Poisson(|alpha|^2).  Its terms from
+    ceil(|alpha|^2) up come from Loader's saddle-point form of the first
+    (``_poisson_terms``), and one reverse cumulative sum gives every tail
+    over positive terms, with no ``1 - sum``.  The bracket is widened only
+    while the terms left out past it could reach 2^-53 of ``tail_tol``.
+    The search starts at max(2, ceil(|alpha|^2)).
     """
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     mu = abs(alpha) ** 2
-    dim = max(2, math.ceil(mu))
-    while gammainc(dim, mu) >= tail_tol:
-        dim += 1
-    return dim
+    start = max(2, math.ceil(mu))
+    width = _tail_width(mu)
+    while True:
+        tails = np.cumsum(_poisson_terms(mu, start, width)[::-1])[::-1]
+        # the terms past the last fall at least as fast as this geometric series
+        left_out = tails[-1] * mu / (start + width - mu)
+        if tails[-1] < tail_tol and left_out <= tail_tol * 2.0**-53:
+            return start + int(np.argmax(tails < tail_tol))
+        width *= 2
 
 
 def coherent_tail(alpha: complex, dim: int) -> float:
     """Weight of the coherent state |alpha> beyond ``dim`` Fock levels.
 
-    Raises TruncationError (with a dimension estimate) when it reaches the
-    1e-10 contract.
+    That is the Poisson upper tail P(X >= dim) for X ~ Poisson(|alpha|^2),
+    summed over positive terms from Loader's saddle-point form of the largest
+    one (``_poisson_tail``).  Raises TruncationError (with a dimension
+    estimate) when it reaches the 1e-10 contract.
     """
-    tail = float(gammainc(dim, abs(alpha) ** 2))
+    tail = _poisson_tail(abs(alpha) ** 2, dim)
     if tail >= COHERENT_TAIL_TOL:
         need = required_fock_dim(alpha)
         raise TruncationError(
@@ -278,6 +356,17 @@ def coherent_tail(alpha: complex, dim: int) -> float:
             required_dim=need,
         )
     return tail
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0 .. n - 1, read from one table that grows on demand."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size < n:
+        table = np.array([math.lgamma(k + 1.0) for k in range(max(n, 2 * table.size))])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return table[:n]
 
 
 def coherent_fock(alpha: complex, dim: int) -> CavityState:
@@ -296,7 +385,7 @@ def coherent_fock(alpha: complex, dim: int) -> CavityState:
         return CavityState(v, leakage=0.0)
     tail = coherent_tail(alpha, dim)
     ns = np.arange(dim)
-    logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * gammaln(ns + 1)
+    logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(dim)
     v = np.exp(logmag + 1j * np.angle(alpha) * ns)
     v /= np.linalg.norm(v)
     return CavityState(v, leakage=tail)
@@ -327,6 +416,9 @@ class Propagator:
     def __init__(self, hamiltonian: FockOperator | SectorHamiltonian):
         if not hamiltonian.hamiltonian:
             raise HermiticityError("propagation requires a Hamiltonian-tagged operator")
+        # Imported here so that only a diagonalization loads scipy
+        from scipy.linalg import eigh, eigh_tridiagonal
+
         self.dim = hamiltonian.dim
         if isinstance(hamiltonian, SectorHamiltonian):
             self._qubit_basis, self._gauge = _SECTOR_BASIS, hamiltonian.gauge

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .constants import (
     ELEMENTARY_CHARGE,
@@ -224,6 +223,8 @@ def hamiltonian(
     charge = np.repeat([params.ez_rate, -params.ez_rate], dim)  # E_z sigma_z
 
     if order == "cosine":
+        from scipy.linalg import eigh  # imported here so that only a diagonalization loads scipy
+
         a_op, adag_op = make_ladder_ops(dim)
         argument = flux_angle * np.eye(dim) + xi * a_op.matrix + np.conj(xi) * adag_op.matrix
         evals, evecs = eigh(argument)

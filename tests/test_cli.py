@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squidcat
 from squidcat.analytic import branch_decomposition_from_dict, branch_decomposition_to_dict
 from squidcat.cli import (
     SCENARIOS,
@@ -200,6 +205,70 @@ def test_squeeze_run_reuses_the_policy_label_states(tmp_path, monkeypatch):
     run(load_config(_write_config(tmp_path, config)))
     # the policy once, for the variances and both measured outcomes
     assert len(set(calls)) == 2 and len(calls) == 2
+
+
+def test_squeeze_at_a_too_small_explicit_truncation_exits_3(tmp_path, capsys):
+    # E_J = 50 hbar omega, |xi| = 0.09, gamma = 0, t = 1/omega: at 6 levels the
+    # variance would read 0.24081 against the expected 0.23249.
+    params = make_strong_device(phi_c_ratio=0.0)
+    config = example_config("squeeze")
+    config["device"] = {
+        "E_J": params.E_J,
+        "E_ch": params.E_ch,
+        "phi_c_ratio": 0.0,
+        "lambda": params.wavelength,
+        "S": params.squid_area * 0.09 / abs(coupling_xi(params).xi),
+        "omega": params.omega_cavity,
+    }
+    config.update(gamma=[0.0, 0.0], t=1.0 / params.omega_cavity, fock_dim=6)
+    config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
+    assert main(["--config", _write_config(tmp_path, config)]) == 3
+    assert "fock_dim 6 too small" in capsys.readouterr().err
+    assert not (tmp_path / "squeeze.json").exists()
+
+    config["fock_dim"] = 64
+    assert main(["--config", _write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    for section in json.loads((tmp_path / "squeeze.json").read_text())["variances"]:
+        assert section["min_variance"] == pytest.approx(section["expected_min_variance"], abs=1e-12)
+
+
+_SCIPY_PROBE = """
+import json, sys
+from squidcat import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for scenario in sys.argv[2:]:
+    config = cli.example_config(scenario)
+    config["output"]["path"] = f"{sys.argv[1]}/{scenario}.out"
+    path = f"{sys.argv[1]}/{scenario}.json"
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    loaded[scenario] = [cli.main(["--config", path]), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_verify_loads_scipy(tmp_path):
+    # The test modules import scipy themselves, so the probe runs in a fresh interpreter.
+    src = str(Path(squidcat.__file__).resolve().parents[1])
+    scenarios = ["cat", "inject", "squeeze", "sweep", "feasibility", "verify"]
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *scenarios],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    loaded = json.loads(result.stdout.splitlines()[-1])  # after the paths main() prints
+    assert loaded.pop("import") == []
+    exit_code, modules = loaded.pop("verify")
+    assert exit_code == 0 and "scipy.linalg" in modules
+    assert loaded == {scenario: [0, []] for scenario in scenarios[:-1]}
 
 
 def test_sweep_run_and_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import math
 
@@ -14,6 +15,7 @@ from squidcat.hilbert import (
     JointState,
     Propagator,
     SectorHamiltonian,
+    _poisson_tail,
     coherent_fock,
     fidelity,
     joint_state,
@@ -80,6 +82,13 @@ def test_states_require_normalization():
         CavityState(np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(DimensionError):
         JointState(np.array([1.0, 0.0, 0.0], dtype=complex))
+
+
+def test_states_reject_nan_amplitudes():
+    with pytest.raises(ValueError):
+        CavityState(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        JointState(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_state_arrays_are_readonly():
@@ -155,6 +164,84 @@ def test_required_fock_dim_is_the_smallest_adequate_dim():
         assert gammainc(dim, mu) < 1e-12
         assert dim == 2 or gammainc(dim - 1, mu) >= 1e-12
         assert _poisson_tail_sum(dim, mu) == pytest.approx(gammainc(dim, mu), rel=1e-9)
+
+
+def _decimal_poisson_tails(mu, count):
+    """P(X >= n) for n < ``count``, X ~ Poisson(mu): an exact sum in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        m = decimal.Decimal(mu)
+        terms = [(-m).exp()]
+        # stop past the mode once the terms fall below 1e-60, far below 1e-20 * 1e-20
+        while len(terms) < count or len(terms) <= mu or terms[-1] > decimal.Decimal("1e-60"):
+            terms.append(terms[-1] * m / len(terms))
+        tails, total = [], decimal.Decimal(0)
+        for term in reversed(terms):
+            total += term
+            tails.append(total)
+        return tails[::-1][:count]
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 2.5, 7.3, 16.0, 40.5, 99.0, 180.0, 310.7, 460.0])
+def test_poisson_tail_against_exact_decimal_sum(mu):
+    # every dim below and above mu whose tail is at least 1e-20
+    reference = _decimal_poisson_tails(mu, math.ceil(mu + 12.0 * math.sqrt(mu) + 60.0))
+    checked = 0
+    for dim, exact in enumerate(reference):
+        if exact < decimal.Decimal("1e-20"):
+            break
+        error = abs(decimal.Decimal(_poisson_tail(mu, dim)) - exact) / exact
+        assert error <= 2e-13, (mu, dim, float(error))
+        checked += 1
+    assert checked > mu
+
+
+def _gammainc_search(alpha, tail_tol):
+    """The level-by-level search with scipy's incomplete gamma function, as a reference."""
+    mu = abs(alpha) ** 2
+    dim = max(2, math.ceil(mu))
+    while gammainc(dim, mu) >= tail_tol:
+        dim += 1
+    return dim
+
+
+@pytest.mark.parametrize("tail_tol", [1e-10, 1e-12])
+def test_required_fock_dim_matches_the_gammainc_search(tail_tol):
+    rng = np.random.default_rng(2024)
+    alphas = 20.0 * (1.0 - rng.random(400)) * np.exp(2j * np.pi * rng.random(400))  # |alpha| in (0, 20]
+    for alpha in alphas:
+        assert required_fock_dim(alpha, tail_tol) == _gammainc_search(alpha, tail_tol), alpha
+
+
+def _gammaln_coherent(alpha, dim):
+    ns = np.arange(dim)
+    logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * gammaln(ns + 1)
+    v = np.exp(logmag + 1j * np.angle(alpha) * ns)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0 - 1.5j, 4.0j])
+def test_coherent_fock_matches_the_gammaln_formula(alpha):
+    error = np.abs(coherent_fock(alpha, 512).amplitudes - _gammaln_coherent(alpha, 512)).max()
+    assert error <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [4.0j, 10.0, 15.0 + 5.0j, 19.0])
+def test_coherent_fock_magnitudes_against_exact_decimals(alpha):
+    # Past |alpha| = 4 the exponent -|alpha|^2/2 + n log|alpha| - log(n!)/2 rounds
+    # at the 1e-14 level whichever table of log n! is used, so the two formulas
+    # are compared by their distance from the exact magnitudes, not to each other.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        r = decimal.Decimal(abs(alpha))
+        mags = [(-r * r / 2).exp()]
+        for n in range(1, 512):
+            mags.append(mags[-1] * r / decimal.Decimal(n).sqrt())
+        norm = sum(m * m for m in mags).sqrt()
+        exact = np.array([float(m / norm) for m in mags])
+    error = np.abs(np.abs(coherent_fock(alpha, 512).amplitudes) - exact).max()
+    reference_error = np.abs(np.abs(_gammaln_coherent(alpha, 512)) - exact).max()
+    assert error <= max(1e-15, 2.0 * reference_error)
 
 
 # ---------------------------------------------------------------- propagation
