@@ -219,6 +219,8 @@ def validate_config(data) -> RunConfig:
         fock_dim = args["fock_dim"]
         if isinstance(fock_dim, bool) or not isinstance(fock_dim, int) or fock_dim < 2:
             raise ConfigError(f"key 'fock_dim' must be an integer >= 2, got {fock_dim!r}")
+    if args.get("wigner") is not None:
+        _validate_wigner_grid(args["wigner"])
     return RunConfig(
         scenario=scenario,
         device=device,
@@ -226,6 +228,30 @@ def validate_config(data) -> RunConfig:
         out_path=str(output["path"]),
         out_format=out_format,
     )
+
+
+def _validate_wigner_grid(grid) -> None:
+    """Check the cat scenario's ``wigner`` block: an integer ``points`` >= 1 and
+    a real ``extent`` > 0 whose grid corners extent (1 + i) have a finite
+    |2 beta|^2 = 8 extent^2."""
+    if not isinstance(grid, dict):
+        raise ConfigError("key 'wigner' must be an object with 'extent' and 'points'")
+    for key in grid:
+        if key not in ("extent", "points") and not key.startswith("_"):
+            raise ConfigError(f"unknown wigner key {key!r}")
+    points = grid.get("points", 41)
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+        raise ConfigError(f"key 'wigner.points' must be an integer >= 1, got {points!r}")
+    extent = grid.get("extent", 3.0)
+    if (
+        isinstance(extent, bool)
+        or not isinstance(extent, (int, float))
+        or not 0 < extent <= sys.float_info.max
+        or not math.isfinite(8.0 * float(extent) * float(extent))
+    ):
+        raise ConfigError(
+            f"key 'wigner.extent' must be a number > 0 with 8 extent^2 finite, got {extent!r}"
+        )
 
 
 def _measure_both(
@@ -258,8 +284,6 @@ def _record_dicts(records: list[MeasurementRecord | None]) -> list[dict]:
 
 def _wigner_section(records: list[MeasurementRecord | None], args) -> list[dict]:
     grid_cfg = args.get("wigner") or {}
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("key 'wigner' must be an object with 'extent' and 'points'")
     extent = float(grid_cfg.get("extent", 3.0))
     points = int(grid_cfg.get("points", 41))
     axis = np.linspace(-extent, extent, points)

@@ -14,8 +14,12 @@ instead of the dense 2N x 2N matrix.
 
 Wigner maps are summed from the Fock-basis Wigner functions by Clenshaw
 recurrence of the associated Laguerre polynomials (Johansson, Nation &
-Nori, Comput. Phys. Commun. 184, 1234 (2013)); no state is displaced, so a
-map is exact at any grid extent, whatever the truncation (see ``wigner``).
+Nori, Comput. Phys. Commun. 184, 1234 (2013)) over the state's support,
+trimmed of trailing levels below rounding: one backward sweep evaluates
+every diagonal of rho at each distinct radius |2 beta|^2, and a Horner
+step in 2 beta combines them at the points.  Both carry base-2 exponents,
+so nothing overflows, and no state is displaced, so a map is exact at any
+grid extent, whatever the truncation (see ``wigner``).
 
 Coherent-state truncation tails are exact Poisson upper tails, summed over
 positive terms from Loader's saddle-point form of the Poisson probability
@@ -59,7 +63,6 @@ __all__ = [
 
 NORM_TOL = 1e-10
 COHERENT_TAIL_TOL = 1e-10
-LEAKAGE_THRESHOLD = 1e-8
 HERMITICITY_RTOL = 1e-12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -229,9 +232,6 @@ class JointState:
         if outcome == "e":
             return self.amplitudes[n:]
         raise ValueError(f"unknown qubit outcome {outcome!r}")
-
-    def is_valid(self, leakage_threshold: float = LEAKAGE_THRESHOLD) -> bool:
-        return self.leakage < leakage_threshold
 
 
 def make_ladder_ops(dim: int) -> tuple[FockOperator, FockOperator]:
@@ -477,23 +477,73 @@ def fidelity(x: CavityState | JointState, y: CavityState | JointState) -> float:
     return float(abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2)
 
 
-def _laguerre_series(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sum over k of coeffs[k] (-1)^k L_k^order(x) / sqrt(binom(k + order, k)) at each x.
+def _laguerre_sweep(amp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Laguerre series of every diagonal of rho = |amp><amp| at every x.
 
-    Clenshaw's backward recurrence for the normalized associated Laguerre
-    polynomials, so no factorial is formed and none overflows at large
-    ``order`` or k.  Needs at least two coefficients.
+    ``x`` holds distinct finite radii |2 beta|^2 in ascending order.
+
+    Order L's series is f_L(x) = sum over k of c_k (-1)^k L_k^L(x) /
+    sqrt(binom(k + L, k)), with c_k = rho[k, k + L], doubled for L > 0.
+    Clenshaw's backward recurrence for these normalized polynomials runs
+    over k = s - 1 .. 0 once (s = amp.size); step k updates the orders
+    L <= s - 1 - k, the diagonals that reach k, as one (orders x radii)
+    slice with real and imaginary parts side by side.  No factorial is
+    formed.
+
+    Each order keeps a base-2 exponent per radius.  Every ``period`` steps
+    the orders at or above 1 in size are scaled down by a power of two,
+    which is exact.  Since |c_k| <= 1 and one step grows max(1, |b|) at
+    most by 2 + x + max(centre), ``period`` steps stay below 2^1000.  Returns
+    (mantissa, exponent) with f_L(x) = mantissa * 2^exponent and
+    max(|Re|, |Im|) of each mantissa in [1/2, 1); an order that is exactly
+    zero gets the exponent -10^6.
     """
-    k = np.arange(coeffs.size - 1, 1, -1, dtype=float)
-    scale = 1.0 / np.sqrt((order + k) * k)
-    lower = np.sqrt((k - 1.0) * (order + k - 1.0)) * scale
-    centre = (order + 2.0 * k - 1.0) * scale
-    y0 = np.full(x.shape, coeffs[-2], dtype=complex)
-    y1 = np.full(x.shape, coeffs[-1], dtype=complex)
-    steps = zip(coeffs[-3::-1].tolist(), lower.tolist(), centre.tolist(), scale.tolist())
-    for c, a, b, s in steps:
-        y0, y1 = c - a * y1, y0 - y1 * (b - s * x)
-    return y0 - y1 * ((order + 1 - x) / math.sqrt(order + 1))
+    s, m = amp.size, x.size
+    k = np.arange(s)
+    rho = np.zeros((s, 2 * s), dtype=complex)
+    rho[:, :s] = np.outer(amp, amp.conj())
+    coeffs = rho[k[:, None], k[:, None] + k]  # coeffs[k, L] = rho[k, k + L]
+    coeffs[:, 1:] *= 2.0  # rho[k + L, k] is the conjugate: take Re at the end
+    coeffs = coeffs.view(float).reshape(s, s, 2)
+    n = np.arange(1.0, s + 2.0)[:, None]  # the polynomial index k + 1 of step k
+    order = np.arange(s, dtype=float)
+    scale = 1.0 / np.sqrt((order + n) * n)
+    centre = (order + 2.0 * n[:-1] - 1.0) * scale[:-1]
+    lower = np.sqrt(n[:-1] * (order + n[:-1])) * scale[1:]
+    period = max(1, int(1000.0 / math.log2(2.0 + x[-1] + centre.max())))
+
+    b1 = np.zeros((s, 2, m))  # b_(k+1), then b_k
+    b2 = np.zeros((s, 2, m))  # b_(k+2), overwritten by b_k
+    work = np.empty((s, 2, m))
+    exponent = np.zeros((s, m), dtype=int)
+    shrink = None  # 2^-exponent, once an order has been scaled down
+    for step in range(s - 1, -1, -1):
+        active = s - step
+        coeff = coeffs[step, :active, :, None]
+        if shrink is not None:
+            coeff = coeff * shrink[:active, None]
+        new = b2[:active]
+        new *= -lower[step, :active, None, None]
+        new += coeff
+        t = centre[step, :active, None] - scale[step, :active, None] * x
+        new -= np.multiply(t[:, None], b1[:active], out=work[:active])
+        b1, b2 = b2, b1
+        if active % period == 0 and step:
+            size = np.maximum(np.abs(b1[:active]).max(axis=1), np.abs(b2[:active]).max(axis=1))
+            shift = np.maximum(np.frexp(size)[1], 0)
+            for b in (b1, b2):
+                np.ldexp(b[:active], -shift[:, None], out=b[:active])
+            exponent[:active] += shift
+            shrink = np.ldexp(1.0, -exponent)
+    del b2, work  # freed before the outputs are allocated
+    size = np.maximum(np.abs(b1[:, 0]), np.abs(b1[:, 1]))
+    shift = np.frexp(size)[1]
+    mantissa = np.empty((s, m), dtype=complex)
+    mantissa.real = np.ldexp(b1[:, 0], -shift)
+    mantissa.imag = np.ldexp(b1[:, 1], -shift)
+    exponent += shift
+    exponent[size == 0.0] = -(10**6)
+    return mantissa, exponent
 
 
 def wigner(state: CavityState, points) -> np.ndarray:
@@ -501,25 +551,63 @@ def wigner(state: CavityState, points) -> np.ndarray:
 
     Pi is the photon parity operator, so |W| <= 2/pi everywhere.  The map is
     the sum of rho_mn times the Fock-basis Wigner functions, which are
-    associated Laguerre polynomials in |2 beta|^2; each diagonal of rho is
-    summed by Clenshaw recurrence over all points at once, and the diagonals
-    are combined Horner-style in 2 beta (Johansson, Nation & Nori,
-    Comput. Phys. Commun. 184, 1234 (2013)).  No state is displaced, so the
-    map is exact to rounding at any grid extent and any truncation, up to
-    the points where exp(2|beta|^2) overflows a double (|beta| near 18.8)
-    for a state with that many photons.
+    associated Laguerre polynomials in x = |2 beta|^2 (Johansson, Nation &
+    Nori, Comput. Phys. Commun. 184, 1234 (2013)), summed in three steps:
+
+    - the support: trailing levels whose joint norm |t| is at most 2^-55
+      are dropped, without renormalizing.  W is an expectation value of a
+      unitary, so this moves it by at most (2/pi)(2|t| + |t|^2);
+    - the radii: the Laguerre series of every diagonal of rho depend only
+      on x, so one Clenshaw sweep evaluates all of them at each distinct x
+      (``_laguerre_sweep``);
+    - the points: the diagonals are combined Horner-style in 2 beta.
+
+    Every sum carries base-2 exponents, and exp(-x/2) is applied last, so
+    no intermediate overflows, and only negligible ones underflow.  No state
+    is displaced, so the map is exact to rounding at any grid extent and any
+    truncation.
+    Raises ValueError if |2 beta|^2 is not finite at some point.
     """
-    amp = state.amplitudes
-    n = amp.size
     beta = np.asarray(points, dtype=complex).ravel()
-    x = np.abs(2.0 * beta) ** 2
-    w = np.full(beta.size, 2.0 * amp[0] * np.conj(amp[-1]))  # the corner rho[0, n - 1]
-    for order in range(n - 2, -1, -1):
-        rho_diag = amp[: n - order] * amp[order:].conj()  # rho[k, k + order]
-        if order:
-            rho_diag *= 2.0  # rho[k + order, k] is the conjugate: take Re at the end
-        w = _laguerre_series(order, x, rho_diag) + w * (2.0 * beta / math.sqrt(order + 1))
-    return (2.0 / math.pi) * w.real * np.exp(-0.5 * x)
+    if beta.size == 0:
+        return np.zeros(0)
+    amp = state.amplitudes
+    tail = np.sqrt(np.cumsum(np.abs(amp[::-1]) ** 2))[::-1]  # tail[k] = |amp[k:]|
+    amp = amp[: np.count_nonzero(tail > 2.0**-55)]
+    s = amp.size
+    with np.errstate(over="ignore"):
+        x, radius = np.unique(np.abs(2.0 * beta) ** 2, return_inverse=True)
+    if not np.isfinite(x[-1]):
+        raise ValueError(f"Wigner points need a finite |2 beta|^2, got {x[-1]!r}")
+    terms, exponent = _laguerre_sweep(amp, x)  # f_L = terms 2^exponent
+
+    # W = (2/pi) Re(acc_0) exp(-x/2), with acc_L = f_L + acc_(L+1) 2 beta / sqrt(L + 1)
+    # held as a mantissa times 2^level[L].  level[L] is log2 of the largest
+    # |f_L'| |2 beta|^(L' - L) sqrt(L! / L'!) over L' >= L, so each term of
+    # the mantissa sum is at most 2.
+    zabs = np.sqrt(x) / np.sqrt(np.arange(1.0, s + 1.0))[:, None]
+    with np.errstate(divide="ignore"):
+        log2z = np.maximum(np.log2(zabs[:-1]), -1100.0)  # zabs = 0 at beta = 0
+    climb = np.zeros_like(zabs)
+    np.cumsum(log2z, axis=0, out=climb[1:])
+    peak = np.maximum.accumulate((exponent + climb)[::-1], axis=0)[::-1]
+    level = np.rint(peak - climb).astype(int)
+    for part in (terms.real, terms.imag):  # now f_L = terms 2^level
+        np.ldexp(part, exponent - level, out=part)
+    ratios = np.ldexp(zabs[:-1], level[1:] - level[:-1])
+    phase = np.exp(1j * np.angle(beta))
+    acc = terms[-1, radius]
+    for order in range(s - 2, -1, -1):
+        acc *= ratios[order, radius]
+        acc *= phase
+        acc += terms[order, radius]
+    # 2^level[0] exp(-x/2) is about the largest |f_L| |2 beta|^L / sqrt(L!) exp(-x/2),
+    # the size of an order's part of W, at most 2.  It is formed as
+    # 2^(level[0] - q) exp(q ln 2 - x/2), with q > 0 only where exp(-x/2)
+    # alone underflows, and q at most level[0] + 2000, past which both do.
+    q = np.clip(np.ceil((0.5 * x - 700.0) / math.log(2.0)), 0.0, level[0] + 2000.0)
+    scale = np.ldexp(np.exp(q * math.log(2.0) - 0.5 * x), level[0] - q.astype(int))
+    return (2.0 / math.pi) * acc.real * scale[radius]
 
 
 def top_level_weight(state: CavityState | JointState, levels: int = 4) -> float:

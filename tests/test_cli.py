@@ -380,18 +380,85 @@ def test_main_rejects_non_finite_device_parameter(tmp_path, capsys):
     assert not (tmp_path / "cat.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_main_non_finite_output_is_a_numerical_failure(tmp_path, capsys):
-    # A |alpha| = 15 cat mapped out to |beta| = 20 sqrt(2), where the Wigner sum overflows.
+def test_main_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    from squidcat import cli
+
+    # No real map is non-finite any more, so a NaN map stands in for one.
+    monkeypatch.setattr(cli, "wigner", lambda state, points: np.full(len(points), np.nan))
+    config = _base_cat_config(tmp_path)
+    assert main(["--config", _write_config(tmp_path, config)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical contract failure" in err and "non-finite" in err
+    assert not (tmp_path / "cat.json").exists()
+
+
+def test_cat_run_wigner_maps_exact_far_from_the_origin(tmp_path, capsys):
+    # A |alpha| = 15 cat mapped out to |beta| = 20 sqrt(2), where exp(2|beta|^2)
+    # overflows a double.
     config = _base_cat_config(tmp_path)
     params = validate_config(config).device
     kappa = abs(coupling_xi(params).xi) * params.ej_rate / params.omega_cavity
     config["device"]["S"] *= 7.5 / kappa
     config["tau"] = math.pi / params.omega_cavity
     config["wigner"] = {"extent": 20.0, "points": 3}
-    assert main(["--config", _write_config(tmp_path, config)]) == 3
+    assert main(["--config", _write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "cat.json").read_text())
+
+    alpha = complex(*data["measurements"][0]["analytic_post"]["terms"][0]["label"]["alpha"])
+    assert abs(alpha) == pytest.approx(15.0, rel=1e-12)
+    assert [w["outcome"] for w in data["wigner"]] == ["g", "e"]
+    for section, sign in zip(data["wigner"], (1.0, -1.0)):  # g even, e odd
+        axis = np.array(section["axis"])
+        beta = axis[None, :] + 1j * axis[:, None]
+        exact = cat_wigner(alpha, sign, beta)
+        assert np.abs(np.array(section["values"]) - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"points": 2.7},
+        {"points": True},
+        {"points": 0},
+        {"points": "41"},
+        {"extent": "2"},
+        {"extent": True},
+        {"extent": 0.0},
+        {"extent": -1.0},
+        {"extent": float("inf")},
+        {"extent": 1e308},
+        {"extent": 1e154},
+        {"spacing": 0.1},
+        [3.0, 41],
+    ],
+)
+def test_wigner_grid_rejected_before_any_state_is_computed(tmp_path, capsys, monkeypatch, grid):
+    from squidcat import cli
+
+    def never(*args):
+        raise AssertionError("a state was computed")
+
+    monkeypatch.setattr(cli, "evolve_vacuum", never)
+    config = _base_cat_config(tmp_path)
+    config["wigner"] = grid
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config))  # json writes the literal Infinity
+    assert main(["--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "numerical contract failure" in err and "non-finite" in err
+    assert "config error" in err and "wigner" in err
+    assert not (tmp_path / "cat.json").exists()
+
+
+def test_wigner_grid_accepts_one_point_integers_and_notes(tmp_path, capsys):
+    config = _base_cat_config(tmp_path, tau=0.0)
+    config["wigner"] = {"extent": 2, "points": 1, "_note": "one point at -2 - 2i"}
+    assert main(["--config", _write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    (section,) = json.loads((tmp_path / "cat.json").read_text())["wigner"]
+    assert (section["extent"], section["points"], section["axis"]) == (2.0, 1, [-2.0])
+    vacuum = (2.0 / math.pi) * math.exp(-16.0)
+    assert section["values"][0][0] == pytest.approx(vacuum, rel=1e-12)
 
 
 def test_main_out_override(tmp_path, capsys):

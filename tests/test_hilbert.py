@@ -97,16 +97,6 @@ def test_state_arrays_are_readonly():
         state.amplitudes[0] = 0.0
 
 
-def test_joint_state_leakage_flag():
-    healthy = joint_state("g", coherent_fock(0.5, 16))
-    assert healthy.is_valid()
-    amp = np.zeros(8, dtype=complex)
-    amp[0] = 1.0
-    leaky = JointState(amp, leakage=1e-6)
-    assert not leaky.is_valid()
-    assert leaky.is_valid(leakage_threshold=1e-3)
-
-
 # ---------------------------------------------------------------- coherent states
 
 def test_coherent_zero_is_vacuum():
@@ -437,6 +427,70 @@ def test_wigner_single_photon_closed_form():
     r2 = np.abs(_GRID) ** 2
     exact = (2.0 / math.pi) * (4.0 * r2 - 1.0) * np.exp(-2.0 * r2)
     assert np.abs(wigner(CavityState(amp), _GRID) - exact).max() <= 1e-12
+
+
+def test_wigner_coherent_closed_form_far_from_the_origin():
+    # exp(2|beta|^2) overflows a double past |beta| = 18.8; the map must not.
+    alpha = 15.0
+    r = np.linspace(0.0, 25.0, 101)
+    t = np.linspace(-20.0, 20.0, 81)
+    pts = np.concatenate((r, -r, 1j * r, alpha + 1j * t))  # along and across alpha
+    values = wigner(coherent_fock(alpha, 512), pts)
+    assert np.all(np.isfinite(values))
+    assert np.abs(values - coherent_wigner(alpha, pts)).max() <= 1e-12
+
+
+def _displaced_parity_wigner(amp, pts, padded_dim=96):
+    """(2/pi) sum_n (-1)^n |<n|D(-beta) psi>|^2, with D = expm(-beta adag + conj(beta) a)
+    on ``padded_dim`` levels, independent of the Laguerre sums."""
+    from scipy.linalg import expm
+
+    a, adag = make_ladder_ops(padded_dim)
+    psi = np.zeros(padded_dim, dtype=complex)
+    psi[: amp.size] = amp
+    parity = (-1.0) ** np.arange(padded_dim)
+    out = []
+    for beta in pts:
+        shifted = expm(-beta * adag.matrix + np.conj(beta) * a.matrix) @ psi
+        out.append((2.0 / math.pi) * float(parity @ np.abs(shifted) ** 2))
+    return np.array(out)
+
+
+def _random_amplitudes(seed, dim=12):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return amp / np.linalg.norm(amp)
+
+
+_ORACLE_AXIS = np.linspace(-2.5, 2.5, 6)
+_ORACLE_GRID = (_ORACLE_AXIS[None, :] + 1j * _ORACLE_AXIS[:, None]).ravel()
+
+
+@pytest.mark.parametrize(
+    "amp",
+    [_random_amplitudes(0), _random_amplitudes(1), _random_amplitudes(2), np.eye(12)[-1]],
+    ids=["random0", "random1", "random2", "top-fock-level"],  # nothing to trim from |11>
+)
+def test_wigner_matches_displaced_parity(amp):
+    values = wigner(CavityState(amp), _ORACLE_GRID)
+    assert np.abs(values - _displaced_parity_wigner(amp, _ORACLE_GRID)).max() <= 1e-12
+
+
+def test_wigner_ignores_trailing_empty_levels():
+    amp = _random_amplitudes(3)
+    padded = np.concatenate((amp, np.zeros(500)))
+    assert np.array_equal(
+        wigner(CavityState(padded), _GRID), wigner(CavityState(amp), _GRID)
+    )
+
+
+def test_wigner_empty_and_non_finite_points():
+    state = coherent_fock(1.0, 16)
+    assert wigner(state, []).shape == (0,)
+    with pytest.raises(ValueError, match="finite"):
+        wigner(state, [0.0, complex(1e155, 0.0)])
+    with pytest.raises(ValueError, match="finite"):
+        wigner(state, [np.nan])
 
 
 # ---------------------------------------------------------------- diagnostics
