@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import BRANCH_NORM_TOL, DEFAULT_FOCK_DIM, LABEL_TAIL_TOL, MAX_FOCK_DIM, TRUNCATION_TOL
 from .errors import NormalizationError, TruncationError
 from .hilbert import (
     QUBIT_AMPLITUDES,
@@ -53,15 +54,9 @@ __all__ = [
     "materialize_label",
     "materialize",
     "auto_fock_dim",
-    "fitted_label_states",
     "branch_decomposition_to_dict",
     "branch_decomposition_from_dict",
 ]
-
-DEFAULT_FOCK_DIM = 64
-MAX_FOCK_DIM = 512
-LABEL_TAIL_TOL = 1e-12
-TOP_WEIGHT_TOL = 1e-10
 
 _SERIES_SWITCH = 0.25
 _SERIES_TERMS = 16
@@ -275,7 +270,7 @@ def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> Cavit
     """Normalized even or odd superposition of |alpha> and |-alpha>."""
     const = cat_normalization(alpha, parity)
     if fock_dim is None:
-        fock_dim = auto_fock_dim([CoherentLabel(alpha), CoherentLabel(-alpha)])
+        fock_dim = auto_fock_dim([CoherentLabel(alpha), CoherentLabel(-alpha)])[0]
     plus = coherent_fock(alpha, fock_dim)
     minus = coherent_fock(-alpha, fock_dim)
     sign = 1.0 if parity == "even" else -1.0
@@ -375,7 +370,8 @@ def squeezed_evolution(
     require_setting(params, 0.0, "squeezed evolution")
     gamma = complex(gamma)
     t = float(t)
-    validity_margin(coupling, max(0, math.ceil(abs(gamma) ** 2)))
+    photons = abs(gamma) * abs(gamma)  # inf, where abs(gamma) ** 2 would raise OverflowError
+    validity_margin(coupling, math.ceil(photons) if math.isfinite(photons) else photons)
 
     omega = params.omega_cavity
     ej = params.ej_rate
@@ -441,34 +437,50 @@ def materialize_label(label: CoherentLabel | SqueezedLabel, fock_dim: int) -> Ca
     return CavityState(v / math.sqrt(sum2), leakage=abs(1.0 - norm2))
 
 
-def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> int:
+def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple[int, dict]:
     """The package's truncation policy: the Fock dimension at which no checked state leaks.
 
-    Starts from ``start`` if given, else from the larger of 64 and each
-    label's exact coherent-tail requirement (tail below 1e-12), and doubles
-    up to 512 until the top four Fock levels of every checked state hold less
-    than 1e-10 of the population; at 512 it raises TruncationError.  At each
-    truncation tried, every distinct label is materialized once, and
-    ``propagated(dim, label_states)``, if given, returns further states (such
-    as brute-force propagated ones) that must pass the same check; it gets
-    the labels' states at that truncation so it can reuse them.  An explicit
-    ``start`` too small for a coherent label raises TruncationError.
+    Starts from ``start`` if given, else from the larger of DEFAULT_FOCK_DIM
+    (64) and each label's exact coherent-tail requirement (tail below
+    LABEL_TAIL_TOL, 1e-12), and doubles up to MAX_FOCK_DIM (512) until the
+    top four Fock levels of every checked state hold less than
+    TRUNCATION_TOL (1e-10) of the population.  At each truncation tried,
+    every distinct label is materialized once, and ``propagated(dim)``, if
+    given, returns further states (such as brute-force propagated ones) that
+    must pass the same check.  Returns the truncation and the label states
+    judged there, keyed by label, for callers to reuse.  A start above
+    MAX_FOCK_DIM raises TruncationError before any state is built, and an
+    explicit ``start`` too small for a coherent label raises it too.
     """
     labels = list(dict.fromkeys(labels))
     dim = start
     if dim is None:
-        dim = DEFAULT_FOCK_DIM
-        for label in labels:
-            centre = label.alpha if isinstance(label, CoherentLabel) else label.gamma
-            dim = max(dim, required_fock_dim(centre, LABEL_TAIL_TOL))
+        centres = [
+            abs(label.alpha if isinstance(label, CoherentLabel) else label.gamma)
+            for label in labels
+        ]
+        # A coherent tail is about 1/2 at the mean photon number: past the cap, no sum is needed.
+        far = max(centres, default=0.0)
+        if far * far >= MAX_FOCK_DIM:
+            raise TruncationError(
+                f"a label of |displacement| {far:.6g} has its mean photon number past the "
+                f"maximum truncation {MAX_FOCK_DIM}",
+                required_dim=None,
+            )
+        dim = max([DEFAULT_FOCK_DIM] + [required_fock_dim(c, LABEL_TAIL_TOL) for c in centres])
+    if dim > MAX_FOCK_DIM:
+        raise TruncationError(
+            f"start truncation {dim} exceeds the maximum truncation {MAX_FOCK_DIM}",
+            required_dim=dim if start is None else None,
+        )
     while True:
         label_states = {label: materialize_label(label, dim) for label in labels}
         checked = list(label_states.values())
         if propagated is not None:
-            checked += propagated(dim, label_states)
+            checked += propagated(dim)
         worst = max(map(top_level_weight, checked), default=0.0)
-        if worst < TOP_WEIGHT_TOL:
-            return dim
+        if worst < TRUNCATION_TOL:
+            return dim, label_states
         if dim >= MAX_FOCK_DIM:
             raise TruncationError(
                 f"leakage {worst:.3e} persists at the maximum truncation {MAX_FOCK_DIM}",
@@ -477,39 +489,25 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> int:
         dim = min(2 * dim, MAX_FOCK_DIM)
 
 
-def fitted_label_states(labels, start: int | None = None, *, propagated=None) -> tuple[int, dict]:
-    """``auto_fock_dim`` and the label states it materialized at the truncation it chose."""
-    tried = {}
-
-    def keep(dim, label_states):
-        tried[dim] = label_states
-        return [] if propagated is None else propagated(dim, label_states)
-
-    dim = auto_fock_dim(labels, start, propagated=keep)
-    return dim, tried[dim]
-
-
 def materialize(
     state: BranchDecomposition, fock_dim: int | None = None, label_states: dict | None = None
 ) -> JointState:
     """Expand a branch decomposition into a joint Fock-space state.
 
-    The truncation comes from ``auto_fock_dim`` unless given, and then the
-    label states the policy built are reused.  ``label_states`` may hold
-    labels already materialized at the given truncation.  The combined
-    vector must come out normalized up to truncation effects, which are
-    recorded as leakage; otherwise NormalizationError is raised.
+    Without ``fock_dim`` the truncation and the label states come from
+    ``auto_fock_dim``; with it, ``label_states`` may hold labels already
+    materialized there, such as those the policy returned.  The vector must
+    come out normalized to BRANCH_NORM_TOL plus its truncation leakage,
+    which is recorded; otherwise NormalizationError is raised.
     """
     if fock_dim is None:
-        dim, label_states = fitted_label_states(state.labels())
-    else:
-        dim = fock_dim
-    blocks = np.zeros((2, dim), dtype=complex)
+        fock_dim, label_states = auto_fock_dim(state.labels())
+    blocks = np.zeros((2, fock_dim), dtype=complex)
     tail = 0.0
     cache = dict(label_states or {})
     for branch in state.branches:
         if branch.label not in cache:
-            cache[branch.label] = materialize_label(branch.label, dim)
+            cache[branch.label] = materialize_label(branch.label, fock_dim)
         cavity = cache[branch.label]
         tail += abs(branch.weight) ** 2 * cavity.leakage
         for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
@@ -517,7 +515,7 @@ def materialize(
                 block += (branch.coefficient * amplitude) * cavity.amplitudes
     vec = blocks.ravel()
     norm2 = float(np.real(np.vdot(vec, vec)))
-    if abs(norm2 - 1.0) > 1e-8 + 4.0 * tail:
+    if abs(norm2 - 1.0) > BRANCH_NORM_TOL + 4.0 * tail:
         raise NormalizationError(
             f"branch decomposition materializes to norm^2 = {norm2!r}; weights are inconsistent"
         )

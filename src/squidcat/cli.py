@@ -20,17 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
-    TOP_WEIGHT_TOL,
     BranchDecomposition,
+    auto_fock_dim,
     branch_decomposition_to_dict,
     evolve_coherent,
     evolve_vacuum,
-    fitted_label_states,
     flux_pi_pulse,
     materialize,
-    materialize_label,
     squeezed_evolution,
 )
+from .constants import MAX_FOCK_DIM
 from .errors import (
     ConfigError,
     DimensionError,
@@ -48,7 +47,7 @@ from .experiments import (
     sweep_rows_to_csv,
     verify_analytic_numeric,
 )
-from .hilbert import min_quadrature_variance, top_level_weight, wigner
+from .hilbert import min_quadrature_variance, wigner
 from .measurement import MeasurementRecord, measure_qubit, measurement_record_to_dict
 from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 
@@ -135,14 +134,58 @@ def dumps17(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _as_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"key {key!r} must be a number or [re, im] pair, got {value!r}")
+def _is_real(value) -> bool:
+    """A finite JSON number: an int or float, not a bool, within the float range."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_count(value) -> bool:
+    """An integer >= 1, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
+def _is_complex(value) -> bool:
+    """A finite number or a [re, im] pair of them."""
+    return _is_real(value) or (
+        isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
+    )
+
+
+def _is_list_of(value, item_ok) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(item_ok, value))
+
+
+def _as_complex(value) -> complex:
+    """A validated ``_is_complex`` value as a complex number."""
+    return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
+
+
+# Rule and its description for each scenario value, checked before any state is computed.
+_VALUE_RULES = {
+    **dict.fromkeys(
+        ("tau", "tau1", "t", "tau_max", "T1", "T2", "tau_m"), (_is_real, "a finite number")
+    ),
+    "points": (_is_count, "an integer >= 1"),
+    "lambda_points": (_is_count, "an integer >= 1"),
+    "fock_dim": (
+        lambda v: _is_count(v) and 2 <= v <= MAX_FOCK_DIM,
+        f"an integer from 2 to {MAX_FOCK_DIM}",
+    ),
+    "ratios": (
+        lambda v: _is_list_of(v, lambda r: _is_real(r) and r > 0),
+        "a non-empty list of numbers > 0",
+    ),
+    "kinds": (
+        lambda v: _is_list_of(v, lambda k: isinstance(k, str) and k in CAVITY_KINDS),
+        f"a non-empty list of names from {sorted(CAVITY_KINDS)}",
+    ),
+    "alpha_prime": (_is_complex, "a finite number or [re, im] pair"),
+    "gamma": (_is_complex, "a finite number or [re, im] pair"),
+}
 
 
 def _parse_device(data, context: str) -> DeviceParams:
@@ -215,10 +258,9 @@ def validate_config(data) -> RunConfig:
         )
 
     args = {k: v for k, v in data.items() if k in required | optional}
-    if "fock_dim" in args:
-        fock_dim = args["fock_dim"]
-        if isinstance(fock_dim, bool) or not isinstance(fock_dim, int) or fock_dim < 2:
-            raise ConfigError(f"key 'fock_dim' must be an integer >= 2, got {fock_dim!r}")
+    for key, value in args.items():
+        if key in _VALUE_RULES and not _VALUE_RULES[key][0](value):
+            raise ConfigError(f"key {key!r} must be {_VALUE_RULES[key][1]}, got {value!r}")
     if args.get("wigner") is not None:
         _validate_wigner_grid(args["wigner"])
     return RunConfig(
@@ -240,15 +282,10 @@ def _validate_wigner_grid(grid) -> None:
         if key not in ("extent", "points") and not key.startswith("_"):
             raise ConfigError(f"unknown wigner key {key!r}")
     points = grid.get("points", 41)
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+    if not _is_count(points):
         raise ConfigError(f"key 'wigner.points' must be an integer >= 1, got {points!r}")
     extent = grid.get("extent", 3.0)
-    if (
-        isinstance(extent, bool)
-        or not isinstance(extent, (int, float))
-        or not 0 < extent <= sys.float_info.max
-        or not math.isfinite(8.0 * float(extent) * float(extent))
-    ):
+    if not _is_real(extent) or extent <= 0 or not math.isfinite(8.0 * extent * extent):
         raise ConfigError(
             f"key 'wigner.extent' must be a number > 0 with 8 extent^2 finite, got {extent!r}"
         )
@@ -260,10 +297,10 @@ def _measure_both(
     """Records of the outcomes g and e, None for an outcome that cannot occur.
 
     The decomposition is materialized once, at the policy truncation and
-    with the label states of ``fitted`` (``fitted_label_states`` of its
-    labels) when given, and both outcomes are measured from that state.
+    with the label states of ``fitted`` (``auto_fock_dim`` of its labels)
+    when given, and both outcomes are measured from that state.
     """
-    joint = materialize(decomposition, *(fitted or fitted_label_states(decomposition.labels())))
+    joint = materialize(decomposition, *(fitted or ()))
     records = []
     for outcome in ("g", "e"):
         try:
@@ -323,7 +360,7 @@ def _run_cat(config: RunConfig) -> dict:
 def _run_inject(config: RunConfig) -> dict:
     params = config.device
     coupling = coupling_xi(params)
-    alpha_prime = _as_complex(config.args["alpha_prime"], "alpha_prime")
+    alpha_prime = _as_complex(config.args["alpha_prime"])
     tau1 = float(config.args["tau1"])
     before = evolve_coherent(params, coupling, alpha_prime, tau1)
     after = flux_pi_pulse(before, params)
@@ -340,23 +377,17 @@ def _run_inject(config: RunConfig) -> dict:
 def _run_squeeze(config: RunConfig) -> dict:
     params = config.device
     coupling = coupling_xi(params)
-    gamma = _as_complex(config.args["gamma"], "gamma")
+    gamma = _as_complex(config.args["gamma"])
     t = float(config.args["t"])
     decomposition = squeezed_evolution(params, coupling, gamma, t)
-    labels = decomposition.labels()
     fock_dim = config.args.get("fock_dim")
-    fitted = None
-    if fock_dim is None:
-        fitted = fitted_label_states(labels)
-        states = fitted[1]
-    else:
-        states = {label: materialize_label(label, fock_dim) for label in labels}
-        worst = max(map(top_level_weight, states.values()))
-        if worst >= TOP_WEIGHT_TOL:
-            raise TruncationError(
-                f"fock_dim {fock_dim} too small for the squeezed labels: their top four "
-                f"levels hold {worst:.3e} of the population (limit {TOP_WEIGHT_TOL:g})"
-            )
+    fitted = auto_fock_dim(decomposition.labels(), fock_dim)
+    dim, states = fitted
+    if fock_dim is not None and dim != fock_dim:
+        raise TruncationError(
+            f"fock_dim {fock_dim} too small for the squeezed labels: the policy needs {dim}",
+            required_dim=dim,
+        )
     variances = []
     for label, state in states.items():
         r = abs(label.squeeze)
@@ -374,17 +405,14 @@ def _run_squeeze(config: RunConfig) -> dict:
         "gamma": [gamma.real, gamma.imag],
         "branches": branch_decomposition_to_dict(decomposition),
         "variances": variances,
-        "measurements": _record_dicts(_measure_both(decomposition, fitted)),
+        "measurements": _record_dicts(_measure_both(decomposition, None if fock_dim else fitted)),
     }
 
 
 def _run_sweep(config: RunConfig) -> str:
-    points = int(config.args.get("lambda_points", 200))
+    points = config.args.get("lambda_points", 200)
     ratios = config.args.get("ratios", [4.0, 7.0, 10.0, 15.0])
     kinds = config.args.get("kinds", ["full", "quarter"])
-    for kind in kinds:
-        if kind not in CAVITY_KINDS:
-            raise ConfigError(f"unknown cavity kind {kind!r} in 'kinds'")
     rows = fig1_sweep(default_lambda_grid(points), tuple(ratios), tuple(kinds))
     return sweep_rows_to_csv(rows)
 
@@ -394,7 +422,7 @@ def _run_verify(config: RunConfig) -> dict:
     target = config.args["target"]
     if target not in VERIFY_SCENARIOS:
         raise ConfigError(f"key 'target' must be one of {VERIFY_SCENARIOS}, got {target!r}")
-    points = int(config.args.get("points", 20))
+    points = config.args.get("points", 20)
     tau_max = config.args.get("tau_max")
     if tau_max is None:
         tau_max = 4.0 * math.pi / params.omega_cavity
@@ -404,8 +432,8 @@ def _run_verify(config: RunConfig) -> dict:
         target,
         grid,
         config.args.get("fock_dim"),
-        alpha_prime=_as_complex(config.args.get("alpha_prime", 0.0), "alpha_prime"),
-        gamma=_as_complex(config.args.get("gamma", 0.0), "gamma"),
+        alpha_prime=_as_complex(config.args.get("alpha_prime", 0.0)),
+        gamma=_as_complex(config.args.get("gamma", 0.0)),
     )
     return {
         "scenario": "verify",

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import (
+    auto_fock_dim,
     evolve_coherent,
     evolve_vacuum,
-    fitted_label_states,
     flux_pi_pulse,
     materialize,
     squeezed_evolution,
@@ -245,13 +245,13 @@ def verify_analytic_numeric(
     decompositions = [analytic_at(tau) for tau in tau_grid]
     numeric = {}
 
-    def propagated(dim, label_states):
+    def propagated(dim):
         numeric_at = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)
         numeric[dim] = [numeric_at(tau) for tau in tau_grid]
         return numeric[dim]
 
     labels = [label for decomposition in decompositions for label in decomposition.labels()]
-    dim, label_states = fitted_label_states(labels, fock_dim, propagated=propagated)
+    dim, label_states = auto_fock_dim(labels, fock_dim, propagated=propagated)
     return max(
         1.0 - fidelity(materialize(decomposition, dim, label_states), state)
         for decomposition, state in zip(decompositions, numeric[dim])

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import HERMITICITY_RTOL, NORM_TOL, TRUNCATION_TOL
 from .errors import DimensionError, HermiticityError, TruncationError
 
 __all__ = [
@@ -60,10 +61,6 @@ __all__ = [
     "quadrature_covariance",
     "min_quadrature_variance",
 ]
-
-NORM_TOL = 1e-10
-COHERENT_TAIL_TOL = 1e-10
-HERMITICITY_RTOL = 1e-12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -314,7 +311,7 @@ def _poisson_tail(mu: float, dim: int) -> float:
     return float(_poisson_terms(mu, dim, _tail_width(mu)).sum())
 
 
-def required_fock_dim(alpha: complex, tail_tol: float = COHERENT_TAIL_TOL) -> int:
+def required_fock_dim(alpha: complex, tail_tol: float = TRUNCATION_TOL) -> int:
     """Smallest truncation whose Poisson tail beyond it is below ``tail_tol``.
 
     The coherent weight beyond ``dim`` levels is the Poisson upper tail
@@ -348,7 +345,7 @@ def coherent_tail(alpha: complex, dim: int) -> float:
     estimate) when it reaches the 1e-10 contract.
     """
     tail = _poisson_tail(abs(alpha) ** 2, dim)
-    if tail >= COHERENT_TAIL_TOL:
+    if tail >= TRUNCATION_TOL:
         need = required_fock_dim(alpha)
         raise TruncationError(
             f"truncation {dim} insufficient for coherent |alpha|={abs(alpha):.6g} "

@@ -20,8 +20,9 @@ from .analytic import (
     coherent_overlap,
     materialize,
 )
+from .constants import ZERO_PROBABILITY_THRESHOLD
 from .errors import NullOutcomeError
-from .hilbert import CavityState, JointState
+from .hilbert import QUBIT_AMPLITUDES, CavityState, JointState
 
 __all__ = [
     "AnalyticPost",
@@ -30,15 +31,6 @@ __all__ = [
     "parity_spectrum",
     "measurement_record_to_dict",
 ]
-
-ZERO_PROBABILITY_THRESHOLD = 1e-14
-
-_EXPAND_TO_GE = {
-    "g": (("g", 1.0),),
-    "e": (("e", 1.0),),
-    "+": (("g", 1.0 / math.sqrt(2.0)), ("e", 1.0 / math.sqrt(2.0))),
-    "-": (("g", 1.0 / math.sqrt(2.0)), ("e", -1.0 / math.sqrt(2.0))),
-}
 
 
 @dataclass(frozen=True)
@@ -76,11 +68,12 @@ def _measure_joint(state: JointState, outcome: str) -> MeasurementRecord:
 
 
 def _collapse_branches(state: BranchDecomposition, outcome: str) -> list[Branch]:
+    index = ("g", "e").index(outcome)
     collected: list[Branch] = []
     for branch in state.branches:
-        for qubit, factor in _EXPAND_TO_GE[branch.qubit]:
-            if qubit == outcome:
-                collected.append(Branch(outcome, branch.weight * factor, branch.label))
+        factor = float(QUBIT_AMPLITUDES[branch.qubit][index].real)  # the basis amplitudes are real
+        if factor:
+            collected.append(Branch(outcome, branch.weight * factor, branch.label))
     return collected
 
 

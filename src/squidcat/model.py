@@ -18,11 +18,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import (
+    COUPLING_RTOL,
     ELEMENTARY_CHARGE,
     FLUX_QUANTUM,
     HBAR,
+    SETTING_TOL,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
+    VALIDITY_WARN_LEVEL,
     ev_to_rate,
 )
 from .errors import DimensionError
@@ -43,9 +46,6 @@ CAVITY_KINDS = {"full": 1.0, "half": 0.5, "quarter": 0.25}
 HAMILTONIAN_ORDERS = ("cosine", "first", "second")
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-VALIDITY_WARN_LEVEL = 0.1
-SETTING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class Coupling:
         if self.eta_abs < 0:
             raise ValueError("eta_abs must be >= 0")
         expected = math.pi * self.eta_abs / FLUX_QUANTUM
-        if abs(abs(self.xi) - expected) > 1e-12 * max(expected, 1e-300):
+        if abs(abs(self.xi) - expected) > COUPLING_RTOL * max(expected, 1e-300):
             raise ValueError(
                 f"|xi| must equal pi*eta_abs/Phi0 = {expected!r}, got {abs(self.xi)!r}"
             )
@@ -146,12 +146,6 @@ class Coupling:
     def from_xi(cls, xi: complex) -> "Coupling":
         """Build a coupling directly from the dimensionless flux."""
         return cls(eta_abs=abs(xi) * FLUX_QUANTUM / math.pi, xi=complex(xi))
-
-    def validity_margin(self, n_max: int) -> float:
-        """Expansion-control parameter |xi| sqrt(n_max + 1)."""
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        return abs(self.xi) * math.sqrt(n_max + 1.0)
 
 
 def coupling_xi(params: DeviceParams, phase: float = 0.0) -> Coupling:
@@ -174,8 +168,10 @@ def coupling_xi(params: DeviceParams, phase: float = 0.0) -> Coupling:
 
 
 def validity_margin(coupling: Coupling, n_max: int) -> float:
-    """Expansion margin pi*|eta|*sqrt(n_max+1)/Phi0; warns when >= 0.1."""
-    value = coupling.validity_margin(n_max)
+    """Expansion margin |xi| sqrt(n_max + 1) = pi*|eta|*sqrt(n_max+1)/Phi0; warns when >= 0.1."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    value = abs(coupling.xi) * math.sqrt(n_max + 1.0)
     if value >= VALIDITY_WARN_LEVEL:
         warnings.warn(
             f"expansion margin {value:.3g} >= {VALIDITY_WARN_LEVEL}; "

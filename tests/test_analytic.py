@@ -37,6 +37,7 @@ from squidcat.hilbert import (
     make_ladder_ops,
     min_quadrature_variance,
     propagate,
+    required_fock_dim,
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
@@ -453,7 +454,7 @@ def test_squeezed_evolution_preconditions():
 @pytest.mark.parametrize("r,expected", [(0.5, 64), (1.0, 128), (1.5, 256)])
 def test_auto_fock_dim_doubles_for_squeezed_vacuum(r, expected):
     label = SqueezedLabel(gamma=0.0, squeeze=r, rotation=0.0)
-    assert auto_fock_dim([label]) == expected
+    assert auto_fock_dim([label])[0] == expected
 
 
 def test_auto_fock_dim_raises_at_the_cap():
@@ -462,8 +463,28 @@ def test_auto_fock_dim_raises_at_the_cap():
         auto_fock_dim([label])
 
 
+@pytest.mark.parametrize(
+    "alpha,required",
+    [(19.4, required_fock_dim(19.4, 1e-12)), (30.0, None), (1e200, None)],
+)
+def test_auto_fock_dim_start_past_the_cap_raises_before_any_state(monkeypatch, alpha, required):
+    from squidcat import analytic
+
+    def never(*args):
+        raise AssertionError("a label state was built")
+
+    monkeypatch.setattr(analytic, "materialize_label", never)
+    for label in (CoherentLabel(alpha), SqueezedLabel(alpha, 0.1, 0.0)):
+        with pytest.raises(TruncationError, match="maximum truncation 512") as info:
+            auto_fock_dim([CoherentLabel(1.0), label])
+        assert info.value.required_dim == required
+    with pytest.raises(TruncationError, match="start truncation 513") as info:
+        auto_fock_dim([CoherentLabel(1.0)], start=513)
+    assert info.value.required_dim is None
+
+
 def test_auto_fock_dim_explicit_start_is_not_raised():
-    assert auto_fock_dim([CoherentLabel(1.0)], start=32) == 32
+    assert auto_fock_dim([CoherentLabel(1.0)], start=32)[0] == 32
     with pytest.raises(TruncationError):
         auto_fock_dim([CoherentLabel(4.0)], start=8)
 

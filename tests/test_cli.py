@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_squeeze_run_picks_its_own_truncation(tmp_path, capsys):
 
 
 def test_squeeze_run_reuses_the_policy_label_states(tmp_path, monkeypatch):
-    from squidcat import analytic, cli
+    from squidcat import analytic
 
     calls = []
     original = analytic.materialize_label
@@ -199,7 +200,6 @@ def test_squeeze_run_reuses_the_policy_label_states(tmp_path, monkeypatch):
         return original(label, fock_dim)
 
     monkeypatch.setattr(analytic, "materialize_label", counting)
-    monkeypatch.setattr(cli, "materialize_label", counting)
     config = example_config("squeeze")
     config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
     run(load_config(_write_config(tmp_path, config)))
@@ -344,6 +344,90 @@ def test_fock_dim_must_be_an_integer_of_at_least_two(tmp_path, capsys, scenario,
     assert main(["--config", _write_config(tmp_path, config)]) == 2
     assert "fock_dim" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def _scenario_config(tmp_path, scenario, **overrides):
+    config = example_config(scenario)
+    config.update(overrides)
+    config["output"] = {"path": str(tmp_path / "out"), "format": config["output"]["format"]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))  # json writes the literals Infinity and NaN
+    return str(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "scenario,overrides",
+    [
+        ("sweep", {"ratios": [0]}),
+        ("sweep", {"ratios": []}),
+        ("sweep", {"ratios": [4.0, float("nan")]}),
+        ("sweep", {"lambda_points": None}),
+        ("sweep", {"lambda_points": 2.7}),
+        ("sweep", {"kinds": 5}),
+        ("sweep", {"kinds": []}),
+        ("sweep", {"kinds": ["cube"]}),
+        ("sweep", {"kinds": [["full"]]}),
+        ("cat", {"tau": None}),
+        ("cat", {"tau": [1, 2]}),
+        ("cat", {"tau": "1e-12"}),
+        ("cat", {"tau": True}),
+        ("cat", {"tau": float("inf")}),
+        ("inject", {"tau1": None}),
+        ("inject", {"alpha_prime": [float("inf"), 0.0]}),
+        ("squeeze", {"t": None}),
+        ("squeeze", {"gamma": [0.0, float("-inf")]}),
+        ("feasibility", {"T1": [1]}),
+        ("feasibility", {"tau_m": None}),
+        ("verify", {"points": [3]}),
+        ("verify", {"points": 2.5}),
+        ("verify", {"points": 0}),
+        ("verify", {"tau_max": {}}),
+        ("verify", {"tau_max": None}),
+        ("verify", {"fock_dim": 100000}),
+        ("verify", {"fock_dim": 513}),
+        ("verify", {"gamma": float("nan")}),
+    ],
+)
+def test_malformed_scenario_values_rejected_before_any_state(
+    tmp_path, capsys, monkeypatch, scenario, overrides
+):
+    from squidcat import cli
+
+    def never(config):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run", never)
+    assert main(["--config", _scenario_config(tmp_path, scenario, **overrides)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(next(iter(overrides))) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,overrides",
+    [
+        ("squeeze", {"gamma": [1e5, 0.0]}),
+        ("squeeze", {"gamma": [1e200, 0.0]}),
+        ("inject", {"alpha_prime": [1e200, 0.0]}),
+        ("inject", {"alpha_prime": [30.0, 0.0]}),
+        ("verify", {"target": "coherent", "alpha_prime": [1e200, 0.0], "points": 2}),
+    ],
+)
+def test_fields_past_the_maximum_truncation_exit_3(
+    tmp_path, capsys, monkeypatch, scenario, overrides
+):
+    from squidcat import analytic
+
+    def never(*args):
+        raise AssertionError("a label state was built")
+
+    monkeypatch.setattr(analytic, "materialize_label", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the expansion-margin warning of a strong field
+        assert main(["--config", _scenario_config(tmp_path, scenario, **overrides)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical contract failure" in err and "maximum truncation 512" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

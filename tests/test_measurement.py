@@ -101,6 +101,20 @@ def test_single_coherent_per_outcome_state():
     assert fidelity(rec_e.post_state, coherent_fock(alpha_plus, dim)) >= 1.0 - 1e-10
 
 
+def test_sigma_x_branches_collapse_with_their_charge_amplitudes():
+    # |+>|a> + |->|b> over sqrt(2): g keeps (|a> + |b>)/2, e keeps (|a> - |b>)/2.
+    a, b = CoherentLabel(1.5), CoherentLabel(-1.5)
+    w = 1.0 / math.sqrt(2.0)
+    state = BranchDecomposition((Branch("+", w, a), Branch("-", w, b)))
+    for outcome, sign in (("g", 1.0), ("e", -1.0)):
+        record = measure_qubit(state, outcome)
+        terms = [(t.qubit, t.weight, t.label) for t in record.analytic_post.branches]
+        assert terms == [(outcome, w * w, a), (outcome, sign * w * w, b)]
+        assert record.probability == pytest.approx(
+            0.25 * (2.0 + 2.0 * sign * coherent_overlap(a, b).real), rel=1e-12
+        )
+
+
 def test_joint_state_measurement_blocks():
     cavity = coherent_fock(0.8, 24)
     qubit = np.array([math.sqrt(0.3), -1j * math.sqrt(0.7)])
