@@ -269,10 +269,12 @@ def cat_normalization(alpha: complex, parity: str) -> float:
 def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> CavityState:
     """Normalized even or odd superposition of |alpha> and |-alpha>."""
     const = cat_normalization(alpha, parity)
+    labels = (CoherentLabel(alpha), CoherentLabel(-alpha))
     if fock_dim is None:
-        fock_dim = auto_fock_dim([CoherentLabel(alpha), CoherentLabel(-alpha)])[0]
-    plus = coherent_fock(alpha, fock_dim)
-    minus = coherent_fock(-alpha, fock_dim)
+        states = auto_fock_dim(labels)[1]
+    else:
+        states = {label: coherent_fock(label.alpha, fock_dim) for label in labels}
+    plus, minus = (states[label] for label in labels)
     sign = 1.0 if parity == "even" else -1.0
     v = const * (plus.amplitudes + sign * minus.amplitudes)
     norm = np.linalg.norm(v)

@@ -3,7 +3,10 @@
 One invocation runs one scenario (cat, inject, squeeze, sweep, verify or
 feasibility) and writes a single output file at the configured path.  All
 floating-point output is printed with 17 significant digits so emitted
-states reload bit-faithfully.
+states reload bit-faithfully.  The JSON writer ``dumps17`` puts one item
+per line; a list of floats (a Wigner row, an amplitude pair) is checked and
+formatted in one pass, with the same bytes as item by item: ``-0`` stays
+``-0`` and any NaN or infinity raises NonFiniteError (exit 3).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract failure.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -99,6 +103,10 @@ class RunConfig:
     out_format: str
 
 
+# Item types of a float row, written by dumps17 in one pass.
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
         raise NonFiniteError(f"non-finite float {x!r} in output")
@@ -106,7 +114,15 @@ def _fmt(x: float) -> str:
 
 
 def dumps17(obj, indent: int = 0) -> str:
-    """JSON rendering with every float printed at 17 significant digits."""
+    """JSON rendering with every float printed at 17 significant digits.
+
+    Containers open one item per line, indented two spaces per level.  A
+    non-empty list or tuple whose items are all floats (``np.float64``
+    included, bools and ints not) is written in one pass: its finiteness
+    is checked once and each item formatted by ``"%.17g"`` inline, with no
+    Python function call per item, giving the same bytes as the recursive
+    path.
+    """
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -121,8 +137,14 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ",\n".join("  " * (indent + 1) + dumps17(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        sep = ",\n" + pad + "  "
+        if _FLOAT_TYPES.issuperset(map(type, obj)):
+            for bad in itertools.filterfalse(math.isfinite, obj):
+                _fmt(float(bad))  # raises, naming the first non-finite item
+            items = sep.join(["%.17g" % v for v in obj])
+        else:
+            items = sep.join(dumps17(v, indent + 1) for v in obj)
+        return "[\n" + pad + "  " + items + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HERMITICITY_RTOL, NORM_TOL, TRUNCATION_TOL
+from .constants import HERMITICITY_RTOL, MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL
 from .errors import DimensionError, HermiticityError, TruncationError
 
 __all__ = [
@@ -342,13 +342,24 @@ def coherent_tail(alpha: complex, dim: int) -> float:
     That is the Poisson upper tail P(X >= dim) for X ~ Poisson(|alpha|^2),
     summed over positive terms from Loader's saddle-point form of the largest
     one (``_poisson_tail``).  Raises TruncationError (with a dimension
-    estimate) when it reaches the 1e-10 contract.
+    estimate) when it reaches the 1e-10 contract.  A mean photon number
+    |alpha|^2 at or past ``dim`` (its tail is then about 1/2 or more), or
+    too large for a double, raises before any term is summed; its estimate
+    is None when |alpha|^2 is past MAX_FOCK_DIM.
     """
-    tail = _poisson_tail(abs(alpha) ** 2, dim)
+    radius = math.hypot(alpha.real, alpha.imag)
+    mu = radius * radius  # inf, not OverflowError, past the float range
+    if not mu < dim:
+        raise TruncationError(
+            f"truncation {dim} insufficient for coherent |alpha|={radius:.6g}: its mean "
+            f"photon number {mu:.6g} reaches the truncation",
+            required_dim=required_fock_dim(alpha) if mu <= MAX_FOCK_DIM else None,
+        )
+    tail = _poisson_tail(mu, dim)
     if tail >= TRUNCATION_TOL:
         need = required_fock_dim(alpha)
         raise TruncationError(
-            f"truncation {dim} insufficient for coherent |alpha|={abs(alpha):.6g} "
+            f"truncation {dim} insufficient for coherent |alpha|={radius:.6g} "
             f"(tail {tail:.3e}); need >= {need}",
             required_dim=need,
         )

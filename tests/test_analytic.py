@@ -247,6 +247,23 @@ def test_cat_normalization_odd_null_state():
         cat_normalization(0.0, "odd")
 
 
+def test_cat_state_builds_each_label_once(monkeypatch):
+    from squidcat import analytic
+
+    calls = []
+
+    def counting(alpha, dim):
+        calls.append(alpha)
+        return coherent_fock(alpha, dim)
+
+    monkeypatch.setattr(analytic, "coherent_fock", counting)
+    state = cat_state(2.0, "even")
+    assert sorted(calls) == [-2.0, 2.0]
+    explicit = cat_state(2.0, "even", fock_dim=state.amplitudes.size)
+    assert np.array_equal(state.amplitudes, explicit.amplitudes)
+    assert state.leakage == explicit.leakage
+
+
 def test_cat_parity_structure():
     even = cat_state(1.7, "even")
     odd = cat_state(1.7, "odd")

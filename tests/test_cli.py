@@ -20,7 +20,13 @@ from squidcat.cli import (
     run,
     validate_config,
 )
-from squidcat.errors import ConfigError, DimensionError, NormalizationError, NullOutcomeError
+from squidcat.errors import (
+    ConfigError,
+    DimensionError,
+    NonFiniteError,
+    NormalizationError,
+    NullOutcomeError,
+)
 from squidcat.hilbert import CavityState
 from squidcat.model import coupling_xi
 
@@ -430,6 +436,16 @@ def test_fields_past_the_maximum_truncation_exit_3(
     assert not (tmp_path / "out").exists()
 
 
+def test_far_label_at_an_explicit_truncation_exits_3(tmp_path, capsys):
+    overrides = {"target": "coherent", "alpha_prime": [1e200, 0.0], "fock_dim": 64}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the expansion-margin warning of a strong field
+        assert main(["--config", _scenario_config(tmp_path, "verify", **overrides)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical contract failure" in err and "mean photon number inf" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "error",
     [
@@ -467,13 +483,17 @@ def test_main_rejects_non_finite_device_parameter(tmp_path, capsys):
 def test_main_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     from squidcat import cli
 
-    # No real map is non-finite any more, so a NaN map stands in for one.
-    monkeypatch.setattr(cli, "wigner", lambda state, points: np.full(len(points), np.nan))
-    config = _base_cat_config(tmp_path)
-    assert main(["--config", _write_config(tmp_path, config)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical contract failure" in err and "non-finite" in err
-    assert not (tmp_path / "cat.json").exists()
+    # No real map is non-finite any more, so a NaN map, and a map with one
+    # infinite value inside a row, stand in for one.
+    one_infinite = np.zeros(41 * 41)
+    one_infinite[7] = -np.inf
+    for bad, name in ((np.full(41 * 41, np.nan), "nan"), (one_infinite, "-inf")):
+        monkeypatch.setattr(cli, "wigner", lambda state, points, bad=bad: bad)
+        config = _base_cat_config(tmp_path)
+        assert main(["--config", _write_config(tmp_path, config)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical contract failure" in err and f"non-finite float {name} " in err
+        assert not (tmp_path / "cat.json").exists()
 
 
 def test_cat_run_wigner_maps_exact_far_from_the_origin(tmp_path, capsys):
@@ -574,3 +594,102 @@ def test_dumps17_float_round_trip():
 def test_dumps17_rejects_non_finite():
     with pytest.raises(ValueError):
         dumps17(float("inf"))
+
+
+def _reference_dumps17(obj, indent: int = 0) -> str:
+    """The writer formatting one float per call, kept as the byte reference."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise NonFiniteError(f"non-finite float {x!r} in output")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join("  " * (indent + 1) + _reference_dumps17(v, indent + 1) for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            "  " * (indent + 1) + json.dumps(str(k)) + ": " + _reference_dumps17(v, indent + 1)
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_dumps17_matches_the_reference_on_example_runs(tmp_path, capsys, monkeypatch, scenario):
+    from squidcat import cli
+
+    config = example_config(scenario)
+    assert dumps17(config) == _reference_dumps17(config)
+    payloads = []
+
+    def recording(obj, indent=0):
+        if indent == 0:  # the payload, not the writer's own recursion
+            payloads.append(obj)
+        return dumps17(obj, indent)
+
+    monkeypatch.setattr(cli, "dumps17", recording)
+    config["output"]["path"] = str(tmp_path / "out")
+    assert main(["--config", _write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    if scenario == "sweep":  # CSV, not written by dumps17
+        assert payloads == [] and (tmp_path / "out").stat().st_size > 0
+        return
+    (payload,) = payloads
+    if scenario == "cat":
+        assert [len(w["values"]) for w in payload["wigner"]] == [41, 41]
+    expected = _reference_dumps17(payload) + "\n"
+    assert (tmp_path / "out").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [-0.0],
+        [5e-324, -5e-324],
+        [1e-300, 0.1, 1.0 / 3.0],
+        [1.7976931348623157e308, -1.7976931348623157e308],
+        [np.float64(0.1), np.float64(-0.0), 2.5],
+        [],
+        (),
+        (0.5, -2.0),
+        [1, 2.5],
+        [True, 1.0],
+        [None, 1.0],
+        [np.float32(0.1), 1.0],
+        [[1.0, 2.0], [], [3.0]],
+    ],
+)
+def test_dumps17_float_rows_match_the_reference(row):
+    for obj in (row, {"row": row}, [{"row": row}]):
+        assert dumps17(obj) == _reference_dumps17(obj)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [math.inf],
+        [1.0, math.nan, math.inf],
+        (2.0, -math.inf),
+        [np.float64(1.0), np.float64(math.nan)],
+    ],
+)
+def test_dumps17_float_row_rejects_non_finite(row):
+    with pytest.raises(NonFiniteError) as reference:
+        _reference_dumps17({"row": row})
+    with pytest.raises(NonFiniteError) as err:
+        dumps17({"row": row})
+    assert str(err.value) == str(reference.value)  # names the first non-finite item

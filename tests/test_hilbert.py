@@ -7,7 +7,13 @@ import pytest
 from scipy.linalg import eigh
 from scipy.special import gammainc, gammaln
 
-from squidcat.analytic import cat_state, evolve_vacuum, materialize
+from squidcat.analytic import (
+    SqueezedLabel,
+    cat_state,
+    evolve_vacuum,
+    materialize,
+    materialize_label,
+)
 from squidcat.errors import DimensionError, HermiticityError, TruncationError
 from squidcat.hilbert import (
     CavityState,
@@ -125,6 +131,26 @@ def test_coherent_truncation_error_reports_required_dim():
         coherent_fock(4.0, 8)
     assert err.value.required_dim is not None
     coherent_fock(4.0, err.value.required_dim)  # the estimate is adequate
+
+
+@pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308), 1e150, 30.0, math.nan])
+def test_coherent_tail_of_a_far_label_raises_before_any_sum(monkeypatch, alpha):
+    # |alpha|^2 overflows, or is finite but past the truncation and the cap:
+    # no Poisson term is summed and no truncation estimate is searched for.
+    from squidcat import hilbert
+
+    def never(*args):
+        raise AssertionError("a Poisson sum ran")
+
+    monkeypatch.setattr(hilbert, "_poisson_terms", never)
+    monkeypatch.setattr(hilbert, "required_fock_dim", never)
+    for build in (
+        lambda: coherent_fock(alpha, 64),
+        lambda: materialize_label(SqueezedLabel(alpha, 0.1, 0.0), 64),
+    ):
+        with pytest.raises(TruncationError, match="mean photon number") as err:
+            build()
+        assert err.value.required_dim is None
 
 
 def test_required_fock_dim_tail_contract():
