@@ -19,7 +19,6 @@ from .analytic import (
     evolve_coherent,
     evolve_vacuum,
     flux_pi_pulse,
-    injected_pair_overlap,
     materialize,
     materialize_label,
     squeezed_evolution,
@@ -27,7 +26,6 @@ from .analytic import (
 from .errors import (
     ConfigError,
     DimensionError,
-    HermiticityError,
     NonFiniteError,
     NullOutcomeError,
     TruncationError,
@@ -43,15 +41,12 @@ from .experiments import (
 )
 from .hilbert import (
     CavityState,
-    FockOperator,
     JointState,
     Propagator,
     coherent_fock,
     fidelity,
     joint_state,
-    make_ladder_ops,
     min_quadrature_variance,
-    number_op,
     propagate,
     required_fock_dim,
     wigner,
@@ -72,8 +67,6 @@ __all__ = [
     "DimensionError",
     "DisentangledFactors",
     "FeasibilityReport",
-    "FockOperator",
-    "HermiticityError",
     "JointState",
     "MeasurementRecord",
     "NonFiniteError",
@@ -96,14 +89,11 @@ __all__ = [
     "fig1_sweep",
     "flux_pi_pulse",
     "hamiltonian",
-    "injected_pair_overlap",
     "joint_state",
-    "make_ladder_ops",
     "materialize",
     "materialize_label",
     "measure_qubit",
     "min_quadrature_variance",
-    "number_op",
     "parity_spectrum",
     "propagate",
     "rabi_frequency",

@@ -46,7 +46,7 @@ __all__ = [
     "evolve_vacuum",
     "evolve_coherent",
     "coherent_overlap",
-    "injected_pair_overlap",
+    "superposition_norm2",
     "cat_normalization",
     "cat_state",
     "flux_pi_pulse",
@@ -231,39 +231,52 @@ def evolve_vacuum(params: DeviceParams, coupling: Coupling, tau: float) -> Branc
     return evolve_coherent(params, coupling, 0.0, tau)
 
 
+def _overlap_exponent(x: complex, y: complex) -> complex:
+    """log <x|y> = -|x - y|^2/2 + i Im(conj(x) y) of the coherent states |x> and |y>."""
+    distance = abs(x - y)
+    return complex(-distance * distance / 2.0, (x.conjugate() * y).imag)
+
+
 def coherent_overlap(
     x: CoherentLabel | complex, y: CoherentLabel | complex
 ) -> complex:
-    """Overlap <x|y> = exp(-|x|^2/2 - |y|^2/2 + conj(x) y) of two coherent states."""
+    """Overlap <x|y> = exp(-|x - y|^2/2 + i Im(conj(x) y)) of two coherent states."""
     ax = complex(x.alpha if isinstance(x, CoherentLabel) else x)
     ay = complex(y.alpha if isinstance(y, CoherentLabel) else y)
-    return cmath.exp(-abs(ax) ** 2 / 2.0 - abs(ay) ** 2 / 2.0 + np.conj(ax) * ay)
+    return cmath.exp(_overlap_exponent(ax, ay))
 
 
-def injected_pair_overlap(kappa: float, alpha_prime: float, omega_tau: float) -> complex:
-    """Closed-form <alpha_+|alpha_-> for real drive scale and real injected amplitude.
+def superposition_norm2(terms) -> float:
+    """Squared norm of sum_j c_j |a_j> over (c_j, a_j) pairs of coherent states.
 
-    Equals exp(-4 kappa^2 (1 - cos w tau) + 2i kappa alpha' sin w tau), the
-    general Gaussian overlap ``coherent_overlap`` of that pair.
+    The Gram sum sum_jk conj(c_j) c_k <a_j|a_k> is formed as
+    |sum_j c_j|^2 + sum_jk conj(c_j) c_k expm1(z_jk), with z_jk = log <a_j|a_k>,
+    so close displacements lose no digits to cancellation: an odd cat's
+    norm is then its exact 2 - 2 e^(-2|alpha|^2) to rounding at any |alpha|.
     """
-    kappa = float(kappa)
-    alpha_prime = float(alpha_prime)
-    return cmath.exp(
-        -4.0 * kappa**2 * (1.0 - math.cos(omega_tau))
-        + 2j * kappa * alpha_prime * math.sin(omega_tau)
-    )
+    terms = [(complex(c), complex(a)) for c, a in terms]
+    total = abs(sum(c for c, _ in terms)) ** 2
+    for cj, aj in terms:
+        for ck, ak in terms:
+            z = _overlap_exponent(aj, ak)
+            total += (cj.conjugate() * ck * z * _expm1_over_z(z)).real
+    return total
 
 
 def cat_normalization(alpha: complex, parity: str) -> float:
-    """Normalization constant 1/sqrt(2 +- 2 e^(-2|alpha|^2)) of a coherent-state cat."""
+    """Normalization constant 1/sqrt(2 +- 2 e^(-2|alpha|^2)) of a coherent-state cat.
+
+    The odd norm is formed as -2 expm1(-2|alpha|^2), which keeps its
+    relative precision as |alpha| -> 0.
+    """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    overlap = math.exp(-2.0 * abs(alpha) ** 2)
     if parity == "even":
-        return 1.0 / math.sqrt(2.0 + 2.0 * overlap)
-    if alpha == 0:
-        raise ValueError("odd cat at alpha = 0 is the null state")
-    return 1.0 / math.sqrt(2.0 - 2.0 * overlap)
+        return 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * abs(alpha) ** 2))
+    norm2 = -2.0 * math.expm1(-2.0 * abs(alpha) ** 2)
+    if norm2 == 0.0:
+        raise ValueError(f"odd cat at |alpha| = {abs(alpha)!r} is the null state")
+    return 1.0 / math.sqrt(norm2)
 
 
 def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> CavityState:

@@ -37,7 +37,6 @@ from .constants import MAX_FOCK_DIM
 from .errors import (
     ConfigError,
     DimensionError,
-    HermiticityError,
     NonFiniteError,
     NormalizationError,
     NullOutcomeError,
@@ -61,7 +60,6 @@ SCENARIOS = ("cat", "inject", "squeeze", "sweep", "verify", "feasibility")
 # Exit code 3; every other ValueError is a configuration error (exit 2).
 _NUMERICAL_FAILURES = (
     TruncationError,
-    HermiticityError,
     NonFiniteError,
     DimensionError,
     NullOutcomeError,

@@ -21,7 +21,6 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 
 # The numerical contracts, each with the reason for its value.
 NORM_TOL = 1e-10  # slack on |amplitudes|^2 = 1 of a valid state: the truncation contract's size
-HERMITICITY_RTOL = 1e-12  # |H - H^dag| / max|H| allowed a Hamiltonian: rounding of its build
 TRUNCATION_TOL = 1e-10  # weight past a truncation or in its top 4 levels: 100x under the 1e-8 gate
 LABEL_TAIL_TOL = 1e-12  # coherent tail at the policy's derived start, 100x inside TRUNCATION_TOL
 BRANCH_NORM_TOL = 1e-8  # norm^2 slack of a materialized decomposition beyond 4x leakage: rounding

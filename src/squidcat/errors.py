@@ -5,10 +5,6 @@ class DimensionError(ValueError):
     """Operator or state dimensions are invalid or inconsistent."""
 
 
-class HermiticityError(ValueError):
-    """An operator tagged as a Hamiltonian failed the hermiticity check."""
-
-
 class TruncationError(RuntimeError):
     """The Fock truncation is too small for the requested state.
 

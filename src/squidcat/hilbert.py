@@ -6,11 +6,11 @@ space qubit (x) cavity (dimension 2N).  Joint amplitudes are ordered as
 stored as angular frequencies (divided by hbar), so propagation times are in
 seconds.
 
-Operators are dense (``FockOperator``), except joint Hamiltonians that
-commute with sigma_x, which are held as their two sigma_x sectors
-(``SectorHamiltonian``): real symmetric tridiagonal blocks after a diagonal
-phase gauge, so ``Propagator`` diagonalizes N-level tridiagonal blocks
-instead of the dense 2N x 2N matrix.
+Every Hamiltonian of the package commutes with sigma_x, and is held as its
+two sigma_x sectors (``SectorHamiltonian``): after a diagonal phase gauge
+each sector is real symmetric, either banded (one or two tridiagonal
+chains) or one dense N x N block.  ``Propagator`` diagonalizes those
+N-level blocks, never the dense 2N x 2N joint matrix.
 
 Wigner maps are summed from the Fock-basis Wigner functions by Clenshaw
 recurrence of the associated Laguerre polynomials (Johansson, Nation &
@@ -26,7 +26,7 @@ positive terms from Loader's saddle-point form of the Poisson probability
 (see ``coherent_tail``), so this module needs only numpy unless a
 ``Propagator`` diagonalizes a Hamiltonian, which imports ``scipy.linalg``.
 
-Everything here is a pure function of its inputs; the state and operator
+Everything here is a pure function of its inputs; the state and Hamiltonian
 types freeze their arrays after construction and are safe to share across
 threads.
 """
@@ -38,17 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HERMITICITY_RTOL, MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL
-from .errors import DimensionError, HermiticityError, TruncationError
+from .constants import MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL
+from .errors import DimensionError, TruncationError
 
 __all__ = [
-    "FockOperator",
     "SectorHamiltonian",
     "CavityState",
     "JointState",
     "QUBIT_AMPLITUDES",
-    "make_ladder_ops",
-    "number_op",
     "coherent_fock",
     "coherent_tail",
     "required_fock_dim",
@@ -82,65 +79,43 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FockOperator:
-    """Dense complex operator on the truncated cavity or joint space.
-
-    Entries are dimensionless or in angular-frequency units.  Operators
-    tagged ``hamiltonian=True`` must be hermitian within
-    max|H - H^dag| <= 1e-12 * max|H|.
-    """
-
-    matrix: np.ndarray
-    hamiltonian: bool = False
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"operator matrix must be square, got shape {m.shape}")
-        if m.shape[0] < 2:
-            raise DimensionError(f"operator dimension must be >= 2, got {m.shape[0]}")
-        if self.hamiltonian:
-            scale = float(np.abs(m).max())
-            if scale > 0.0 and float(np.abs(m - m.conj().T).max()) > HERMITICITY_RTOL * scale:
-                raise HermiticityError("operator tagged as Hamiltonian is not hermitian")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class SectorHamiltonian:
-    """Joint Hamiltonian I (x) diag(cavity) + sigma_x (x) G B G^dag, held as bands.
+    """Joint Hamiltonian I (x) diag(cavity) + sigma_x (x) G B G^dag, held by sigma_x sector.
 
     It commutes with sigma_x, and its sigma_x = +-1 sectors are
     H_+- = diag(cavity) +- G B G^dag on N Fock levels.  G = diag(e^(-i n phase))
-    is a phase gauge and B is real symmetric: ``coupling_diagonal`` on its
-    diagonal and ``coupling_band`` coupling n to n + ``stride``.  So in the
-    gauge each sector splits into ``stride`` real symmetric tridiagonal
-    chains (``blocks``).  ``matrix`` assembles the dense 2N x 2N joint
-    operator in the (g, e) ordering on request.  Hermitian by construction,
-    so always tagged as a Hamiltonian.
+    is a phase gauge and B is real symmetric, held in one of two forms:
+
+    - bands: ``coupling`` is the diagonal of B and ``band`` couples n to
+      n + ``stride``, so in the gauge each sector splits into ``stride`` real
+      symmetric tridiagonal chains;
+    - dense: ``coupling`` is the whole N x N block B and ``band`` is None,
+      so each sector is one dense real symmetric block.
+
+    ``matrix`` assembles the dense 2N x 2N joint operator in the (g, e)
+    ordering on request.  Hermitian by construction.
     """
 
     cavity: np.ndarray
-    coupling_diagonal: np.ndarray
-    coupling_band: np.ndarray
-    stride: int
+    coupling: np.ndarray
     phase: float
-
-    hamiltonian = True
+    band: np.ndarray | None = None
+    stride: int = 1
 
     def __post_init__(self):
-        for name in ("cavity", "coupling_diagonal", "coupling_band"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("cavity", "coupling", "band"):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         n = self.cavity.size
-        shapes = (self.cavity.shape, self.coupling_diagonal.shape, self.coupling_band.shape)
-        if n < 2 or shapes != ((n,), (n,), (n - self.stride,)):
-            raise DimensionError(f"inconsistent band shapes {shapes} at stride {self.stride}")
+        if self.band is None:
+            shapes, wanted = (self.cavity.shape, self.coupling.shape), ((n,), (n, n))
+        else:
+            shapes = (self.cavity.shape, self.coupling.shape, self.band.shape)
+            wanted = ((n,), (n,), (n - self.stride,))
+        if n < 2 or shapes != wanted:
+            raise DimensionError(f"inconsistent sector shapes {shapes} at stride {self.stride}")
 
     @property
     def dim(self) -> int:
@@ -151,17 +126,25 @@ class SectorHamiltonian:
         """Diagonal of G, e^(-i n phase)."""
         return np.exp(-1j * self.phase * np.arange(self.cavity.size))
 
-    def blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-        """(rows, diagonal, off-diagonal) of each real tridiagonal block.
+    def blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray | None]]:
+        """(rows, main, off) of each real symmetric block of the gauged sectors.
 
         ``rows`` index the gauged sector vector: H_+ on rows 0..N-1, H_- on
-        rows N..2N-1, each split into chains of Fock levels n = r mod stride.
+        rows N..2N-1.  In band form each sector splits into chains of Fock
+        levels n = r mod stride, with ``main`` the diagonal and ``off`` the
+        off-diagonal of a tridiagonal block; in dense form ``main`` is the
+        whole N x N sector and ``off`` is None.
         """
-        n, step = self.cavity.size, self.stride
+        n = self.cavity.size
         out = []
         for start, sign in ((0, 1.0), (n, -1.0)):
-            diagonal = self.cavity + sign * self.coupling_diagonal
-            band = sign * self.coupling_band
+            if self.band is None:
+                sector = sign * self.coupling
+                sector[np.diag_indices(n)] += self.cavity
+                out.append((slice(start, start + n), sector, None))
+                continue
+            diagonal = self.cavity + sign * self.coupling
+            band, step = sign * self.band, self.stride
             for r in range(step):
                 out.append((slice(start + r, start + n, step), diagonal[r::step], band[r::step]))
         return out
@@ -169,8 +152,11 @@ class SectorHamiltonian:
     @property
     def matrix(self) -> np.ndarray:
         """Dense joint operator [[C, G B G^dag], [G B G^dag, C]] with C = diag(cavity)."""
-        b = np.diag(self.coupling_diagonal) + np.diag(self.coupling_band, self.stride)
-        b += np.diag(self.coupling_band, -self.stride)
+        if self.band is None:
+            b = self.coupling
+        else:
+            b = np.diag(self.coupling) + np.diag(self.band, self.stride)
+            b += np.diag(self.band, -self.stride)
         g = self.gauge
         coupling = b * np.outer(g, g.conj())
         cavity = np.diag(self.cavity)
@@ -229,23 +215,6 @@ class JointState:
         if outcome == "e":
             return self.amplitudes[n:]
         raise ValueError(f"unknown qubit outcome {outcome!r}")
-
-
-def make_ladder_ops(dim: int) -> tuple[FockOperator, FockOperator]:
-    """Annihilation and creation operators on the first ``dim`` Fock levels."""
-    if dim < 2:
-        raise DimensionError(f"Fock truncation must be >= 2, got {dim}")
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return FockOperator(a), FockOperator(a.conj().T)
-
-
-def number_op(dim: int) -> FockOperator:
-    """Photon number operator a^dag a."""
-    if dim < 2:
-        raise DimensionError(f"Fock truncation must be >= 2, got {dim}")
-    return FockOperator(np.diag(np.arange(dim, dtype=complex)), hamiltonian=True)
 
 
 def _poisson_pmf(n: int, mu: float) -> float:
@@ -410,46 +379,38 @@ def joint_state(qubit: str | np.ndarray, cavity: CavityState) -> JointState:
 class Propagator:
     """Repeated-use evolver exp(-i H t) with the eigendecomposition done once.
 
-    It stores a basis change W = Q (x) diag(u), with a 2 x 2 qubit basis Q
-    and N cavity phases u, and the diagonal blocks of W^dag H W, each with
-    its eigendecomposition.  For a ``SectorHamiltonian`` Q holds the sigma_x
-    eigenvectors, u is its gauge, and each sector chain is a real symmetric
-    tridiagonal block (``scipy.linalg.eigh_tridiagonal``, O(N^2) for N
-    levels); a dense ``FockOperator`` is one block in the identity basis
-    (``scipy.linalg.eigh``, O((2N)^3)).  A call applies each block's
+    It stores one basis change W = Q (x) G, with Q the sigma_x eigenvectors
+    and G the Hamiltonian's diagonal gauge, and the real symmetric blocks of
+    W^dag H W, each with its eigendecomposition: a tridiagonal chain by
+    ``scipy.linalg.eigh_tridiagonal`` (O(N^2) for N levels), a dense sector
+    by ``scipy.linalg.eigh`` (O(N^3)).  A call applies each block's
     exp(-i H_block t) in its eigenbasis, which preserves the norm to well
     below the 1e-10 unitarity contract and composes exactly over time.
     """
 
-    def __init__(self, hamiltonian: FockOperator | SectorHamiltonian):
-        if not hamiltonian.hamiltonian:
-            raise HermiticityError("propagation requires a Hamiltonian-tagged operator")
+    def __init__(self, hamiltonian: SectorHamiltonian):
         # Imported here so that only a diagonalization loads scipy
         from scipy.linalg import eigh, eigh_tridiagonal
 
         self.dim = hamiltonian.dim
-        if isinstance(hamiltonian, SectorHamiltonian):
-            self._qubit_basis, self._gauge = _SECTOR_BASIS, hamiltonian.gauge
-            self._blocks = [
-                (rows, *eigh_tridiagonal(diagonal, band))
-                for rows, diagonal, band in hamiltonian.blocks()
-            ]
-        else:
-            self._qubit_basis, self._gauge = np.eye(2), np.ones(self.dim // 2)
-            self._blocks = [(slice(None), *eigh(hamiltonian.matrix))]
+        self._gauge = hamiltonian.gauge
+        self._blocks = [
+            (rows, *(eigh(main) if off is None else eigh_tridiagonal(main, off)))
+            for rows, main, off in hamiltonian.blocks()
+        ]
 
     def __call__(self, state: JointState, t: float) -> JointState:
         if self.dim != state.amplitudes.size:
             raise DimensionError(
                 f"dimension mismatch: H is {self.dim}, state is {state.amplitudes.size}"
             )
-        v = (self._qubit_basis.T @ state.amplitudes.reshape(2, -1)) * self._gauge.conj()
+        v = (_SECTOR_BASIS.T @ state.amplitudes.reshape(2, -1)) * self._gauge.conj()
         v = v.ravel()
         for rows, evals, evecs in self._blocks:
             # E^dag v as conj(E^T conj(v)), so E is never copied
             coeffs = _matvec(evecs.T, v[rows].conj()).conj()
             v[rows] = _matvec(evecs, np.exp(-1j * evals * t) * coeffs)
-        out = self._qubit_basis @ (v.reshape(2, -1) * self._gauge)
+        out = _SECTOR_BASIS @ (v.reshape(2, -1) * self._gauge)
         return JointState(out.ravel(), leakage=state.leakage)
 
 
@@ -462,14 +423,11 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ pairs).ravel().view(complex)
 
 
-def propagate(
-    hamiltonian: FockOperator | SectorHamiltonian, state: JointState, t: float
-) -> JointState:
+def propagate(hamiltonian: SectorHamiltonian, state: JointState, t: float) -> JointState:
     """Evolve ``state`` by exp(-i H t).
 
-    ``hamiltonian`` must be tagged hermitian and act on the joint space of
-    ``state``.  For many times under one Hamiltonian, build a Propagator
-    instead.
+    ``hamiltonian`` must act on the joint space of ``state``.  For many
+    times under one Hamiltonian, build a Propagator instead.
     """
     return Propagator(hamiltonian)(state, t)
 

@@ -17,8 +17,8 @@ from .analytic import (
     Branch,
     BranchDecomposition,
     CoherentLabel,
-    coherent_overlap,
     materialize,
+    superposition_norm2,
 )
 from .constants import ZERO_PROBABILITY_THRESHOLD
 from .errors import NullOutcomeError
@@ -83,17 +83,9 @@ def _measure_decomposition(
     record = _measure_joint(materialize(state) if joint is None else joint, outcome)
 
     collected = _collapse_branches(state, outcome)
-    norm2 = None
     if all(isinstance(b.label, CoherentLabel) for b in collected):
         # Gram-matrix norm of the label combination, exact in closed form.
-        norm2 = 0.0
-        for bj in collected:
-            for bk in collected:
-                norm2 += (
-                    np.conj(bj.coefficient)
-                    * bk.coefficient
-                    * coherent_overlap(bj.label, bk.label)
-                ).real
+        norm2 = superposition_norm2((b.coefficient, b.label.alpha) for b in collected)
     else:
         norm2 = record.probability
     if norm2 < ZERO_PROBABILITY_THRESHOLD:

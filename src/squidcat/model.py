@@ -5,7 +5,10 @@ cavity.  The flux threading the SQUID has a classical part (set by
 ``phi_c_ratio``) and a quantized part whose strength is the dimensionless
 coupling ``xi``.  Three Hamiltonian levels are available: the full operator
 cosine, its first-order expansion (linear field coupling), and the
-second-order expansion (quadratic, squeezing-type coupling).
+second-order expansion (quadratic, squeezing-type coupling).  All three are
+built at the charge degeneracy n_g = 1/2, where they commute with sigma_x,
+in the sigma_x-sector form of ``hilbert.SectorHamiltonian``: banded for the
+expansions, one dense real block per sector for the cosine.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .constants import (
     ev_to_rate,
 )
 from .errors import DimensionError
-from .hilbert import FockOperator, SectorHamiltonian, make_ladder_ops
+from .hilbert import SectorHamiltonian
 
 __all__ = [
     "CAVITY_KINDS",
@@ -44,8 +47,6 @@ __all__ = [
 
 CAVITY_KINDS = {"full": 1.0, "half": 0.5, "quarter": 0.25}
 HAMILTONIAN_ORDERS = ("cosine", "first", "second")
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,6 @@ class DeviceParams:
         """Josephson energy as an angular frequency E_J/hbar in rad/s."""
         return ev_to_rate(self.E_J)
 
-    @property
-    def ech_rate(self) -> float:
-        """Charging energy as an angular frequency E_ch/hbar in rad/s."""
-        return ev_to_rate(self.E_ch)
-
-    @property
-    def ez_rate(self) -> float:
-        """Gate-charge detuning -2 E_ch (1 - 2 n_g) as an angular frequency."""
-        return -2.0 * self.ech_rate * (1.0 - 2.0 * self.n_g)
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -191,57 +182,52 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
 
 def hamiltonian(
     params: DeviceParams, coupling: Coupling, order: str, dim: int
-) -> FockOperator | SectorHamiltonian:
+) -> SectorHamiltonian:
     """Joint-space Hamiltonian (angular-frequency units) at the given expansion order.
 
-    order='cosine' builds the full operator cosine of the total flux via an
-    eigendecomposition of its hermitian argument; order='first' keeps the
-    linear field coupling; order='second' additionally keeps the quadratic
-    (squeezing) terms and is defined at phi_c_ratio = 0, n_g = 1/2.
+    Every order is omega n + sigma_x B with B = -E_J cos(pi phi_c + xi a + xi^* adag)
+    or its expansion: order='cosine' keeps the full operator cosine,
+    order='first' the linear field coupling, and order='second' the
+    quadratic (squeezing) terms, at phi_c_ratio = 0.  Each is defined at
+    n_g = 1/2, where it commutes with sigma_x, and is returned as a
+    ``SectorHamiltonian`` gauged real by G = diag(e^(-i n arg xi)):
 
-    The first and second orders are omega n + sigma_x B + E_z sigma_z with a
-    band operator B on the cavity.  At n_g = 1/2, where E_z = 0, they are
-    returned as a ``SectorHamiltonian`` built in O(N) from the bands of B,
-    gauged real by G = diag(e^(-i n arg xi)): first order couples n to n+-1,
-    second order n to n+-2.  Otherwise, and for order='cosine', the result
-    is a dense ``FockOperator``.
+    - first order: B is one band coupling n to n+-1, built in O(N);
+    - second order: B is one band coupling n to n+-2, built in O(N);
+    - cosine: the gauged argument pi phi_c + |xi| (a + adag) is real
+      tridiagonal, so ``eigh_tridiagonal`` gives it as V Lambda V^T and
+      B = -E_J V cos(Lambda) V^T is one dense real symmetric block.
     """
     if order not in HAMILTONIAN_ORDERS:
         raise ValueError(f"order must be one of {HAMILTONIAN_ORDERS}, got {order!r}")
     if dim < 2:
         raise DimensionError(f"Fock truncation must be >= 2, got {dim}")
+    # every order needs n_g = 1/2; only the second order also fixes the flux
+    require_setting(params, 0.0 if order == "second" else params.phi_c_ratio, f"order={order!r}")
 
     omega = params.omega_cavity
     ej = params.ej_rate
-    xi = coupling.xi
+    xi_abs = abs(coupling.xi)
     flux_angle = math.pi * params.phi_c_ratio
     levels = np.arange(dim, dtype=float)
-    charge = np.repeat([params.ez_rate, -params.ez_rate], dim)  # E_z sigma_z
+    cavity, phase = omega * levels, cmath.phase(coupling.xi)
 
     if order == "cosine":
-        from scipy.linalg import eigh  # imported here so that only a diagonalization loads scipy
+        # imported here so that only a diagonalization loads scipy
+        from scipy.linalg import eigh_tridiagonal
 
-        a_op, adag_op = make_ladder_ops(dim)
-        argument = flux_angle * np.eye(dim) + xi * a_op.matrix + np.conj(xi) * adag_op.matrix
-        evals, evecs = eigh(argument)
-        cos_mat = (evecs * np.cos(evals)) @ evecs.conj().T
-        h = np.diag(np.tile(omega * levels, 2) + charge) - ej * np.kron(SIGMA_X, cos_mat)
-        return FockOperator(h, hamiltonian=True)
-
-    xi_abs = abs(xi)
+        evals, evecs = eigh_tridiagonal(np.zeros(dim), xi_abs * np.sqrt(levels[1:]))
+        coupling_block = (evecs * (-ej * np.cos(flux_angle + evals))) @ evecs.T
+        return SectorHamiltonian(cavity, coupling_block, phase)
     if order == "first":
-        # B = -E_J cos(phi) + E_J sin(phi) (xi a + xi^* adag)
+        # B = -E_J cos(phi) + E_J sin(phi) |xi| (a + adag)
         diagonal = np.full(dim, -ej * math.cos(flux_angle))
         band = ej * math.sin(flux_angle) * xi_abs * np.sqrt(levels[1:])
         stride = 1
     else:
-        require_setting(params, 0.0, "order='second'")
-        # B = -E_J (|xi|^2 n + 1 + |xi|^2/2 + (xi^2 a^2 + xi^*2 adag^2)/2)
+        # B = -E_J (|xi|^2 n + 1 + |xi|^2/2 + |xi|^2 (a^2 + adag^2)/2)
         xi2 = xi_abs**2
         diagonal = -ej * xi2 * levels - ej * (1.0 + xi2 / 2.0)
         band = -ej * (xi2 / 2.0) * np.sqrt(levels[2:] * levels[1:-1])
         stride = 2
-    h = SectorHamiltonian(omega * levels, diagonal, band, stride, cmath.phase(xi))
-    if params.ez_rate == 0.0:
-        return h
-    return FockOperator(h.matrix + np.diag(charge), hamiltonian=True)
+    return SectorHamiltonian(cavity, diagonal, phase, band, stride)

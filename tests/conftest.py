@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,21 @@ def make_strong_device(omega=1e10, ej_over_omega=50.0, **overrides):
     )
     kwargs.update(overrides)
     return DeviceParams(**kwargs)
+
+
+def ladder(dim):
+    """Dense annihilation and creation matrices on the first ``dim`` Fock levels."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    return a, a.conj().T
+
+
+def injected_pair_overlap(kappa, alpha_prime, omega_tau):
+    """The paper's closed form <alpha_+|alpha_-> for real kappa and real alpha':
+    exp(-4 kappa^2 (1 - cos w tau) + 2i kappa alpha' sin w tau)."""
+    return cmath.exp(
+        -4.0 * kappa**2 * (1.0 - math.cos(omega_tau))
+        + 2j * kappa * alpha_prime * math.sin(omega_tau)
+    )
 
 
 def squeeze_degrees(params, coupling, t):

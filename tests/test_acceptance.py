@@ -26,11 +26,17 @@ from squidcat.experiments import (
     rabi_frequency,
     verify_analytic_numeric,
 )
-from squidcat.hilbert import make_ladder_ops, min_quadrature_variance
+from squidcat.hilbert import min_quadrature_variance
 from squidcat.measurement import measure_qubit, parity_spectrum
 from squidcat.model import Coupling, DeviceParams, coupling_xi, hamiltonian
 
-from conftest import make_physical_device, make_strong_device, squeeze_degrees
+from conftest import (
+    injected_pair_overlap,
+    ladder,
+    make_physical_device,
+    make_strong_device,
+    squeeze_degrees,
+)
 
 
 def _report(index: int, ok: bool, detail: str) -> None:
@@ -122,8 +128,8 @@ def test_criterion_05_disentangling_identity():
     start = time.monotonic()
     rng = np.random.default_rng(20260810)
     dim = 48
-    a, adag = make_ladder_ops(dim)
-    n_mat = adag.matrix @ a.matrix
+    a, adag = ladder(dim)
+    n_mat = adag @ a
     levels = np.arange(dim)
     worst = 0.0
     for _ in range(100):
@@ -131,10 +137,10 @@ def test_criterion_05_disentangling_identity():
             rng.uniform(0.0, 0.5) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             for _ in range(4)
         )
-        direct = expm(theta * (b1 * a.matrix + b2 * n_mat + b3 * adag.matrix))[:, 0]
+        direct = expm(theta * (b1 * a + b2 * n_mat + b3 * adag))[:, 0]
         f = disentangle(theta, b1, b2, b3)
         product = cmath.exp(f.f4) * (
-            expm(f.f1 * adag.matrix) @ (np.exp(f.f2 * levels) * expm(f.f3 * a.matrix)[:, 0])
+            expm(f.f1 * adag) @ (np.exp(f.f2 * levels) * expm(f.f3 * a)[:, 0])
         )
         overlap = abs(np.vdot(direct, product)) ** 2
         overlap /= float(np.vdot(direct, direct).real * np.vdot(product, product).real)
@@ -208,7 +214,7 @@ def test_criterion_07_squeezing_law():
 
 
 def test_criterion_08_overlap_identity():
-    from squidcat.analytic import coherent_overlap, injected_pair_overlap
+    from squidcat.analytic import coherent_overlap
 
     rng = np.random.default_rng(8)
     worst = 0.0

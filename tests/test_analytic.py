@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import decimal
 import math
 import re
 
@@ -23,10 +24,10 @@ from squidcat.analytic import (
     evolve_coherent,
     evolve_vacuum,
     flux_pi_pulse,
-    injected_pair_overlap,
     materialize,
     materialize_label,
     squeezed_evolution,
+    superposition_norm2,
 )
 from squidcat.errors import NormalizationError, TruncationError
 from squidcat.hilbert import (
@@ -34,14 +35,19 @@ from squidcat.hilbert import (
     coherent_fock,
     fidelity,
     joint_state,
-    make_ladder_ops,
     min_quadrature_variance,
     propagate,
     required_fock_dim,
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
-from conftest import make_physical_device, make_strong_device, squeeze_degrees
+from conftest import (
+    injected_pair_overlap,
+    ladder,
+    make_physical_device,
+    make_strong_device,
+    squeeze_degrees,
+)
 
 
 # ---------------------------------------------------------------- disentangling
@@ -97,17 +103,17 @@ def test_disentangle_accurate_through_switchovers(scale):
 def test_disentangle_product_form_matches_matrix_exponential():
     rng = np.random.default_rng(11)
     dim = 48
-    a, adag = make_ladder_ops(dim)
-    n_mat = adag.matrix @ a.matrix
+    a, adag = ladder(dim)
+    n_mat = adag @ a
     for _ in range(10):
         theta, b1, b2, b3 = (
             rng.uniform(0.0, 0.5) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             for _ in range(4)
         )
-        direct = expm(theta * (b1 * a.matrix + b2 * n_mat + b3 * adag.matrix))[:, 0]
+        direct = expm(theta * (b1 * a + b2 * n_mat + b3 * adag))[:, 0]
         f = disentangle(theta, b1, b2, b3)
         product = cmath.exp(f.f4) * (
-            expm(f.f1 * adag.matrix) @ (np.exp(f.f2 * np.arange(dim)) * expm(f.f3 * a.matrix)[:, 0])
+            expm(f.f1 * adag) @ (np.exp(f.f2 * np.arange(dim)) * expm(f.f3 * a)[:, 0])
         )
         overlap = abs(np.vdot(direct, product)) ** 2
         overlap /= float(np.vdot(direct, direct).real * np.vdot(product, product).real)
@@ -245,6 +251,46 @@ def test_cat_normalization_fock_sum_oracle():
 def test_cat_normalization_odd_null_state():
     with pytest.raises(ValueError):
         cat_normalization(0.0, "odd")
+
+
+def _odd_cat_norm2(radius):
+    """2 - 2 e^(-2 radius^2), evaluated in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        r2 = decimal.Decimal(radius) ** 2
+        return float(2 - 2 * (-2 * r2).exp())
+
+
+_SMALL_RADII = [1e-9, 3e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+
+
+@pytest.mark.parametrize("radius", _SMALL_RADII)
+def test_odd_cat_normalization_keeps_precision_at_small_alpha(radius):
+    alpha = radius * cmath.exp(0.4j)
+    exact = 1.0 / math.sqrt(_odd_cat_norm2(abs(alpha)))
+    assert abs(cat_normalization(alpha, "odd") - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("radius", _SMALL_RADII)
+def test_superposition_norm_keeps_precision_at_small_alpha(radius):
+    alpha = radius * cmath.exp(-1.1j)
+    exact = _odd_cat_norm2(abs(alpha)) / 4.0
+    weights = (0.5 * cmath.exp(0.3j), -0.5 * cmath.exp(0.3j))
+    norm2 = superposition_norm2(zip(weights, (alpha, -alpha)))
+    assert abs(norm2 - exact) <= 1e-14 * exact
+
+
+def test_superposition_norm_matches_the_gram_sum():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        alphas = rng.normal(size=4) + 1j * rng.normal(size=4)
+        gram = sum(
+            (np.conj(cj) * ck * coherent_overlap(aj, ak)).real
+            for cj, aj in zip(coeffs, alphas)
+            for ck, ak in zip(coeffs, alphas)
+        )
+        assert abs(superposition_norm2(zip(coeffs, alphas)) - gram) <= 1e-13 * gram
 
 
 def test_cat_state_builds_each_label_once(monkeypatch):
@@ -403,8 +449,8 @@ def test_squeezed_label_variance_law():
 def test_squeezed_label_matches_dense_expm(gamma, squeeze, rotation):
     # exp(-i rotation n) S(squeeze)|gamma> by dense exponentials at twice the truncation
     dim = 96
-    a, adag = make_ladder_ops(2 * dim)
-    generator = (squeeze * adag.matrix @ adag.matrix - np.conj(squeeze) * a.matrix @ a.matrix) / 2.0
+    a, adag = ladder(2 * dim)
+    generator = (squeeze * adag @ adag - np.conj(squeeze) * a @ a) / 2.0
     dense = expm(generator) @ coherent_fock(gamma, 2 * dim).amplitudes
     dense *= np.exp(-1j * rotation * np.arange(2 * dim))
     state = materialize_label(SqueezedLabel(gamma, squeeze, rotation), dim)

@@ -14,10 +14,9 @@ from squidcat.analytic import (
     materialize,
     materialize_label,
 )
-from squidcat.errors import DimensionError, HermiticityError, TruncationError
+from squidcat.errors import DimensionError, TruncationError
 from squidcat.hilbert import (
     CavityState,
-    FockOperator,
     JointState,
     Propagator,
     SectorHamiltonian,
@@ -25,9 +24,7 @@ from squidcat.hilbert import (
     coherent_fock,
     fidelity,
     joint_state,
-    make_ladder_ops,
     min_quadrature_variance,
-    number_op,
     propagate,
     quadrature_covariance,
     required_fock_dim,
@@ -36,51 +33,40 @@ from squidcat.hilbert import (
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
-from conftest import cat_wigner, coherent_wigner, make_strong_device
+from conftest import cat_wigner, coherent_wigner, ladder, make_strong_device
 
 
-# ---------------------------------------------------------------- ladder ops
+# ---------------------------------------------------------------- ladder matrices
+# (the dense references of the Hamiltonian and Wigner tests are built from them)
 
 def test_ladder_smallest_truncation():
-    a, adag = make_ladder_ops(2)
+    a, adag = ladder(2)
     expected = np.zeros((2, 2))
     expected[0, 1] = 1.0
-    assert np.array_equal(a.matrix, expected)
-    assert np.array_equal(adag.matrix, expected.T)
+    assert np.array_equal(a, expected)
+    assert np.array_equal(adag, expected.T)
 
 
 def test_number_operator_diagonal():
-    a, adag = make_ladder_ops(4)
-    n = adag.matrix @ a.matrix
-    assert np.allclose(n, np.diag([0.0, 1.0, 2.0, 3.0]))
-    assert np.allclose(number_op(4).matrix, n)
+    a, adag = ladder(4)
+    assert np.allclose(adag @ a, np.diag([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_commutator_truncation_artifact():
-    a, adag = make_ladder_ops(16)
-    comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+    a, adag = ladder(16)
+    comm = a @ adag - adag @ a
     expected = np.eye(16, dtype=complex)
     expected[15, 15] = -15.0
     assert np.allclose(comm, expected, atol=1e-14)
 
 
-def test_ladder_rejects_tiny_dimension():
-    with pytest.raises(DimensionError):
-        make_ladder_ops(1)
-
-
-# ---------------------------------------------------------------- operators and states
-
-def test_hamiltonian_tag_requires_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(HermiticityError):
-        FockOperator(bad, hamiltonian=True)
-    FockOperator(bad)  # untagged is fine
-
+# ---------------------------------------------------------------- Hamiltonians and states
 
 def test_sector_hamiltonian_rejects_inconsistent_bands():
     with pytest.raises(DimensionError):
-        SectorHamiltonian(np.arange(3.0), np.zeros(3), np.ones(2), 2, 0.0)
+        SectorHamiltonian(np.arange(3.0), np.zeros(3), 0.0, np.ones(2), 2)
+    with pytest.raises(DimensionError):
+        SectorHamiltonian(np.arange(3.0), np.zeros((3, 2)), 0.0)
 
 
 def test_states_require_normalization():
@@ -263,7 +249,7 @@ def test_coherent_fock_magnitudes_against_exact_decimals(alpha):
 # ---------------------------------------------------------------- propagation
 
 def test_propagate_zero_hamiltonian_is_identity():
-    h = FockOperator(np.zeros((32, 32), dtype=complex), hamiltonian=True)
+    h = SectorHamiltonian(np.zeros(16), np.zeros((16, 16)), 0.0)
     psi = joint_state("g", coherent_fock(0.7, 16))
     out = propagate(h, psi, 3.7)
     assert np.allclose(out.amplitudes, psi.amplitudes)
@@ -271,8 +257,7 @@ def test_propagate_zero_hamiltonian_is_identity():
 
 def test_propagate_vacuum_is_free_field_eigenstate():
     dim = 12
-    n = number_op(dim).matrix
-    h = FockOperator(np.kron(np.eye(2), 2.5 * n), hamiltonian=True)
+    h = SectorHamiltonian(2.5 * np.arange(dim), np.zeros(dim), 0.0, np.zeros(dim - 1))
     psi = joint_state("g", coherent_fock(0.0, dim))
     out = propagate(h, psi, 1.3)
     assert fidelity(out, psi) >= 1.0 - 1e-12
@@ -293,15 +278,8 @@ def test_propagate_matches_analytic_cat_evolution():
     assert fidelity(analytic, numeric) >= 1.0 - 1e-8
 
 
-def test_propagate_requires_hamiltonian_tag():
-    h = FockOperator(np.eye(8, dtype=complex))
-    psi = joint_state("g", coherent_fock(0.0, 4))
-    with pytest.raises(HermiticityError):
-        propagate(h, psi, 1.0)
-
-
 def test_propagate_dimension_mismatch():
-    h = FockOperator(np.eye(8, dtype=complex), hamiltonian=True)
+    h = SectorHamiltonian(np.arange(4.0), np.ones(4), 0.0, np.ones(3))
     psi = joint_state("g", coherent_fock(0.0, 8))
     with pytest.raises(DimensionError):
         propagate(h, psi, 1.0)
@@ -325,10 +303,13 @@ def _sector_case(scenario, dim):
         return hamiltonian(device(phi_c_ratio=1.0), coupling, "first", dim), psi0
     start = 0.0 if scenario == "vacuum" else 1.0 + 0.5j
     psi0 = joint_state("g", coherent_fock(start, dim))
+    if scenario == "cosine":
+        # the full cosine off the preparation flux: one dense block per sector
+        return hamiltonian(device(phi_c_ratio=0.3), coupling, "cosine", dim), psi0
     return hamiltonian(device(), coupling, "first", dim), psi0
 
 
-@pytest.mark.parametrize("scenario", ["vacuum", "coherent", "pulse", "squeeze"])
+@pytest.mark.parametrize("scenario", ["vacuum", "coherent", "pulse", "squeeze", "cosine"])
 def test_sector_propagator_matches_dense_eigh(scenario):
     dim = 40
     h, psi0 = _sector_case(scenario, dim)
@@ -350,12 +331,23 @@ def test_sector_propagator_keeps_the_norm_at_512_levels(scenario):
         assert abs(np.linalg.norm(evolve(psi0, t).amplitudes) - 1.0) <= 1e-10
 
 
+def _random_sector_hamiltonian(rng, dim, form):
+    """A random SectorHamiltonian on ``dim`` levels, its coupling in band or dense form."""
+    cavity, phase = rng.normal(size=dim), rng.uniform(0.0, 2.0 * math.pi)
+    if form == "dense":
+        raw = rng.normal(size=(dim, dim))
+        return SectorHamiltonian(cavity, raw + raw.T, phase)
+    stride = int(rng.integers(1, 3))
+    return SectorHamiltonian(
+        cavity, rng.normal(size=dim), phase, rng.normal(size=dim - stride), stride
+    )
+
+
 def test_propagate_unitarity_and_composition():
     rng = np.random.default_rng(7)
     dim = 20
-    for _ in range(5):
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = FockOperator(raw + raw.conj().T, hamiltonian=True)
+    for form in ("band", "dense") * 5:
+        h = _random_sector_hamiltonian(rng, dim // 2, form)
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi = JointState(amp / np.linalg.norm(amp))
         t1, t2 = rng.uniform(0.0, 2.0, size=2)
@@ -471,13 +463,13 @@ def _displaced_parity_wigner(amp, pts, padded_dim=96):
     on ``padded_dim`` levels, independent of the Laguerre sums."""
     from scipy.linalg import expm
 
-    a, adag = make_ladder_ops(padded_dim)
+    a, adag = ladder(padded_dim)
     psi = np.zeros(padded_dim, dtype=complex)
     psi[: amp.size] = amp
     parity = (-1.0) ** np.arange(padded_dim)
     out = []
     for beta in pts:
-        shifted = expm(-beta * adag.matrix + np.conj(beta) * a.matrix) @ psi
+        shifted = expm(-beta * adag + np.conj(beta) * a) @ psi
         out.append((2.0 / math.pi) * float(parity @ np.abs(shifted) ** 2))
     return np.array(out)
 

@@ -168,6 +168,19 @@ def test_analytic_post_normalization(strong_device, strong_coupling):
     assert overlap >= 1.0 - 1e-10
 
 
+def test_analytic_post_odd_constant_at_a_small_cat():
+    # the --print-example cat's displacement: the Gram sum of the e outcome
+    # must not cancel to 2 - 2 e^(-2|alpha|^2) in floating point
+    alpha = 1.34e-5 * cmath.exp(0.7j)
+    branches = [
+        Branch(qubit, weight, CoherentLabel(sign * alpha))
+        for qubit, weight, sign in (("g", 0.5, 1), ("g", 0.5, -1), ("e", 0.5, 1), ("e", -0.5, -1))
+    ]
+    record = measure_qubit(BranchDecomposition(branches), "e")
+    exact = 1.0 / math.sqrt(-math.expm1(-2.0 * abs(alpha) ** 2) / 2.0)
+    assert abs(record.analytic_post.constant - exact) <= 1e-14 * exact
+
+
 def test_analytic_post_matches_even_cat_constant(strong_device, strong_coupling):
     state, alpha = _cat_run(strong_device, strong_coupling)
     record = measure_qubit(state, "g")

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from squidcat.constants import FLUX_QUANTUM
-from squidcat.hilbert import FockOperator, SectorHamiltonian, make_ladder_ops
+from squidcat.errors import DimensionError
+from squidcat.hilbert import SectorHamiltonian
 from squidcat.model import (
     Coupling,
     DeviceParams,
@@ -14,7 +16,7 @@ from squidcat.model import (
     validity_margin,
 )
 
-from conftest import make_physical_device, make_strong_device
+from conftest import ladder, make_physical_device, make_strong_device
 
 
 # ---------------------------------------------------------------- coupling
@@ -102,13 +104,6 @@ def test_device_rejects_non_finite_fields(field, value):
         make_physical_device(**{field: value})
 
 
-def test_device_gate_detuning_vanishes_at_degeneracy():
-    params = make_physical_device(n_g=0.5)
-    assert params.ez_rate == 0.0
-    detuned = make_physical_device(n_g=0.3)
-    assert detuned.ez_rate != 0.0
-
-
 # ---------------------------------------------------------------- hamiltonian builders
 
 def _coupling_block(h, dim):
@@ -147,26 +142,37 @@ def test_first_order_coupling_weight_at_half_flux():
     c = coupling_xi(params)
     dim = 12
     h = hamiltonian(params, c, "first", dim)
-    a, adag = make_ladder_ops(dim)
-    expected = params.ej_rate * (c.xi * a.matrix + np.conj(c.xi) * adag.matrix)
+    a, adag = ladder(dim)
+    expected = params.ej_rate * (c.xi * a + np.conj(c.xi) * adag)
     assert np.allclose(_coupling_block(h, dim), expected, atol=1e-16 * params.ej_rate)
+
+
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _kron_hamiltonian(params, coupling, order, dim):
     """The joint first- or second-order Hamiltonian built densely from Kronecker products."""
-    a_op, adag_op = make_ladder_ops(dim)
-    a, adag = a_op.matrix, adag_op.matrix
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a, adag = ladder(dim)
     ej, xi, phi = params.ej_rate, coupling.xi, math.pi * params.phi_c_ratio
     h = params.omega_cavity * np.kron(np.eye(2), adag @ a)
-    h += params.ez_rate * np.kron(np.diag([1.0, -1.0]), np.eye(dim))
     if order == "first":
         b = -ej * math.cos(phi) * np.eye(dim) + ej * math.sin(phi) * (xi * a + np.conj(xi) * adag)
     else:
         xi2 = abs(xi) ** 2
         quad = (xi**2 / 2.0) * (a @ a) + (np.conj(xi) ** 2 / 2.0) * (adag @ adag)
         b = -ej * (xi2 * (adag @ a) + (1.0 + xi2 / 2.0) * np.eye(dim) + quad)
-    return h + np.kron(sigma_x, b)
+    return h + np.kron(_SIGMA_X, b)
+
+
+def _dense_cosine_hamiltonian(params, coupling, dim):
+    """omega n - E_J sigma_x cos(pi phi_c + xi a + xi^* adag), the cosine by dense eigh."""
+    a, adag = ladder(dim)
+    argument = math.pi * params.phi_c_ratio * np.eye(dim) + coupling.xi * a
+    argument += np.conj(coupling.xi) * adag
+    evals, evecs = eigh(argument)
+    cosine = (evecs * np.cos(evals)) @ evecs.conj().T
+    h = params.omega_cavity * np.kron(np.eye(2), adag @ a)
+    return h - params.ej_rate * np.kron(_SIGMA_X, cosine)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +181,6 @@ def _kron_hamiltonian(params, coupling, order, dim):
         ("first", {}, SectorHamiltonian),
         ("first", {"phi_c_ratio": 1.0}, SectorHamiltonian),
         ("second", {"phi_c_ratio": 0.0}, SectorHamiltonian),
-        ("first", {"n_g": 0.3}, FockOperator),
     ],
 )
 def test_hamiltonian_matches_kronecker_build(order, overrides, route):
@@ -189,8 +194,28 @@ def test_hamiltonian_matches_kronecker_build(order, overrides, route):
 
 
 def test_cosine_order_stays_dense():
+    # one dense real coupling block per sigma_x sector, not bands
     params = make_physical_device()
-    assert type(hamiltonian(params, coupling_xi(params), "cosine", 8)) is FockOperator
+    h = hamiltonian(params, coupling_xi(params), "cosine", 8)
+    assert type(h) is SectorHamiltonian and h.band is None and h.coupling.shape == (8, 8)
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("phi_c_ratio", [0.0, 0.3, 0.5, 1.0])
+def test_cosine_matches_dense_build(phi_c_ratio, dim):
+    params = make_strong_device(phi_c_ratio=phi_c_ratio)
+    coupling = Coupling.from_xi(0.05 * np.exp(2.2j))
+    h = hamiltonian(params, coupling, "cosine", dim)
+    assert h.dim == 2 * dim
+    reference = _dense_cosine_hamiltonian(params, coupling, dim)
+    assert np.abs(h.matrix - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_every_order_requires_charge_degeneracy():
+    params = make_physical_device(n_g=0.3, phi_c_ratio=0.0)
+    for order in ("cosine", "first", "second"):
+        with pytest.raises(ValueError, match=f"order='{order}' requires n_g = 0.5, got 0.3"):
+            hamiltonian(params, coupling_xi(params), order, 8)
 
 
 def test_second_order_preconditions():
@@ -200,6 +225,13 @@ def test_second_order_preconditions():
         hamiltonian(params, c, "second", 8)
     with pytest.raises(ValueError):
         hamiltonian(make_physical_device(phi_c_ratio=0.0, n_g=0.3), c, "second", 8)
+
+
+def test_hamiltonian_rejects_tiny_truncation():
+    params = make_physical_device(phi_c_ratio=0.0)
+    for order in ("cosine", "first", "second"):
+        with pytest.raises(DimensionError):
+            hamiltonian(params, coupling_xi(params), order, 1)
 
 
 def test_unknown_order_rejected():
