@@ -456,10 +456,11 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     """The package's truncation policy: the Fock dimension at which no checked state leaks.
 
     Starts from ``start`` if given, else from the larger of DEFAULT_FOCK_DIM
-    (64) and each label's exact coherent-tail requirement (tail below
-    LABEL_TAIL_TOL, 1e-12), and doubles up to MAX_FOCK_DIM (512) until the
-    top four Fock levels of every checked state hold less than
-    TRUNCATION_TOL (1e-10) of the population.  At each truncation tried,
+    (64) and the exact coherent-tail requirement (tail below LABEL_TAIL_TOL,
+    1e-12) of the farthest label: the Poisson tail P(X >= d) grows with the
+    mean, so that one tail search covers every label.  It doubles up to
+    MAX_FOCK_DIM (512) until the top four Fock levels of every checked state
+    hold less than TRUNCATION_TOL (1e-10) of the population.  At each truncation tried,
     every distinct label is materialized once, and ``propagated(dim)``, if
     given, returns further states (such as brute-force propagated ones) that
     must pass the same check.  Returns the truncation and the label states
@@ -470,19 +471,16 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     labels = list(dict.fromkeys(labels))
     dim = start
     if dim is None:
-        centres = [
-            abs(label.alpha if isinstance(label, CoherentLabel) else label.gamma)
-            for label in labels
-        ]
+        centres = (label.alpha if isinstance(label, CoherentLabel) else label.gamma for label in labels)
+        far = max(map(abs, centres), default=0.0)
         # A coherent tail is about 1/2 at the mean photon number: past the cap, no sum is needed.
-        far = max(centres, default=0.0)
         if far * far >= MAX_FOCK_DIM:
             raise TruncationError(
                 f"a label of |displacement| {far:.6g} has its mean photon number past the "
                 f"maximum truncation {MAX_FOCK_DIM}",
                 required_dim=None,
             )
-        dim = max([DEFAULT_FOCK_DIM] + [required_fock_dim(c, LABEL_TAIL_TOL) for c in centres])
+        dim = max(DEFAULT_FOCK_DIM, required_fock_dim(far, LABEL_TAIL_TOL))
     if dim > MAX_FOCK_DIM:
         raise TruncationError(
             f"start truncation {dim} exceeds the maximum truncation {MAX_FOCK_DIM}",

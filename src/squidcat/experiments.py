@@ -197,24 +197,27 @@ def _numeric_map(
     alpha_prime: complex,
     gamma: complex,
 ):
-    """Brute-force evolution tau -> JointState for one scenario.
+    """Brute-force evolution of one scenario over a whole grid: taus -> [JointState].
 
-    The Hamiltonians do not depend on the grid time, so their
-    eigendecompositions are done once here and reused across the grid.
+    The Hamiltonians do not depend on the grid time, so each one is
+    diagonalized once here, and the returned function makes one
+    ``Propagator`` call per Hamiltonian for the whole grid: the initial
+    state to every grid time, then for ``pulse`` every evolved state
+    through the same flux pulse.
     """
     if scenario == "squeeze":
         evolve = Propagator(hamiltonian(params, coupling, "second", dim))
         psi0 = joint_state("g", coherent_fock(gamma, dim))
-        return lambda tau: evolve(psi0, tau)
+        return lambda taus: evolve(psi0, taus)
     evolve = Propagator(hamiltonian(params, coupling, "first", dim))
     start = 0.0 if scenario == "vacuum" else alpha_prime
     psi0 = joint_state("g", coherent_fock(start, dim))
     if scenario != "pulse":
-        return lambda tau: evolve(psi0, tau)
+        return lambda taus: evolve(psi0, taus)
     pulse_params = replace(params, phi_c_ratio=1.0)
     pulse = Propagator(hamiltonian(pulse_params, coupling, "first", dim))
     t_pulse = math.pi / (4.0 * params.ej_rate)
-    return lambda tau: pulse(evolve(psi0, tau), t_pulse)
+    return lambda taus: pulse(evolve(psi0, taus), np.full(len(taus), t_pulse))
 
 
 def verify_analytic_numeric(
@@ -231,11 +234,12 @@ def verify_analytic_numeric(
 
     Runs both paths at every grid time and returns max(1 - fidelity).  The
     truncation comes from ``auto_fock_dim``, starting at ``fock_dim`` if
-    given: at each truncation tried it materializes every distinct branch
-    label once and propagates the initial state to every grid time, and it
-    doubles (up to 512) until neither the closed-form nor the propagated
-    states populate the top Fock levels.  The fidelities use those same
-    states.
+    given, else at the tail requirement of the farthest branch label: at
+    each truncation tried it materializes every distinct branch label once
+    and propagates the initial state over the whole grid with one
+    ``Propagator`` call per Hamiltonian, and it doubles (up to 512) until
+    neither the closed-form nor the propagated states populate the top Fock
+    levels.  The fidelities use those same states.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
@@ -247,7 +251,7 @@ def verify_analytic_numeric(
 
     def propagated(dim):
         numeric_at = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)
-        numeric[dim] = [numeric_at(tau) for tau in tau_grid]
+        numeric[dim] = numeric_at(np.array(tau_grid))
         return numeric[dim]
 
     labels = [label for decomposition in decompositions for label in decomposition.labels()]

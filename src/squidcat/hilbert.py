@@ -383,9 +383,28 @@ class Propagator:
     and G the Hamiltonian's diagonal gauge, and the real symmetric blocks of
     W^dag H W, each with its eigendecomposition: a tridiagonal chain by
     ``scipy.linalg.eigh_tridiagonal`` (O(N^2) for N levels), a dense sector
-    by ``scipy.linalg.eigh`` (O(N^3)).  A call applies each block's
-    exp(-i H_block t) in its eigenbasis, which preserves the norm to well
-    below the 1e-10 unitarity contract and composes exactly over time.
+    by ``scipy.linalg.eigh`` (O(N^3)).
+
+    In band form with a constant coupling diagonal c (the first order, at
+    any flux) the sigma_x = -1 chains mirror the +1 chains: a chain that is
+    tridiagonal (d + c, e) in the + sector is (d - c, -e) in the - sector,
+    and (d - c, -e) = S (d + c, e) S - 2c exactly, with S = diag((-1)^k)
+    along the chain.  So only the + chains are diagonalized; each - chain
+    takes their eigenvalues minus 2c and their eigenvectors with alternate
+    rows negated.  Any other coupling (second order, cosine) has both
+    sectors diagonalized.
+
+    ``propagator(state, t)`` evolves one ``JointState`` to one time.  Given
+    a 1-D array of K times it returns a list of K states: ``state`` evolved
+    to every time or, if ``state`` is a list (or tuple) of K states, the
+    k-th evolved to the k-th time.  Either way the states are projected onto each
+    eigenbasis once, as the columns of one matrix, and the phases
+    exp(-i lambda t_k) of every time are applied together.  Each block's
+    exp(-i H_block t) is applied in its eigenbasis, which preserves the norm
+    to well below the 1e-10 unitarity contract and composes exactly over
+    time.  A non-finite time, or a list whose length is not the number of
+    times, raises ValueError; a state of the wrong size raises
+    DimensionError.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -394,33 +413,69 @@ class Propagator:
 
         self.dim = hamiltonian.dim
         self._gauge = hamiltonian.gauge
-        self._blocks = [
-            (rows, *(eigh(main) if off is None else eigh_tridiagonal(main, off)))
-            for rows, main, off in hamiltonian.blocks()
+        blocks = hamiltonian.blocks()
+        coupling = hamiltonian.coupling
+        if hamiltonian.band is None or (coupling != coupling[0]).any():
+            self._blocks = [
+                (rows, *(eigh(main) if off is None else eigh_tridiagonal(main, off)))
+                for rows, main, off in blocks
+            ]
+            return
+        half = len(blocks) // 2
+        plus = [(rows, *eigh_tridiagonal(main, off)) for rows, main, off in blocks[:half]]
+        minus = [
+            (rows, evals - 2.0 * coupling[0], evecs * (-1.0) ** np.arange(evals.size)[:, None])
+            for (rows, _, _), (_, evals, evecs) in zip(blocks[half:], plus)
         ]
+        self._blocks = plus + minus
 
-    def __call__(self, state: JointState, t: float) -> JointState:
-        if self.dim != state.amplitudes.size:
-            raise DimensionError(
-                f"dimension mismatch: H is {self.dim}, state is {state.amplitudes.size}"
+    def __call__(self, state, t):
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"times must be a number or a 1-D array, got shape {times.shape}")
+        bad = times[~np.isfinite(times)]
+        if bad.size:
+            raise ValueError(f"propagation time must be finite, got {float(bad[0])!r}")
+        single = not isinstance(state, (list, tuple))
+        states = [state] if single else list(state)
+        if not single and (times.ndim != 1 or len(states) != times.size):
+            raise ValueError(
+                f"{len(states)} states need a 1-D array of as many times, got shape {times.shape}"
             )
-        v = (_SECTOR_BASIS.T @ state.amplitudes.reshape(2, -1)) * self._gauge.conj()
-        v = v.ravel()
+        for s in states:
+            if self.dim != s.amplitudes.size:
+                raise DimensionError(
+                    f"dimension mismatch: H is {self.dim}, state is {s.amplitudes.size}"
+                )
+        if times.size == 0:
+            return []
+        columns = np.stack([s.amplitudes for s in states], axis=1)
+        evolved = self._evolve(columns, times.ravel())
+        out = [
+            JointState(column, leakage=(state if single else states[k]).leakage)
+            for k, column in enumerate(evolved.T)
+        ]
+        return out[0] if times.ndim == 0 else out
+
+    def _evolve(self, columns: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """exp(-i H t_k) on the joint columns (2N x 1 or 2N x K) for K times."""
+        n = self.dim // 2
+        gauge = self._gauge[:, None]
+        v = (_SECTOR_BASIS.T @ columns.reshape(2, -1)).reshape(2, n, -1) * gauge.conj()
+        v = v.reshape(self.dim, -1)
+        out = np.empty((self.dim, times.size), dtype=complex)
         for rows, evals, evecs in self._blocks:
-            # E^dag v as conj(E^T conj(v)), so E is never copied
-            coeffs = _matvec(evecs.T, v[rows].conj()).conj()
-            v[rows] = _matvec(evecs, np.exp(-1j * evals * t) * coeffs)
-        out = _SECTOR_BASIS @ (v.reshape(2, -1) * self._gauge)
-        return JointState(out.ravel(), leakage=state.leakage)
+            coeffs = _real_matmul(evecs.T, v[rows])
+            out[rows] = _real_matmul(evecs, np.exp(-1j * np.outer(evals, times)) * coeffs)
+        out = _SECTOR_BASIS @ (out.reshape(2, n, -1) * gauge).reshape(2, -1)
+        return out.reshape(self.dim, -1)
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for a complex v; a real m acts on its real and imaginary parts as
-    one (n, 2) product, which avoids copying m to complex."""
-    if np.iscomplexobj(m):
-        return m @ v
-    pairs = np.ascontiguousarray(v).view(float).reshape(-1, 2)
-    return (m @ pairs).ravel().view(complex)
+def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a real m and a complex (n, K) v: m acts on the real and
+    imaginary parts as one (n, 2K) product, which avoids copying m to complex."""
+    pairs = np.ascontiguousarray(v).view(float)
+    return (m @ pairs).view(complex)
 
 
 def propagate(hamiltonian: SectorHamiltonian, state: JointState, t: float) -> JointState:
@@ -577,12 +632,17 @@ def wigner(state: CavityState, points) -> np.ndarray:
 
 
 def top_level_weight(state: CavityState | JointState, levels: int = 4) -> float:
-    """Population in the top ``levels`` Fock levels (both qubit blocks for joint states)."""
+    """Population in the top ``levels`` Fock levels (both qubit blocks for joint states).
+
+    A state with at most ``levels`` levels has all of them at the top.
+    """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels!r}")
     n = state.fock_dim
     probs = np.abs(state.amplitudes) ** 2
     if isinstance(state, JointState):
         probs = probs[:n] + probs[n:]
-    return float(probs[n - levels:].sum())
+    return float(probs[max(n - levels, 0):].sum())
 
 
 def quadrature_covariance(state: CavityState) -> np.ndarray:

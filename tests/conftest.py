@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from squidcat.analytic import CoherentLabel, auto_fock_dim
 from squidcat.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
+from squidcat.hilbert import required_fock_dim
 from squidcat.model import Coupling, DeviceParams
 
 
@@ -105,3 +107,21 @@ def strong_device():
 def strong_coupling():
     # kappa = |xi| * E_J/(hbar*omega) = 0.01 * 50 = 0.5
     return Coupling.from_xi(0.01)
+
+
+def policy_start(labels) -> int:
+    """The first truncation ``auto_fock_dim`` tries for ``labels``, seen by its hook."""
+    tried = []
+
+    def propagated(dim):
+        tried.append(dim)
+        return []
+
+    auto_fock_dim(labels, propagated=propagated)
+    return tried[0]
+
+
+def start_over_every_centre(labels) -> int:
+    """The start as the max over every label's own tail requirement."""
+    centres = [label.alpha if isinstance(label, CoherentLabel) else label.gamma for label in labels]
+    return max([64] + [required_fock_dim(c, 1e-12) for c in centres])

@@ -46,7 +46,9 @@ from conftest import (
     ladder,
     make_physical_device,
     make_strong_device,
+    policy_start,
     squeeze_degrees,
+    start_over_every_centre,
 )
 
 
@@ -550,6 +552,24 @@ def test_auto_fock_dim_explicit_start_is_not_raised():
     assert auto_fock_dim([CoherentLabel(1.0)], start=32)[0] == 32
     with pytest.raises(TruncationError):
         auto_fock_dim([CoherentLabel(4.0)], start=8)
+
+
+def test_auto_fock_dim_counts_every_level_below_four():
+    # a 3-level state has all its levels in the top four, so start=3 must double
+    assert auto_fock_dim([CoherentLabel(0.0)], start=3)[0] == 6
+    assert auto_fock_dim([CoherentLabel(1e-3), SqueezedLabel(0.0, 0.0, 0.0)], start=3)[0] == 6
+
+
+def test_auto_fock_dim_start_is_the_max_over_every_centre():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        radii = np.exp(rng.uniform(math.log(1e-3), math.log(15.0), size=rng.integers(1, 12)))
+        centres = radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=radii.size))
+        labels = [CoherentLabel(complex(c)) for c in centres]
+        labels += [SqueezedLabel(complex(c), 0.05, 0.3) for c in centres[::3]]
+        labels.append(CoherentLabel(0.0))
+        rng.shuffle(labels)
+        assert policy_start(labels) == start_over_every_centre(labels)
 
 
 # ---------------------------------------------------------------- materialization and serialization

@@ -1,11 +1,15 @@
 import functools
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from squidcat.cli import validate_config
 from squidcat.errors import TruncationError
 from squidcat.experiments import (
+    _analytic_map,
     SWEEP_CSV_HEADER,
     default_lambda_grid,
     feasibility_report,
@@ -16,9 +20,10 @@ from squidcat.experiments import (
 )
 from squidcat.measurement import measure_qubit
 from squidcat.analytic import evolve_vacuum
+from squidcat.hilbert import Propagator
 from squidcat.model import Coupling, coupling_xi
 
-from conftest import make_physical_device, make_strong_device
+from conftest import make_physical_device, make_strong_device, policy_start, start_over_every_centre
 
 
 # ---------------------------------------------------------------- drive rate
@@ -229,6 +234,62 @@ def test_verify_materializes_each_distinct_label_once(monkeypatch):
     params = make_physical_device(phi_c_ratio=0.0)
     verify_analytic_numeric(params, "squeeze", _grid(params, points=6), gamma=1.0)
     assert len(calls) == len(set(calls)) == 11  # t = 0 gives one label, later times two
+
+
+# each start is one doubling short of the truncation the policy settles on
+@pytest.mark.parametrize(
+    "scenario,start", [("vacuum", 16), ("coherent", 20), ("pulse", 20), ("squeeze", 12)]
+)
+def test_verify_makes_one_propagator_call_per_propagator(monkeypatch, scenario, start):
+    # counted by wrapping the class, as the benchmark's tracer does
+    counts = {"built": 0, "calls": 0}
+    setup, apply = Propagator.__init__, Propagator.__call__
+
+    def counting_setup(self, *args):
+        counts["built"] += 1
+        setup(self, *args)
+
+    def counting_apply(self, *args):
+        counts["calls"] += 1
+        return apply(self, *args)
+
+    monkeypatch.setattr(Propagator, "__init__", counting_setup)
+    monkeypatch.setattr(Propagator, "__call__", counting_apply)
+    params = make_strong_device(phi_c_ratio=0.0 if scenario == "squeeze" else 0.5)
+    per_dim = 2 if scenario == "pulse" else 1
+    for fock_dim, tried in ((None, 1), (start, 2)):
+        counts.update(built=0, calls=0)
+        verify_analytic_numeric(
+            params, scenario, _grid(params, points=20), fock_dim,
+            coupling=Coupling.from_xi(0.01), alpha_prime=0.5 - 0.25j, gamma=0.75j,
+        )
+        assert counts == {"built": per_dim * tried, "calls": per_dim * tried}
+
+
+@pytest.mark.parametrize("workload", ["oracle_linear", "oracle_squeeze"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_auto_fock_dim_start_on_the_benchmark_labels(monkeypatch, tmp_path, workload, seed):
+    # the start is one tail search at the farthest label: check it against
+    # every label's own search on each benchmark verify
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    for op in workloads.build(workload, seed, str(tmp_path)):
+        config = validate_config(op.config)
+        params, args = config.device, config.args
+        tau_max = args.get("tau_max", 4.0 * math.pi / params.omega_cavity)
+        analytic_at = _analytic_map(
+            params,
+            coupling_xi(params),
+            args["target"],
+            complex(*args.get("alpha_prime", [0.0])),
+            complex(*args.get("gamma", [0.0])),
+        )
+        labels = [
+            label
+            for tau in np.linspace(0.0, tau_max, args["points"])
+            for label in analytic_at(tau).labels()
+        ]
+        assert policy_start(labels) == start_over_every_centre(labels), op.name
 
 
 def test_verify_complex_coupling_phase(strong_device):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+import scipy.linalg
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import gammainc, gammaln
 
 from squidcat.analytic import (
@@ -331,6 +332,106 @@ def test_sector_propagator_keeps_the_norm_at_512_levels(scenario):
         assert abs(np.linalg.norm(evolve(psi0, t).amplitudes) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("scenario", ["vacuum", "coherent", "pulse", "squeeze", "cosine"])
+def test_grid_call_matches_scalar_calls(scenario):
+    h, psi0 = _sector_case(scenario, 40)
+    evolve = Propagator(h)
+    period = 2.0 * math.pi / make_strong_device().omega_cavity
+    times = np.linspace(0.0, 2.0 * period, 7)
+    grid = evolve(psi0, times)
+    assert isinstance(grid, list) and len(grid) == times.size
+    for t, state in zip(times, grid):
+        scalar = evolve(psi0, float(t))
+        assert isinstance(scalar, JointState)
+        assert np.abs(state.amplitudes - scalar.amplitudes).max() <= 1e-13
+    # one state per time: the k-th state is evolved to the k-th time
+    later = evolve(grid, times[::-1])
+    for state, t, out in zip(grid, times[::-1], later):
+        assert np.abs(out.amplitudes - evolve(state, float(t)).amplitudes).max() <= 1e-13
+    assert evolve(psi0, np.zeros(0)) == []
+
+
+def _chain_reference(h, psi, t):
+    """exp(-i H t) psi with every chain of both sectors diagonalized on its own."""
+    n = h.cavity.size
+    v = (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)) @ psi.amplitudes.reshape(2, n)
+    v = (v * h.gauge.conj()).ravel()
+    for rows, main, off in h.blocks():
+        evals, evecs = eigh_tridiagonal(main, off)
+        v[rows] = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ v[rows]))
+    v = (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)) @ (v.reshape(2, n) * h.gauge)
+    return v.ravel()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_mirrored_sector_matches_its_own_eigensolve(stride):
+    rng = np.random.default_rng(11 + stride)
+    for _ in range(5):
+        dim = int(rng.integers(6, 40))
+        h = SectorHamiltonian(
+            rng.normal(size=dim) * 3.0,
+            np.full(dim, rng.normal()),
+            rng.uniform(0.0, 2.0 * math.pi),
+            rng.normal(size=dim - stride),
+            stride,
+        )
+        amp = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+        psi = JointState(amp / np.linalg.norm(amp))
+        times = rng.uniform(0.0, 3.0, size=4)
+        for t, state in zip(times, Propagator(h)(psi, times)):
+            assert np.abs(state.amplitudes - _chain_reference(h, psi, t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "scenario,expected",
+    [("vacuum", (1, 0)), ("pulse", (1, 0)), ("squeeze", (4, 0)), ("cosine", (0, 2))],
+)
+def test_eigensolves_per_propagator(monkeypatch, scenario, expected):
+    # first order: one eigh_tridiagonal per mirrored chain pair; otherwise one per block
+    h, _ = _sector_case(scenario, 24)
+    calls = {"eigh_tridiagonal": 0, "eigh": 0}
+
+    def counted(name):
+        original = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    Propagator(h)
+    assert (calls["eigh_tridiagonal"], calls["eigh"]) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_propagator_rejects_non_finite_times(bad):
+    h, psi0 = _sector_case("vacuum", 8)
+    evolve = Propagator(h)
+    with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+        evolve(psi0, bad)
+    with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+        evolve(psi0, np.array([0.0, 1e-12, bad]))
+
+
+def test_propagator_rejects_mismatched_states_and_times():
+    h, psi0 = _sector_case("vacuum", 8)
+    evolve = Propagator(h)
+    with pytest.raises(ValueError, match="3 states"):
+        evolve([psi0] * 3, np.zeros(2))
+    with pytest.raises(ValueError, match="2 states"):
+        evolve([psi0] * 2, 0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        evolve(psi0, np.zeros((2, 2)))
+    wrong = joint_state("g", coherent_fock(0.0, 9))
+    with pytest.raises(DimensionError):
+        evolve([psi0, wrong], np.zeros(2))
+    with pytest.raises(DimensionError):
+        evolve(wrong, np.zeros(3))
+
+
 def _random_sector_hamiltonian(rng, dim, form):
     """A random SectorHamiltonian on ``dim`` levels, its coupling in band or dense form."""
     cavity, phase = rng.normal(size=dim), rng.uniform(0.0, 2.0 * math.pi)
@@ -517,6 +618,16 @@ def test_quadrature_covariance_vacuum_and_coherent():
     for alpha in (0.0, 1.2 + 0.5j):
         cov = quadrature_covariance(coherent_fock(alpha, 48))
         assert np.allclose(cov, 0.5 * np.eye(2), atol=1e-10)
+
+
+def test_top_level_weight_of_a_state_shorter_than_the_levels():
+    uniform = np.full(3, 1.0 / math.sqrt(3.0))
+    assert top_level_weight(CavityState(uniform)) == pytest.approx(1.0, abs=1e-15)
+    joint = JointState(np.concatenate((uniform, uniform)) / math.sqrt(2.0))
+    assert top_level_weight(joint) == pytest.approx(1.0, abs=1e-15)
+    assert top_level_weight(CavityState(uniform), levels=1) == pytest.approx(1.0 / 3.0)
+    with pytest.raises(ValueError, match="levels"):
+        top_level_weight(CavityState(uniform), levels=0)
 
 
 def test_top_level_weight_joint_blocks():
