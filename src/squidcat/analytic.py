@@ -460,10 +460,10 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     1e-12) of the farthest label: the Poisson tail P(X >= d) grows with the
     mean, so that one tail search covers every label.  It doubles up to
     MAX_FOCK_DIM (512) until the top four Fock levels of every checked state
-    hold less than TRUNCATION_TOL (1e-10) of the population.  At each truncation tried,
-    every distinct label is materialized once, and ``propagated(dim)``, if
-    given, returns further states (such as brute-force propagated ones) that
-    must pass the same check.  Returns the truncation and the label states
+    hold less than TRUNCATION_TOL (1e-10) of the population.  At each
+    truncation tried, every distinct label is materialized once, and
+    ``propagated(dim)``, if given, returns further states (such as
+    brute-force propagated ones) that must pass the same check.  Returns the truncation and the label states
     judged there, keyed by label, for callers to reuse.  A start above
     MAX_FOCK_DIM raises TruncationError before any state is built, and an
     explicit ``start`` too small for a coherent label raises it too.

@@ -397,8 +397,8 @@ class Propagator:
     ``propagator(state, t)`` evolves one ``JointState`` to one time.  Given
     a 1-D array of K times it returns a list of K states: ``state`` evolved
     to every time or, if ``state`` is a list (or tuple) of K states, the
-    k-th evolved to the k-th time.  Either way the states are projected onto each
-    eigenbasis once, as the columns of one matrix, and the phases
+    k-th evolved to the k-th time.  Either way the states are projected
+    onto each eigenbasis once, as the columns of one matrix, and the phases
     exp(-i lambda t_k) of every time are applied together.  Each block's
     exp(-i H_block t) is applied in its eigenbasis, which preserves the norm
     to well below the 1e-10 unitarity contract and composes exactly over
@@ -429,7 +429,7 @@ class Propagator:
         ]
         self._blocks = plus + minus
 
-    def __call__(self, state, t):
+    def __call__(self, state, t) -> JointState | list[JointState]:
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"times must be a number or a 1-D array, got shape {times.shape}")
@@ -462,7 +462,7 @@ class Propagator:
         n = self.dim // 2
         gauge = self._gauge[:, None]
         v = (_SECTOR_BASIS.T @ columns.reshape(2, -1)).reshape(2, n, -1) * gauge.conj()
-        v = v.reshape(self.dim, -1)
+        v = v.reshape(self.dim, -1)  # + sector rows, then - sector rows
         out = np.empty((self.dim, times.size), dtype=complex)
         for rows, evals, evecs in self._blocks:
             coeffs = _real_matmul(evecs.T, v[rows])
