@@ -21,6 +21,7 @@ from .analytic import (
     flux_pi_pulse,
     materialize,
     materialize_label,
+    materialize_labels,
     squeezed_evolution,
 )
 from .errors import (
@@ -92,6 +93,7 @@ __all__ = [
     "joint_state",
     "materialize",
     "materialize_label",
+    "materialize_labels",
     "measure_qubit",
     "min_quadrature_variance",
     "parity_spectrum",

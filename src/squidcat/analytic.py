@@ -5,10 +5,17 @@ into driven-oscillator problems, so vacuum or coherent input evolves into
 qubit-entangled coherent branches with displacements and phases given in
 closed form.  The quadratic Hamiltonian is a squeezing oscillator in each
 sector, so coherent input evolves exactly into squeezed coherent branches,
-solved from the Heisenberg equations of the mode and materialized by Yuen's
-three-term Fock recurrence.  A BranchDecomposition records those branches
-symbolically; ``materialize`` turns one into a Fock-space state for
-comparison against brute-force propagation.
+solved from the Heisenberg equations of the mode.  A BranchDecomposition
+records those branches symbolically.
+
+``materialize_labels`` is the one materialization path: it turns a list of
+labels into an (L x N) array of Fock amplitudes, checking every label's
+Poisson tail in one pass, building coherent rows in one broadcast exp and
+running Yuen's three-term Fock recurrence once for all squeezed labels.
+``materialize_label`` is its one-row case, ``auto_fock_dim`` (the
+truncation policy) calls it once per truncation tried, and ``materialize``
+turns one decomposition into a Fock-space state for comparison against
+brute-force propagation.
 
 Neglected global phase factors are carried as metadata, never silently
 dropped; all state comparisons are phase-insensitive.
@@ -23,15 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import BRANCH_NORM_TOL, DEFAULT_FOCK_DIM, LABEL_TAIL_TOL, MAX_FOCK_DIM, TRUNCATION_TOL
-from .errors import NormalizationError, TruncationError
+from .errors import DimensionError, NormalizationError, TruncationError
 from .hilbert import (
     QUBIT_AMPLITUDES,
     CavityState,
     JointState,
-    coherent_fock,
-    coherent_tail,
+    coherent_amplitudes,
+    coherent_tails,
     required_fock_dim,
-    top_level_weight,
+    top_level_weights,
 )
 from .model import Coupling, DeviceParams, require_setting, validity_margin
 
@@ -51,6 +58,7 @@ __all__ = [
     "cat_state",
     "flux_pi_pulse",
     "squeezed_evolution",
+    "materialize_labels",
     "materialize_label",
     "materialize",
     "auto_fock_dim",
@@ -60,7 +68,7 @@ __all__ = [
 
 _SERIES_SWITCH = 0.25
 _SERIES_TERMS = 16
-_AMPLITUDE_RESCALE = 2.0**500
+_AMPLITUDE_BITS = 480  # log2 bound on a carried Yuen amplitude: a sum of squares stays finite
 
 
 @dataclass(frozen=True)
@@ -283,15 +291,17 @@ def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> Cavit
     """Normalized even or odd superposition of |alpha> and |-alpha>."""
     const = cat_normalization(alpha, parity)
     labels = (CoherentLabel(alpha), CoherentLabel(-alpha))
+    distinct = list(dict.fromkeys(labels))  # one label at alpha = 0
     if fock_dim is None:
-        states = auto_fock_dim(labels)[1]
+        rows, leakages = auto_fock_dim(distinct)[1]
     else:
-        states = {label: coherent_fock(label.alpha, fock_dim) for label in labels}
-    plus, minus = (states[label] for label in labels)
+        rows, leakages = materialize_labels(distinct, fock_dim)
+    plus, minus = (distinct.index(label) for label in labels)
     sign = 1.0 if parity == "even" else -1.0
-    v = const * (plus.amplitudes + sign * minus.amplitudes)
+    v = const * (rows[plus] + sign * rows[minus])
     norm = np.linalg.norm(v)
-    return CavityState(v / norm, leakage=plus.leakage + minus.leakage + abs(1.0 - norm**2))
+    leakage = float(leakages[plus] + leakages[minus]) + abs(1.0 - norm**2)
+    return CavityState(v / norm, leakage=leakage)
 
 
 def flux_pi_pulse(
@@ -405,54 +415,100 @@ def squeezed_evolution(
     return BranchDecomposition(branches)
 
 
-def materialize_label(label: CoherentLabel | SqueezedLabel, fock_dim: int) -> CavityState:
-    """Fock-space vector of a cavity branch label (phase factor not included).
+def _squeezed_rows(labels: list[SqueezedLabel], fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fock rows of squeezed labels, all at once: (L x fock_dim) amplitudes and L leakages.
 
-    A squeezed label exp(-i rotation n) S(squeeze)|gamma> is annihilated by
+    A label exp(-i rotation n) S(squeeze)|gamma> is annihilated by
     mu a + nu adag - gamma with mu = cosh(r) e^(i rotation) and
     nu = -sinh(r) e^(i(arg squeeze - rotation)), r = |squeeze|, so its Fock
     amplitudes obey mu sqrt(n+1) c_(n+1) = gamma c_n - nu sqrt(n) c_(n-1)
-    (Yuen, Phys. Rev. A 13, 2226 (1976)), run in O(N) from the closed-form
-    vacuum amplitude
+    (Yuen, Phys. Rev. A 13, 2226 (1976)) from the closed-form vacuum amplitude
     c_0 = exp(-|gamma|^2/2 - e^(-i arg squeeze) tanh(r) gamma^2/2)/sqrt(cosh r).
-    The weight beyond the truncation, 1 - sum |c_n|^2, is its leakage.  A
-    truncation too small for the coherent |gamma> raises TruncationError,
-    as for a coherent label.
+    The per-step coefficients A_n = (gamma/mu)/sqrt(n+1) and
+    B_n = (nu/mu) sqrt(n/(n+1)) of c_(n+1) = A_n c_n - B_n c_(n-1) are
+    formed first, as (levels x labels) arrays, so each step advances every
+    label in one vector operation.  Each label carries its amplitudes in
+    units of its own e^log_scale, starting from |c_0| = 1, so a
+    far-displaced c_0 does not underflow: every ``period`` steps the rows
+    whose last two amplitudes exceed 1 are scaled down by a power of two,
+    which is exact.  One step grows those two by at most
+    max(1, |A_n| + |B_n|) <= |gamma/mu| + 1, so ``period`` steps keep every
+    amplitude near or below 2^_AMPLITUDE_BITS, and neither a row nor the sum
+    of its squares overflows.  The weight beyond the truncation,
+    1 - sum |c_n|^2, is a row's leakage.
     """
-    if isinstance(label, CoherentLabel):
-        return coherent_fock(label.alpha, fock_dim)
-    gamma = complex(label.gamma)
-    coherent_tail(gamma, fock_dim)
-    r = abs(label.squeeze)
-    spin = cmath.exp(1j * cmath.phase(label.squeeze))
-    turn = cmath.exp(1j * label.rotation)
-    mu = math.cosh(r) * turn
-    nu = -math.sinh(r) * spin / turn
+    gamma = np.array([label.gamma for label in labels], dtype=complex)
+    squeeze = np.array([label.squeeze for label in labels], dtype=complex)
+    r = np.abs(squeeze)
+    spin = np.exp(1j * np.angle(squeeze))
+    turn = np.exp(1j * np.array([label.rotation for label in labels], dtype=float))
+    mu = np.cosh(r) * turn
+    nu = -np.sinh(r) * spin / turn
     log_vacuum = (
-        -abs(gamma) ** 2 / 2.0
-        - spin.conjugate() * math.tanh(r) * gamma**2 / 2.0
-        - math.log(math.cosh(r)) / 2.0
+        -np.abs(gamma) ** 2 / 2.0 - spin.conj() * np.tanh(r) * gamma**2 / 2.0 - np.log(np.cosh(r)) / 2.0
     )
-    # The amplitudes are carried in units of e^log_scale, rescaled as they
-    # grow, so that a far-displaced c_0 cannot underflow nor the peak overflow.
-    log_scale = log_vacuum.real
-    amps, prev = [cmath.exp(1j * log_vacuum.imag)], 0.0
-    roots = np.sqrt(np.arange(fock_dim)).tolist()
-    for n in range(fock_dim - 1):
-        amp = (gamma * amps[n] - nu * roots[n] * prev) / (mu * roots[n + 1])
-        prev = amps[n]
-        amps.append(amp)
-        if abs(amp) > _AMPLITUDE_RESCALE:
-            amps = [a / _AMPLITUDE_RESCALE for a in amps]
-            prev /= _AMPLITUDE_RESCALE
-            log_scale += math.log(_AMPLITUDE_RESCALE)
-    v = np.array(amps)
-    sum2 = float(np.vdot(v, v).real)
-    norm2 = math.exp(2.0 * log_scale + math.log(sum2))
-    return CavityState(v / math.sqrt(sum2), leakage=abs(1.0 - norm2))
+    roots = np.sqrt(np.arange(fock_dim, dtype=float))
+    a_steps = (gamma / mu) / roots[1:, None]
+    b_steps = (nu / mu) * (roots[:-1] / roots[1:])[:, None]
+    growth = max(1.0, float(np.abs(gamma / mu).max()) + 1.0)
+    period = max(1, int(_AMPLITUDE_BITS / max(math.log2(growth), 1.0)))
+
+    amps = np.empty((fock_dim, len(labels)), dtype=complex)
+    log_scale = log_vacuum.real.copy()
+    amps[0] = np.exp(1j * log_vacuum.imag)
+    np.multiply(a_steps[0], amps[0], out=amps[1])  # B_0 = 0
+    levels, a_list, b_list = list(amps), list(a_steps), list(b_steps)
+    lower = np.empty(len(labels), dtype=complex)
+    for n in range(1, fock_dim - 1):
+        np.multiply(a_list[n], levels[n], out=levels[n + 1])
+        np.multiply(b_list[n], levels[n - 1], out=lower)
+        levels[n + 1] -= lower
+        if n % period == 0:
+            size = np.maximum(np.abs(levels[n]), np.abs(levels[n + 1]))
+            shift = np.where(size > 1.0, np.frexp(size)[1], 0)
+            amps[: n + 2] *= np.ldexp(1.0, -shift)
+            log_scale += shift * math.log(2.0)
+    sum2 = (amps.real**2 + amps.imag**2).sum(axis=0)
+    norm2 = np.exp(2.0 * log_scale + np.log(sum2))
+    return (amps / np.sqrt(sum2)).T, np.abs(1.0 - norm2)
 
 
-def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple[int, dict]:
+def materialize_labels(labels, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fock rows of branch labels (phase factors not included): an (L x fock_dim) array and L leakages.
+
+    Row k is ``labels[k]`` on ``fock_dim`` levels.  The Poisson tail of
+    every label's coherent centre (alpha, or gamma for a squeezed label) is
+    checked in one pass (``coherent_tails``), so a truncation too small for
+    any label raises the TruncationError that label alone would raise.
+    Coherent rows come from one broadcast exp (``coherent_amplitudes``) and
+    carry their tail as leakage; squeezed rows come from one run of Yuen's
+    recurrence for all of them (``_squeezed_rows``).
+    """
+    if fock_dim < 2:
+        raise DimensionError(f"Fock truncation must be >= 2, got {fock_dim}")
+    labels = list(labels)
+    squeezed = np.array([isinstance(label, SqueezedLabel) for label in labels], dtype=bool)
+    leakages = coherent_tails(
+        [label.gamma if sq else label.alpha for label, sq in zip(labels, squeezed)], fock_dim
+    )
+    rows = np.empty((len(labels), fock_dim), dtype=complex)
+    rows[~squeezed] = coherent_amplitudes(
+        [label.alpha for label, sq in zip(labels, squeezed) if not sq], fock_dim
+    )
+    if squeezed.any():
+        rows[squeezed], leakages[squeezed] = _squeezed_rows(
+            [label for label, sq in zip(labels, squeezed) if sq], fock_dim
+        )
+    return rows, leakages
+
+
+def materialize_label(label: CoherentLabel | SqueezedLabel, fock_dim: int) -> CavityState:
+    """Fock-space vector of one cavity branch label: the one-row case of ``materialize_labels``."""
+    rows, leakages = materialize_labels([label], fock_dim)
+    return CavityState(rows[0], leakage=float(leakages[0]))
+
+
+def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple[int, tuple]:
     """The package's truncation policy: the Fock dimension at which no checked state leaks.
 
     Starts from ``start`` if given, else from the larger of DEFAULT_FOCK_DIM
@@ -461,12 +517,16 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     mean, so that one tail search covers every label.  It doubles up to
     MAX_FOCK_DIM (512) until the top four Fock levels of every checked state
     hold less than TRUNCATION_TOL (1e-10) of the population.  At each
-    truncation tried, every distinct label is materialized once, and
-    ``propagated(dim)``, if given, returns further states (such as
-    brute-force propagated ones) that must pass the same check.  Returns the truncation and the label states
-    judged there, keyed by label, for callers to reuse.  A start above
-    MAX_FOCK_DIM raises TruncationError before any state is built, and an
-    explicit ``start`` too small for a coherent label raises it too.
+    truncation tried, the distinct labels are materialized in one
+    ``materialize_labels`` call, and ``propagated(dim)``, if given, returns
+    further joint states (such as brute-force propagated ones) that must
+    pass the same check, as the columns of one 2*dim x K array; the top
+    weights of the label rows and of those columns are each one reduction.
+    Returns the truncation and the label states judged there, as the
+    (rows, leakages) of the distinct labels in first-seen order, for
+    callers to reuse.  A start above MAX_FOCK_DIM raises TruncationError
+    before any state is built, and an explicit ``start`` too small for a
+    coherent label raises it too.
     """
     labels = list(dict.fromkeys(labels))
     dim = start
@@ -487,11 +547,11 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
             required_dim=dim if start is None else None,
         )
     while True:
-        label_states = {label: materialize_label(label, dim) for label in labels}
-        checked = list(label_states.values())
+        label_states = materialize_labels(labels, dim)
+        worst = top_level_weights(label_states[0].T).max(initial=0.0)
         if propagated is not None:
-            checked += propagated(dim)
-        worst = max(map(top_level_weight, checked), default=0.0)
+            columns = np.reshape(propagated(dim), (2 * dim, -1))
+            worst = max(worst, top_level_weights(columns, 2).max(initial=0.0))
         if worst < TRUNCATION_TOL:
             return dim, label_states
         if dim >= MAX_FOCK_DIM:
@@ -503,29 +563,30 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
 
 
 def materialize(
-    state: BranchDecomposition, fock_dim: int | None = None, label_states: dict | None = None
+    state: BranchDecomposition, fock_dim: int | None = None, label_states: tuple | None = None
 ) -> JointState:
     """Expand a branch decomposition into a joint Fock-space state.
 
     Without ``fock_dim`` the truncation and the label states come from
-    ``auto_fock_dim``; with it, ``label_states`` may hold labels already
-    materialized there, such as those the policy returned.  The vector must
-    come out normalized to BRANCH_NORM_TOL plus its truncation leakage,
-    which is recorded; otherwise NormalizationError is raised.
+    ``auto_fock_dim``; with it, ``label_states`` may hold the
+    (rows, leakages) of ``state.labels()`` already materialized there, such
+    as those the policy returned.  The vector must come out normalized to
+    BRANCH_NORM_TOL plus its truncation leakage, which is recorded;
+    otherwise NormalizationError is raised.
     """
+    labels = state.labels()
     if fock_dim is None:
-        fock_dim, label_states = auto_fock_dim(state.labels())
+        fock_dim, label_states = auto_fock_dim(labels)
+    rows, leakages = label_states or materialize_labels(labels, fock_dim)
+    index = {label: k for k, label in enumerate(labels)}
     blocks = np.zeros((2, fock_dim), dtype=complex)
     tail = 0.0
-    cache = dict(label_states or {})
     for branch in state.branches:
-        if branch.label not in cache:
-            cache[branch.label] = materialize_label(branch.label, fock_dim)
-        cavity = cache[branch.label]
-        tail += abs(branch.weight) ** 2 * cavity.leakage
+        k = index[branch.label]
+        tail += abs(branch.weight) ** 2 * float(leakages[k])
         for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
             if amplitude:
-                block += (branch.coefficient * amplitude) * cavity.amplitudes
+                block += (branch.coefficient * amplitude) * rows[k]
     vec = blocks.ravel()
     norm2 = float(np.real(np.vdot(vec, vec)))
     if abs(norm2 - 1.0) > BRANCH_NORM_TOL + 4.0 * tail:

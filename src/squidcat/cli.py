@@ -50,7 +50,7 @@ from .experiments import (
     sweep_rows_to_csv,
     verify_analytic_numeric,
 )
-from .hilbert import min_quadrature_variance, wigner
+from .hilbert import CavityState, min_quadrature_variance, wigner
 from .measurement import MeasurementRecord, measure_qubit, measurement_record_to_dict
 from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 
@@ -401,21 +401,22 @@ def _run_squeeze(config: RunConfig) -> dict:
     t = float(config.args["t"])
     decomposition = squeezed_evolution(params, coupling, gamma, t)
     fock_dim = config.args.get("fock_dim")
-    fitted = auto_fock_dim(decomposition.labels(), fock_dim)
-    dim, states = fitted
+    labels = decomposition.labels()
+    fitted = auto_fock_dim(labels, fock_dim)
+    dim, (rows, _) = fitted
     if fock_dim is not None and dim != fock_dim:
         raise TruncationError(
             f"fock_dim {fock_dim} too small for the squeezed labels: the policy needs {dim}",
             required_dim=dim,
         )
     variances = []
-    for label, state in states.items():
+    for label, row in zip(labels, rows):
         r = abs(label.squeeze)
         variances.append(
             {
                 "squeeze": [label.squeeze.real, label.squeeze.imag],
                 "degree": r,
-                "min_variance": min_quadrature_variance(state),
+                "min_variance": min_quadrature_variance(CavityState(row)),
                 "expected_min_variance": 0.5 * math.exp(-2.0 * r),
             }
         )

@@ -20,11 +20,11 @@ from .analytic import (
     evolve_coherent,
     evolve_vacuum,
     flux_pi_pulse,
-    materialize,
     squeezed_evolution,
 )
-from .constants import HBAR, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
-from .hilbert import Propagator, coherent_fock, fidelity, joint_state
+from .constants import BRANCH_NORM_TOL, HBAR, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
+from .errors import NormalizationError
+from .hilbert import QUBIT_AMPLITUDES, Propagator, coherent_fock, joint_state
 from .model import Coupling, DeviceParams, coupling_xi, hamiltonian
 
 __all__ = [
@@ -197,21 +197,22 @@ def _numeric_map(
     alpha_prime: complex,
     gamma: complex,
 ):
-    """Brute-force evolution of one scenario over a whole grid: taus -> [JointState].
+    """Brute-force evolution of one scenario over a whole grid: taus -> (2*dim x K) array.
 
     The Hamiltonians do not depend on the grid time, so each one is
     diagonalized once here, and the returned function makes one
-    ``Propagator`` call per Hamiltonian for the whole grid: the initial
-    state to every grid time, then for ``pulse`` every evolved state
-    through the same flux pulse.
+    ``Propagator`` call per Hamiltonian for the whole grid, on bare joint
+    amplitudes: the initial state to every grid time, then for ``pulse``
+    every evolved column through the same flux pulse.  Column k is the
+    state at the k-th time.
     """
     if scenario == "squeeze":
         evolve = Propagator(hamiltonian(params, coupling, "second", dim))
-        psi0 = joint_state("g", coherent_fock(gamma, dim))
+        psi0 = joint_state("g", coherent_fock(gamma, dim)).amplitudes
         return lambda taus: evolve(psi0, taus)
     evolve = Propagator(hamiltonian(params, coupling, "first", dim))
     start = 0.0 if scenario == "vacuum" else alpha_prime
-    psi0 = joint_state("g", coherent_fock(start, dim))
+    psi0 = joint_state("g", coherent_fock(start, dim)).amplitudes
     if scenario != "pulse":
         return lambda taus: evolve(psi0, taus)
     pulse_params = replace(params, phi_c_ratio=1.0)
@@ -232,14 +233,21 @@ def verify_analytic_numeric(
 ) -> float:
     """Max infidelity between closed-form branches and brute-force propagation.
 
-    Runs both paths at every grid time and returns max(1 - fidelity).  The
-    truncation comes from ``auto_fock_dim``, starting at ``fock_dim`` if
-    given, else at the tail requirement of the farthest branch label: at
-    each truncation tried it materializes every distinct branch label once
-    and propagates the initial state over the whole grid with one
-    ``Propagator`` call per Hamiltonian, and it doubles (up to 512) until
-    neither the closed-form nor the propagated states populate the top Fock
-    levels.  The fidelities use those same states.
+    Runs both paths at every grid time and returns max(1 - fidelity), with
+    one array per grid on each side.  The branch coefficients of the K
+    closed-form decompositions are gathered into one (2 x L x K) tensor over
+    the L distinct branch labels.  The truncation comes from
+    ``auto_fock_dim``, starting at ``fock_dim`` if given, else at the tail
+    requirement of the farthest label: at each truncation tried it
+    materializes the distinct labels as one (L x N) array and propagates the
+    initial state over the whole grid with one ``Propagator`` call per
+    Hamiltonian, and it doubles (up to 512) until neither the closed-form
+    rows nor the propagated columns populate the top Fock levels.  There,
+    the closed-form joint states are the columns of one (2N x K) matrix,
+    two (N x L) @ (L x K) products; each column's norm must hold to
+    BRANCH_NORM_TOL plus four times its truncation leakage (else
+    NormalizationError), and every fidelity is one column-wise overlap
+    with the propagated columns.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
@@ -247,16 +255,31 @@ def verify_analytic_numeric(
     c = coupling_xi(params) if coupling is None else coupling
     analytic_at = _analytic_map(params, c, scenario, alpha_prime, gamma)
     decompositions = [analytic_at(tau) for tau in tau_grid]
+    branches = [(k, b) for k, d in enumerate(decompositions) for b in d.branches]
+    row = {}  # each distinct label's row, in first-seen order
+    index = ([row.setdefault(b.label, len(row)) for _, b in branches], [k for k, _ in branches])
+    labels = list(row)
+    # (label, time, qubit) coefficients, and each branch's |weight|^2 for its label's leakage
+    qubits = np.array([QUBIT_AMPLITUDES[b.qubit] for _, b in branches])
+    coefficients = np.zeros((len(labels), len(tau_grid), 2), dtype=complex)
+    np.add.at(coefficients, index, np.array([b.coefficient for _, b in branches])[:, None] * qubits)
+    weights = np.zeros((len(labels), len(tau_grid)))
+    np.add.at(weights, index, [abs(b.weight) ** 2 for _, b in branches])
     numeric = {}
 
     def propagated(dim):
-        numeric_at = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)
-        numeric[dim] = numeric_at(np.array(tau_grid))
+        numeric[dim] = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)(np.array(tau_grid))
         return numeric[dim]
 
-    labels = [label for decomposition in decompositions for label in decomposition.labels()]
-    dim, label_states = auto_fock_dim(labels, fock_dim, propagated=propagated)
-    return max(
-        1.0 - fidelity(materialize(decomposition, dim, label_states), state)
-        for decomposition, state in zip(decompositions, numeric[dim])
-    )
+    dim, (rows, leakages) = auto_fock_dim(labels, fock_dim, propagated=propagated)
+    closed = (rows.T @ coefficients.transpose(2, 0, 1)).reshape(2 * dim, -1)
+    norm2 = (closed.real**2 + closed.imag**2).sum(axis=0)
+    tail = leakages @ weights
+    bad = np.abs(norm2 - 1.0) > BRANCH_NORM_TOL + 4.0 * tail
+    if bad.any():
+        raise NormalizationError(
+            f"branch decomposition materializes to norm^2 = {float(norm2[np.argmax(bad)])!r}; "
+            "weights are inconsistent"
+        )
+    overlaps = np.einsum("ik,ik->k", closed.conj(), numeric[dim])
+    return float((1.0 - (overlaps.real**2 + overlaps.imag**2) / norm2).max())

@@ -21,10 +21,16 @@ step in 2 beta combines them at the points.  Both carry base-2 exponents,
 so nothing overflows, and no state is displaced, so a map is exact at any
 grid extent, whatever the truncation (see ``wigner``).
 
-Coherent-state truncation tails are exact Poisson upper tails, summed over
-positive terms from Loader's saddle-point form of the Poisson probability
-(see ``coherent_tail``), so this module needs only numpy unless a
-``Propagator`` diagonalizes a Hamiltonian, which imports ``scipy.linalg``.
+Coherent states are built as rows of one array, one per displacement, in
+one broadcast exp (``coherent_amplitudes``), and their truncation tails are
+exact Poisson upper tails, checked for all of them in one pass and summed
+over positive terms from Loader's saddle-point form of the Poisson
+probability (``coherent_tails``); ``coherent_fock`` is the one-state case.
+``top_level_weights`` takes the truncation check of many states in one
+reduction, and a ``Propagator`` call evolves bare joint amplitudes, one
+column per grid time, as well as states.  This module needs only numpy
+unless a ``Propagator`` diagonalizes a Hamiltonian, which imports
+``scipy.linalg``.
 
 Everything here is a pure function of its inputs; the state and Hamiltonian
 types freeze their arrays after construction and are safe to share across
@@ -47,7 +53,8 @@ __all__ = [
     "JointState",
     "QUBIT_AMPLITUDES",
     "coherent_fock",
-    "coherent_tail",
+    "coherent_tails",
+    "coherent_amplitudes",
     "required_fock_dim",
     "Propagator",
     "propagate",
@@ -55,6 +62,7 @@ __all__ = [
     "wigner",
     "joint_state",
     "top_level_weight",
+    "top_level_weights",
     "quadrature_covariance",
     "min_quadrature_variance",
 ]
@@ -258,26 +266,19 @@ def _tail_width(mu: float) -> int:
     return math.ceil(12.0 * math.sqrt(mu)) + 60
 
 
-def _poisson_terms(mu: float, start: int, width: int) -> np.ndarray:
-    """P(X = n) for X ~ Poisson(mu), n = start .. max(start, floor(mu)) + width - 1.
+def _poisson_terms(mus: np.ndarray, start: int, width: int) -> np.ndarray:
+    """P(X = n) for X ~ Poisson(mu), n = start .. start + width - 1, one row per mean in ``mus``.
 
-    The largest term, at the anchor max(start, floor(mu)), comes from
-    Loader's form, and the others from it by the ratio P(X = n + 1) / P(X = n)
-    = mu / (n + 1) on either side, so the terms fall away from the anchor and
-    none underflows before it is negligible.
+    Every mean is at most ``start``, so the largest term of a row is its
+    first, from Loader's form; the others come from it by the ratio
+    P(X = n + 1) / P(X = n) = mu / (n + 1), all rows in one cumulative
+    product, so they fall away from it and none underflows before it is
+    negligible.
     """
-    anchor = max(start, math.floor(mu))
-    ratios = mu / np.arange(anchor + 1, anchor + width)
-    terms = np.cumprod(np.concatenate(([_poisson_pmf(anchor, mu)], ratios)))
-    if anchor > start:
-        below = terms[0] * np.cumprod(np.arange(anchor, start, -1) / mu)[::-1]
-        terms = np.concatenate((below, terms))
-    return terms
-
-
-def _poisson_tail(mu: float, dim: int) -> float:
-    """P(X >= dim) for X ~ Poisson(mu), to about 1e-13 relative, with no ``1 - sum``."""
-    return float(_poisson_terms(mu, dim, _tail_width(mu)).sum())
+    terms = np.empty((mus.size, width))
+    terms[:, 0] = [_poisson_pmf(start, mu) for mu in mus.tolist()]
+    np.divide(mus[:, None], np.arange(start + 1, start + width), out=terms[:, 1:])
+    return np.cumprod(terms, axis=1, out=terms)
 
 
 def required_fock_dim(alpha: complex, tail_tol: float = TRUNCATION_TOL) -> int:
@@ -297,7 +298,7 @@ def required_fock_dim(alpha: complex, tail_tol: float = TRUNCATION_TOL) -> int:
     start = max(2, math.ceil(mu))
     width = _tail_width(mu)
     while True:
-        tails = np.cumsum(_poisson_terms(mu, start, width)[::-1])[::-1]
+        tails = np.cumsum(_poisson_terms(np.array([mu]), start, width)[0, ::-1])[::-1]
         # the terms past the last fall at least as fast as this geometric series
         left_out = tails[-1] * mu / (start + width - mu)
         if tails[-1] < tail_tol and left_out <= tail_tol * 2.0**-53:
@@ -305,34 +306,44 @@ def required_fock_dim(alpha: complex, tail_tol: float = TRUNCATION_TOL) -> int:
         width *= 2
 
 
-def coherent_tail(alpha: complex, dim: int) -> float:
-    """Weight of the coherent state |alpha> beyond ``dim`` Fock levels.
+def coherent_tails(alphas, dim: int) -> np.ndarray:
+    """Weight of each coherent state |alpha> beyond ``dim`` Fock levels, in one pass.
 
-    That is the Poisson upper tail P(X >= dim) for X ~ Poisson(|alpha|^2),
-    summed over positive terms from Loader's saddle-point form of the largest
-    one (``_poisson_tail``).  Raises TruncationError (with a dimension
-    estimate) when it reaches the 1e-10 contract.  A mean photon number
-    |alpha|^2 at or past ``dim`` (its tail is then about 1/2 or more), or
-    too large for a double, raises before any term is summed; its estimate
-    is None when |alpha|^2 is past MAX_FOCK_DIM.
+    That is the Poisson upper tail P(X >= dim) for X ~ Poisson(|alpha|^2).
+    A mean photon number |alpha|^2 at or past ``dim`` (its tail is then
+    about 1/2 or more), or too large for a double, raises TruncationError
+    before any term is summed; its dimension estimate is None when
+    |alpha|^2 is past MAX_FOCK_DIM.  Every other mean is below ``dim``, so
+    each tail's largest term is P(X = dim), from Loader's saddle-point form,
+    and one (alphas x terms) sum over positive terms gives every tail, with
+    no ``1 - sum``.  A tail that reaches the 1e-10 contract raises
+    TruncationError with a dimension estimate.  Either error names the
+    first such alpha in order, as it would alone.
     """
-    radius = math.hypot(alpha.real, alpha.imag)
-    mu = radius * radius  # inf, not OverflowError, past the float range
-    if not mu < dim:
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    radii = np.hypot(alphas.real, alphas.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mus = radii * radii  # inf, not OverflowError, past the float range
+    reached = ~(mus < dim)
+    if reached.any():
+        k = int(np.argmax(reached))
+        mu = float(mus[k])
         raise TruncationError(
-            f"truncation {dim} insufficient for coherent |alpha|={radius:.6g}: its mean "
+            f"truncation {dim} insufficient for coherent |alpha|={radii[k]:.6g}: its mean "
             f"photon number {mu:.6g} reaches the truncation",
-            required_dim=required_fock_dim(alpha) if mu <= MAX_FOCK_DIM else None,
+            required_dim=required_fock_dim(complex(alphas[k])) if mu <= MAX_FOCK_DIM else None,
         )
-    tail = _poisson_tail(mu, dim)
-    if tail >= TRUNCATION_TOL:
-        need = required_fock_dim(alpha)
+    tails = _poisson_terms(mus, dim, _tail_width(mus.max(initial=0.0))).sum(axis=1)
+    failed = tails >= TRUNCATION_TOL
+    if failed.any():
+        k = int(np.argmax(failed))
+        need = required_fock_dim(complex(alphas[k]))
         raise TruncationError(
-            f"truncation {dim} insufficient for coherent |alpha|={radius:.6g} "
-            f"(tail {tail:.3e}); need >= {need}",
+            f"truncation {dim} insufficient for coherent |alpha|={radii[k]:.6g} "
+            f"(tail {tails[k]:.3e}); need >= {need}",
             required_dim=need,
         )
-    return tail
+    return tails
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -346,26 +357,44 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[:n]
 
 
+def coherent_amplitudes(alphas, dim: int) -> np.ndarray:
+    """Coherent states on ``dim`` Fock levels, one row per displacement, in one broadcast exp.
+
+    Row k holds exp(-|alpha_k|^2/2) alpha_k^n / sqrt(n!), renormalized after
+    truncation; its truncation is not checked here (see ``coherent_tails``).
+    Each row's scalars and norm are formed as for that state alone, so a
+    row is bit for bit the state ``coherent_fock`` builds.
+    """
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    radii = [abs(alpha) for alpha in alphas.tolist()]
+    centre = np.array([-radius**2 / 2.0 for radius in radii])[:, None]
+    slope = np.array([math.log(radius) if radius else 0.0 for radius in radii])[:, None]
+    ns = np.arange(dim)
+    logmag = centre + ns * slope - 0.5 * _log_factorials(dim)
+    rows = np.exp(logmag + 1j * (np.angle(alphas)[:, None] * ns))
+    vacuum = [k for k, radius in enumerate(radii) if not radius]
+    if vacuum:
+        rows[vacuum] = 0.0
+        rows[vacuum, 0] = 1.0
+    # each row's norm as np.linalg.norm takes it: two strided dot products
+    norms = [math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag)) for row in rows]
+    rows /= np.array(norms)[:, None]
+    return rows
+
+
 def coherent_fock(alpha: complex, dim: int) -> CavityState:
     """Coherent state with displacement ``alpha`` on ``dim`` Fock levels.
 
-    Amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) are renormalized after
-    truncation and the discarded weight is recorded as leakage.  Raises
+    The one-row case of ``coherent_amplitudes``: amplitudes
+    exp(-|alpha|^2/2) alpha^n / sqrt(n!) are renormalized after truncation
+    and the discarded weight is recorded as leakage.  Raises
     TruncationError (with a dimension estimate) when the discarded weight
     would exceed the 1e-10 contract.
     """
     if dim < 2:
         raise DimensionError(f"Fock truncation must be >= 2, got {dim}")
-    if alpha == 0:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        return CavityState(v, leakage=0.0)
-    tail = coherent_tail(alpha, dim)
-    ns = np.arange(dim)
-    logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(dim)
-    v = np.exp(logmag + 1j * np.angle(alpha) * ns)
-    v /= np.linalg.norm(v)
-    return CavityState(v, leakage=tail)
+    tail = coherent_tails([alpha], dim)[0]
+    return CavityState(coherent_amplitudes([alpha], dim)[0], leakage=float(tail))
 
 
 def joint_state(qubit: str | np.ndarray, cavity: CavityState) -> JointState:
@@ -383,7 +412,9 @@ class Propagator:
     and G the Hamiltonian's diagonal gauge, and the real symmetric blocks of
     W^dag H W, each with its eigendecomposition: a tridiagonal chain by
     ``scipy.linalg.eigh_tridiagonal`` (O(N^2) for N levels), a dense sector
-    by ``scipy.linalg.eigh`` (O(N^3)).
+    by ``scipy.linalg.eigh`` (O(N^3)).  A chain whose band is all zeros (the
+    first order at the flux pulse, phi_c = 1) is diagonal: it gets no
+    eigensolve, and its exp(-i H_block t) is a phase per level.
 
     In band form with a constant coupling diagonal c (the first order, at
     any flux) the sigma_x = -1 chains mirror the +1 chains: a chain that is
@@ -397,14 +428,17 @@ class Propagator:
     ``propagator(state, t)`` evolves one ``JointState`` to one time.  Given
     a 1-D array of K times it returns a list of K states: ``state`` evolved
     to every time or, if ``state`` is a list (or tuple) of K states, the
-    k-th evolved to the k-th time.  Either way the states are projected
-    onto each eigenbasis once, as the columns of one matrix, and the phases
-    exp(-i lambda t_k) of every time are applied together.  Each block's
-    exp(-i H_block t) is applied in its eigenbasis, which preserves the norm
-    to well below the 1e-10 unitarity contract and composes exactly over
-    time.  A non-finite time, or a list whose length is not the number of
-    times, raises ValueError; a state of the wrong size raises
-    DimensionError.
+    k-th evolved to the k-th time.  The same calls take bare joint
+    amplitudes and return them, with no state built: a 1-D array is one
+    state (evolved to one time, a 1-D result, or to K times, a 2N x K
+    result) and a 2N x K array holds one state per time as its columns.
+    Either way the states are projected onto each eigenbasis once, as the
+    columns of one matrix, and the phases exp(-i lambda t_k) of every time
+    are applied together.  Each block's exp(-i H_block t) is applied in its
+    eigenbasis, which preserves the norm to well below the 1e-10 unitarity
+    contract and composes exactly over time.  A non-finite time, or states
+    whose number is not the number of times, raises ValueError; a state of
+    the wrong size raises DimensionError.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -414,45 +448,48 @@ class Propagator:
         self.dim = hamiltonian.dim
         self._gauge = hamiltonian.gauge
         blocks = hamiltonian.blocks()
-        coupling = hamiltonian.coupling
-        if hamiltonian.band is None or (coupling != coupling[0]).any():
-            self._blocks = [
-                (rows, *(eigh(main) if off is None else eigh_tridiagonal(main, off)))
-                for rows, main, off in blocks
-            ]
-            return
         half = len(blocks) // 2
-        plus = [(rows, *eigh_tridiagonal(main, off)) for rows, main, off in blocks[:half]]
-        minus = [
-            (rows, evals - 2.0 * coupling[0], evecs * (-1.0) ** np.arange(evals.size)[:, None])
-            for (rows, _, _), (_, evals, evecs) in zip(blocks[half:], plus)
-        ]
-        self._blocks = plus + minus
+        coupling = hamiltonian.coupling
+        mirror = hamiltonian.band is not None and not (coupling != coupling[0]).any()
+        self._blocks = []
+        for k, (rows, main, off) in enumerate(blocks):
+            if off is not None and not off.any():
+                evals, evecs = main, None
+            elif mirror and k >= half:
+                _, evals, evecs = self._blocks[k - half]
+                evals, evecs = evals - 2.0 * coupling[0], evecs * (-1.0) ** np.arange(evals.size)[:, None]
+            else:
+                evals, evecs = eigh(main) if off is None else eigh_tridiagonal(main, off)
+            self._blocks.append((rows, evals, evecs))
 
-    def __call__(self, state, t) -> JointState | list[JointState]:
+    def __call__(self, state, t):
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"times must be a number or a 1-D array, got shape {times.shape}")
         bad = times[~np.isfinite(times)]
         if bad.size:
             raise ValueError(f"propagation time must be finite, got {float(bad[0])!r}")
-        single = not isinstance(state, (list, tuple))
-        states = [state] if single else list(state)
-        if not single and (times.ndim != 1 or len(states) != times.size):
+        bare = isinstance(state, np.ndarray)
+        if bare and state.ndim not in (1, 2):
+            raise ValueError(f"joint amplitudes must be 1-D or 2-D, got shape {state.shape}")
+        per_time = state.ndim == 2 if bare else isinstance(state, (list, tuple))
+        states = [state] if not (bare or per_time) else state
+        count = state.shape[-1] if bare else len(states)  # the states, when per_time
+        if per_time and (times.ndim != 1 or count != times.size):
             raise ValueError(
-                f"{len(states)} states need a 1-D array of as many times, got shape {times.shape}"
+                f"{count} states need a 1-D array of as many times, got shape {times.shape}"
             )
-        for s in states:
-            if self.dim != s.amplitudes.size:
-                raise DimensionError(
-                    f"dimension mismatch: H is {self.dim}, state is {s.amplitudes.size}"
-                )
+        for size in [state.shape[0]] if bare else [s.amplitudes.size for s in states]:
+            if self.dim != size:
+                raise DimensionError(f"dimension mismatch: H is {self.dim}, state is {size}")
         if times.size == 0:
-            return []
-        columns = np.stack([s.amplitudes for s in states], axis=1)
+            return np.empty((self.dim, 0), dtype=complex) if bare else []
+        columns = state.reshape(self.dim, -1) if bare else np.stack([s.amplitudes for s in states], axis=1)
         evolved = self._evolve(columns, times.ravel())
+        if bare:
+            return evolved[:, 0] if times.ndim == 0 else evolved
         out = [
-            JointState(column, leakage=(state if single else states[k]).leakage)
+            JointState(column, leakage=states[k if per_time else 0].leakage)
             for k, column in enumerate(evolved.T)
         ]
         return out[0] if times.ndim == 0 else out
@@ -465,8 +502,11 @@ class Propagator:
         v = v.reshape(self.dim, -1)  # + sector rows, then - sector rows
         out = np.empty((self.dim, times.size), dtype=complex)
         for rows, evals, evecs in self._blocks:
-            coeffs = _real_matmul(evecs.T, v[rows])
-            out[rows] = _real_matmul(evecs, np.exp(-1j * np.outer(evals, times)) * coeffs)
+            phases = np.exp(-1j * np.outer(evals, times))
+            if evecs is None:
+                out[rows] = phases * v[rows]
+            else:
+                out[rows] = _real_matmul(evecs, phases * _real_matmul(evecs.T, v[rows]))
         out = _SECTOR_BASIS @ (out.reshape(2, n, -1) * gauge).reshape(2, -1)
         return out.reshape(self.dim, -1)
 
@@ -631,18 +671,28 @@ def wigner(state: CavityState, points) -> np.ndarray:
     return (2.0 / math.pi) * acc.real * scale[radius]
 
 
-def top_level_weight(state: CavityState | JointState, levels: int = 4) -> float:
-    """Population in the top ``levels`` Fock levels (both qubit blocks for joint states).
+def top_level_weights(columns: np.ndarray, blocks: int = 1, levels: int = 4) -> np.ndarray:
+    """Population in the top ``levels`` Fock levels of every column, in one reduction.
 
-    A state with at most ``levels`` levels has all of them at the top.
+    Each column of ``columns`` is one state made of ``blocks`` qubit blocks
+    of N Fock levels (1 for cavity states, 2 for joint ones), and its weight
+    sums the top levels of every block.  A state with at most ``levels``
+    levels has all of them at the top.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels!r}")
-    n = state.fock_dim
-    probs = np.abs(state.amplitudes) ** 2
-    if isinstance(state, JointState):
-        probs = probs[:n] + probs[n:]
-    return float(probs[max(n - levels, 0):].sum())
+    n = columns.shape[0] // blocks
+    top = columns.reshape(blocks, n, -1)[:, max(n - levels, 0):]
+    return (np.abs(top) ** 2).sum(axis=(0, 1))
+
+
+def top_level_weight(state: CavityState | JointState, levels: int = 4) -> float:
+    """Population in the top ``levels`` Fock levels (both qubit blocks for joint states).
+
+    The one-state case of ``top_level_weights``.
+    """
+    blocks = 2 if isinstance(state, JointState) else 1
+    return float(top_level_weights(state.amplitudes[:, None], blocks, levels)[0])
 
 
 def quadrature_covariance(state: CavityState) -> np.ndarray:

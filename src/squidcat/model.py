@@ -180,6 +180,16 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
             raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
 
 
+def _flux_sin_cos(phi_c_ratio: float) -> tuple[float, float]:
+    """sin and cos of pi * phi_c_ratio, exactly 0 or +-1 where 2 * phi_c_ratio is an integer
+    (math.sin(math.pi) is 1.2e-16): the flux pulse then has no coupling band."""
+    if (2.0 * phi_c_ratio).is_integer():
+        quarter = int(2.0 * phi_c_ratio) % 4  # pi * phi_c_ratio = quarter * pi/2 (mod 2 pi)
+        return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[quarter]
+    angle = math.pi * phi_c_ratio
+    return math.sin(angle), math.cos(angle)
+
+
 def hamiltonian(
     params: DeviceParams, coupling: Coupling, order: str, dim: int
 ) -> SectorHamiltonian:
@@ -221,8 +231,9 @@ def hamiltonian(
         return SectorHamiltonian(cavity, coupling_block, phase)
     if order == "first":
         # B = -E_J cos(phi) + E_J sin(phi) |xi| (a + adag)
-        diagonal = np.full(dim, -ej * math.cos(flux_angle))
-        band = ej * math.sin(flux_angle) * xi_abs * np.sqrt(levels[1:])
+        sin_phi, cos_phi = _flux_sin_cos(params.phi_c_ratio)
+        diagonal = np.full(dim, -ej * cos_phi)
+        band = ej * sin_phi * xi_abs * np.sqrt(levels[1:])
         stride = 1
     else:
         # B = -E_J (|xi|^2 n + 1 + |xi|^2/2 + |xi|^2 (a^2 + adag^2)/2)

@@ -6,7 +6,7 @@ import pytest
 
 from squidcat.analytic import CoherentLabel, auto_fock_dim
 from squidcat.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
-from squidcat.hilbert import required_fock_dim
+from squidcat.hilbert import _log_factorials, required_fock_dim
 from squidcat.model import Coupling, DeviceParams
 
 
@@ -125,3 +125,50 @@ def start_over_every_centre(labels) -> int:
     """The start as the max over every label's own tail requirement."""
     centres = [label.alpha if isinstance(label, CoherentLabel) else label.gamma for label in labels]
     return max([64] + [required_fock_dim(c, 1e-12) for c in centres])
+
+
+def coherent_reference(alpha, dim):
+    """Coherent amplitudes on ``dim`` levels formed one state at a time, renormalized."""
+    if alpha == 0:
+        v = np.zeros(dim, dtype=complex)
+        v[0] = 1.0
+        return v
+    ns = np.arange(dim)
+    logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(dim)
+    v = np.exp(logmag + 1j * np.angle(alpha) * ns)
+    return v / np.linalg.norm(v)
+
+
+def yuen_reference(label, dim):
+    """Yuen's recurrence for one squeezed label, step by step in Python complex arithmetic.
+
+    Returns the renormalized amplitudes and the leakage |1 - norm^2| of the
+    unrenormalized ones; the amplitudes are carried in units of e^log_scale
+    and rescaled by 2^500 when one exceeds it.
+    """
+    gamma = complex(label.gamma)
+    r = abs(label.squeeze)
+    spin = cmath.exp(1j * cmath.phase(label.squeeze))
+    turn = cmath.exp(1j * label.rotation)
+    mu = math.cosh(r) * turn
+    nu = -math.sinh(r) * spin / turn
+    log_vacuum = (
+        -abs(gamma) ** 2 / 2.0
+        - spin.conjugate() * math.tanh(r) * gamma**2 / 2.0
+        - math.log(math.cosh(r)) / 2.0
+    )
+    rescale = 2.0**500
+    log_scale = log_vacuum.real
+    amps, prev = [cmath.exp(1j * log_vacuum.imag)], 0.0
+    roots = np.sqrt(np.arange(dim)).tolist()
+    for n in range(dim - 1):
+        amp = (gamma * amps[n] - nu * roots[n] * prev) / (mu * roots[n + 1])
+        prev = amps[n]
+        amps.append(amp)
+        if abs(amp) > rescale:
+            amps = [a / rescale for a in amps]
+            prev /= rescale
+            log_scale += math.log(rescale)
+    v = np.array(amps)
+    sum2 = float(np.vdot(v, v).real)
+    return v / math.sqrt(sum2), abs(1.0 - math.exp(2.0 * log_scale + math.log(sum2)))

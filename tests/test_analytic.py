@@ -26,6 +26,7 @@ from squidcat.analytic import (
     flux_pi_pulse,
     materialize,
     materialize_label,
+    materialize_labels,
     squeezed_evolution,
     superposition_norm2,
 )
@@ -42,6 +43,7 @@ from squidcat.hilbert import (
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
 from conftest import (
+    coherent_reference,
     injected_pair_overlap,
     ladder,
     make_physical_device,
@@ -49,6 +51,7 @@ from conftest import (
     policy_start,
     squeeze_degrees,
     start_over_every_centre,
+    yuen_reference,
 )
 
 
@@ -299,14 +302,15 @@ def test_cat_state_builds_each_label_once(monkeypatch):
     from squidcat import analytic
 
     calls = []
+    original = analytic.materialize_labels
 
-    def counting(alpha, dim):
-        calls.append(alpha)
-        return coherent_fock(alpha, dim)
+    def counting(labels, dim):
+        calls.extend(label.alpha for label in labels)
+        return original(labels, dim)
 
-    monkeypatch.setattr(analytic, "coherent_fock", counting)
+    monkeypatch.setattr(analytic, "materialize_labels", counting)
     state = cat_state(2.0, "even")
-    assert sorted(calls) == [-2.0, 2.0]
+    assert sorted(calls, key=lambda alpha: alpha.real) == [-2.0, 2.0]
     explicit = cat_state(2.0, "even", fock_dim=state.amplitudes.size)
     assert np.array_equal(state.amplitudes, explicit.amplitudes)
     assert state.leakage == explicit.leakage
@@ -474,6 +478,66 @@ def test_squeezed_label_too_small_for_its_displacement_raises():
         materialize_label(SqueezedLabel(gamma=4.0, squeeze=0.1, rotation=0.0), 8)
 
 
+def _sector_labels(omega_over_lam):
+    """Squeezed labels of both sectors at four times: omega = 2|lam| makes the
+    + sector critical, 1.5|lam| unstable and 50|lam| keeps both stable."""
+    c = Coupling.from_xi(0.1)
+    device = make_strong_device(phi_c_ratio=0.0)
+    lam = abs(c.xi) ** 2 * device.ej_rate
+    params = dataclasses.replace(device, omega=omega_over_lam * lam)
+    with np.errstate(all="ignore"), pytest.warns(UserWarning, match="expansion margin"):
+        decompositions = [
+            squeezed_evolution(params, c, 0.8 + 0.3j, t) for t in np.linspace(0.0, 1.0 / lam, 5)[1:]
+        ]
+    return [label for d in decompositions for label in d.labels()]
+
+
+def _check_rows(labels, dim):
+    rows, leakages = materialize_labels(labels, dim)
+    assert rows.shape == (len(labels), dim) and leakages.shape == (len(labels),)
+    for label, row, leakage in zip(labels, rows, leakages):
+        if isinstance(label, CoherentLabel):
+            # bit for bit the state built alone, so outputs built from it do not move
+            assert np.array_equal(row, coherent_reference(label.alpha, dim))
+            assert leakage == coherent_fock(label.alpha, dim).leakage
+        else:
+            reference, reference_leakage = yuen_reference(label, dim)
+            assert np.abs(row - reference).max() <= 1e-12
+            assert abs(leakage - reference_leakage) <= 1e-12
+
+
+def test_materialize_labels_matches_the_per_label_references():
+    # mixed kinds, alpha = 0, and the stable, critical and unstable sectors
+    labels = [CoherentLabel(0.0), CoherentLabel(1.5 - 0.5j), SqueezedLabel(0.0, 0.0, 0.0)]
+    for omega_over_lam in (50.0, 2.0, 1.5):
+        labels += _sector_labels(omega_over_lam)
+    labels += [CoherentLabel(3.0j), SqueezedLabel(-2.5, 0.0, 7.0)]
+    _check_rows(labels, 256)
+
+
+def test_materialize_labels_rescales_each_label_on_its_own():
+    # |gamma| = 19 at 512 levels: c_0 = e^-180 sits 2^260 below the peak, so that
+    # row is carried rescaled, beside rows that need no rescaling
+    far = SqueezedLabel(19.0 * cmath.exp(0.4j), 0.2 * cmath.exp(1.1j), 0.7)
+    labels = [SqueezedLabel(0.5, 0.3, 0.1), far, CoherentLabel(2.0), SqueezedLabel(1j, 0.05, -1.0)]
+    _check_rows(labels, 512)
+    assert np.array_equal(materialize_label(far, 512).amplitudes, materialize_labels([far], 512)[0][0])
+
+
+@pytest.mark.parametrize(
+    "far",
+    [SqueezedLabel(9.0, 0.2, 0.3), CoherentLabel(9.0j), SqueezedLabel(7.0, 0.1, 0.0), CoherentLabel(-7.0)],
+)
+def test_materialize_labels_raises_what_the_far_label_alone_raises(far):
+    # |centre|^2 = 81 reaches 64 levels; 49 leaves a tail of about 1e-2 past them
+    with pytest.raises(TruncationError) as alone:
+        materialize_label(far, 64)
+    with pytest.raises(TruncationError) as batch:
+        materialize_labels([CoherentLabel(1.0), SqueezedLabel(0.5, 0.1, 0.0), far, CoherentLabel(2.0)], 64)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.required_dim == alone.value.required_dim is not None
+
+
 @pytest.mark.filterwarnings("ignore:expansion margin")
 @pytest.mark.parametrize("omega_over_lam", [2.0, 1.5, 50.0])
 def test_squeezed_evolution_exact_in_critical_and_unstable_sectors(omega_over_lam):
@@ -538,7 +602,7 @@ def test_auto_fock_dim_start_past_the_cap_raises_before_any_state(monkeypatch, a
     def never(*args):
         raise AssertionError("a label state was built")
 
-    monkeypatch.setattr(analytic, "materialize_label", never)
+    monkeypatch.setattr(analytic, "materialize_labels", never)
     for label in (CoherentLabel(alpha), SqueezedLabel(alpha, 0.1, 0.0)):
         with pytest.raises(TruncationError, match="maximum truncation 512") as info:
             auto_fock_dim([CoherentLabel(1.0), label])

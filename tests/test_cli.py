@@ -198,14 +198,15 @@ def test_squeeze_run_picks_its_own_truncation(tmp_path, capsys):
 def test_squeeze_run_reuses_the_policy_label_states(tmp_path, monkeypatch):
     from squidcat import analytic
 
+    # the materializer's rows, one (label, truncation) pair each
     calls = []
-    original = analytic.materialize_label
+    original = analytic.materialize_labels
 
-    def counting(label, fock_dim):
-        calls.append((label, fock_dim))
-        return original(label, fock_dim)
+    def counting(labels, fock_dim):
+        calls.extend((label, fock_dim) for label in labels)
+        return original(labels, fock_dim)
 
-    monkeypatch.setattr(analytic, "materialize_label", counting)
+    monkeypatch.setattr(analytic, "materialize_labels", counting)
     config = example_config("squeeze")
     config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
     run(load_config(_write_config(tmp_path, config)))
@@ -427,7 +428,7 @@ def test_fields_past_the_maximum_truncation_exit_3(
     def never(*args):
         raise AssertionError("a label state was built")
 
-    monkeypatch.setattr(analytic, "materialize_label", never)
+    monkeypatch.setattr(analytic, "materialize_labels", never)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the expansion-margin warning of a strong field
         assert main(["--config", _scenario_config(tmp_path, scenario, **overrides)]) == 3

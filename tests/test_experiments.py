@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squidcat.cli import validate_config
-from squidcat.errors import TruncationError
+from squidcat.errors import NormalizationError, TruncationError
 from squidcat.experiments import (
     _analytic_map,
     SWEEP_CSV_HEADER,
@@ -223,14 +223,15 @@ def test_verify_squeeze_unstable_sector_raises():
 def test_verify_materializes_each_distinct_label_once(monkeypatch):
     from squidcat import analytic
 
+    # the materializer's rows, one (label, truncation) pair each
     calls = []
-    original = analytic.materialize_label
+    original = analytic.materialize_labels
 
-    def counting(label, fock_dim):
-        calls.append((label, fock_dim))
-        return original(label, fock_dim)
+    def counting(labels, fock_dim):
+        calls.extend((label, fock_dim) for label in labels)
+        return original(labels, fock_dim)
 
-    monkeypatch.setattr(analytic, "materialize_label", counting)
+    monkeypatch.setattr(analytic, "materialize_labels", counting)
     params = make_physical_device(phi_c_ratio=0.0)
     verify_analytic_numeric(params, "squeeze", _grid(params, points=6), gamma=1.0)
     assert len(calls) == len(set(calls)) == 11  # t = 0 gives one label, later times two
@@ -314,6 +315,26 @@ def test_verify_squeeze_complex_coupling_phase():
         params, "squeeze", _grid(params, points=6), coupling=coupling, gamma=0.8 + 0.3j
     )
     assert infidelity <= 1e-8
+
+
+def test_verify_rejects_inconsistent_branch_weights(monkeypatch, strong_device, strong_coupling):
+    # one label on both qubit states with unit weights: norm^2 = 2 at every time
+    from squidcat import analytic, experiments
+
+    def doubled(*args):
+        def at(tau):
+            label = evolve_vacuum(strong_device, strong_coupling, tau).branches[0].label
+            return analytic.BranchDecomposition(
+                (analytic.Branch("g", 1.0, label), analytic.Branch("e", 1.0, label))
+            )
+
+        return at
+
+    monkeypatch.setattr(experiments, "_analytic_map", doubled)
+    with pytest.raises(NormalizationError, match="norm\\^2 = 2.0"):
+        verify_analytic_numeric(
+            strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling
+        )
 
 
 def test_verify_rejects_unknown_scenario(strong_device):

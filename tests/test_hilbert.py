@@ -21,7 +21,8 @@ from squidcat.hilbert import (
     JointState,
     Propagator,
     SectorHamiltonian,
-    _poisson_tail,
+    _poisson_terms,
+    _tail_width,
     coherent_fock,
     fidelity,
     joint_state,
@@ -187,16 +188,21 @@ def _decimal_poisson_tails(mu, count):
 
 @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 2.5, 7.3, 16.0, 40.5, 99.0, 180.0, 310.7, 460.0])
 def test_poisson_tail_against_exact_decimal_sum(mu):
-    # every dim below and above mu whose tail is at least 1e-20
+    # every dim above mu whose tail is at least 1e-20, summed as coherent_tails
+    # sums it: beside a larger mean, whose width covers both
     reference = _decimal_poisson_tails(mu, math.ceil(mu + 12.0 * math.sqrt(mu) + 60.0))
     checked = 0
     for dim, exact in enumerate(reference):
+        if dim <= mu:
+            continue
         if exact < decimal.Decimal("1e-20"):
             break
-        error = abs(decimal.Decimal(_poisson_tail(mu, dim)) - exact) / exact
+        mus = np.array([mu, (mu + dim) / 2.0])
+        tail = _poisson_terms(mus, dim, _tail_width(mus[1])).sum(axis=1)[0]
+        error = abs(decimal.Decimal(tail) - exact) / exact
         assert error <= 2e-13, (mu, dim, float(error))
         checked += 1
-    assert checked > mu
+    assert checked >= 5
 
 
 def _gammainc_search(alpha, tail_tol):
@@ -299,7 +305,7 @@ def _sector_case(scenario, dim):
         psi0 = joint_state("g", coherent_fock(1.0 - 0.5j, dim))
         return hamiltonian(device(phi_c_ratio=0.0), coupling, "second", dim), psi0
     if scenario == "pulse":
-        # at phi_c = 1 the linear coupling carries sin(pi) != 0: still a tridiagonal block
+        # at phi_c = 1 sin(pi) is taken as exactly 0: each chain is diagonal, and gets phases alone
         psi0 = materialize(evolve_vacuum(device(), coupling, 1e-10), dim)
         return hamiltonian(device(phi_c_ratio=1.0), coupling, "first", dim), psi0
     start = 0.0 if scenario == "vacuum" else 1.0 + 0.5j
@@ -351,6 +357,29 @@ def test_grid_call_matches_scalar_calls(scenario):
     assert evolve(psi0, np.zeros(0)) == []
 
 
+@pytest.mark.parametrize("scenario", ["vacuum", "pulse", "squeeze", "cosine"])
+def test_bare_amplitudes_match_the_state_calls(scenario):
+    h, psi0 = _sector_case(scenario, 40)
+    evolve = Propagator(h)
+    period = 2.0 * math.pi / make_strong_device().omega_cavity
+    times = np.linspace(0.0, 2.0 * period, 7)
+    grid = evolve(psi0.amplitudes, times)
+    assert isinstance(grid, np.ndarray) and grid.shape == (80, times.size)
+    for state, column in zip(evolve(psi0, times), grid.T):
+        assert np.array_equal(state.amplitudes, column)
+    # one column per time, and one state to one time
+    later = evolve(grid, times[::-1])
+    for state, column in zip(evolve(evolve(psi0, times), times[::-1]), later.T):
+        assert np.array_equal(state.amplitudes, column)
+    single = evolve(psi0.amplitudes, float(times[3]))
+    assert single.shape == (80,) and np.abs(single - grid[:, 3]).max() <= 1e-13
+    assert evolve(psi0.amplitudes, np.zeros(0)).shape == (80, 0)
+    with pytest.raises(ValueError, match="7 states need"):
+        evolve(grid, times[:3])
+    with pytest.raises(DimensionError):
+        evolve(grid[:40], times)
+
+
 def _chain_reference(h, psi, t):
     """exp(-i H t) psi with every chain of both sectors diagonalized on its own."""
     n = h.cavity.size
@@ -384,10 +413,11 @@ def test_mirrored_sector_matches_its_own_eigensolve(stride):
 
 @pytest.mark.parametrize(
     "scenario,expected",
-    [("vacuum", (1, 0)), ("pulse", (1, 0)), ("squeeze", (4, 0)), ("cosine", (0, 2))],
+    [("vacuum", (1, 0)), ("pulse", (0, 0)), ("squeeze", (4, 0)), ("cosine", (0, 2))],
 )
 def test_eigensolves_per_propagator(monkeypatch, scenario, expected):
-    # first order: one eigh_tridiagonal per mirrored chain pair; otherwise one per block
+    # first order: one eigh_tridiagonal per mirrored chain pair, and none for the
+    # pulse's diagonal chains; otherwise one per block
     h, _ = _sector_case(scenario, 24)
     calls = {"eigh_tridiagonal": 0, "eigh": 0}
 

@@ -147,6 +147,18 @@ def test_first_order_coupling_weight_at_half_flux():
     assert np.allclose(_coupling_block(h, dim), expected, atol=1e-16 * params.ej_rate)
 
 
+@pytest.mark.parametrize(
+    "phi_c_ratio,diagonal,band", [(0.0, -1.0, 0.0), (0.5, 0.0, 1.0), (1.0, 1.0, 0.0), (1.5, 0.0, -1.0)]
+)
+def test_first_order_flux_factors_are_exact_at_half_integers(phi_c_ratio, diagonal, band):
+    # cos and sin of pi phi_c are exactly 0 or +-1 there, not 6e-17 or 1.2e-16
+    params = make_strong_device(phi_c_ratio=phi_c_ratio)
+    c = Coupling.from_xi(0.01)
+    h = hamiltonian(params, c, "first", 8)
+    assert np.array_equal(h.coupling, np.full(8, diagonal * params.ej_rate))
+    assert np.array_equal(h.band, band * params.ej_rate * 0.01 * np.sqrt(np.arange(1.0, 8.0)))
+
+
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
