@@ -20,6 +20,7 @@ from .analytic import (
     evolve_vacuum,
     flux_pi_pulse,
     materialize,
+    materialize_columns,
     materialize_label,
     materialize_labels,
     squeezed_evolution,
@@ -92,6 +93,7 @@ __all__ = [
     "hamiltonian",
     "joint_state",
     "materialize",
+    "materialize_columns",
     "materialize_label",
     "materialize_labels",
     "measure_qubit",

@@ -13,9 +13,10 @@ labels into an (L x N) array of Fock amplitudes, checking every label's
 Poisson tail in one pass, building coherent rows in one broadcast exp and
 running Yuen's three-term Fock recurrence once for all squeezed labels.
 ``materialize_label`` is its one-row case, ``auto_fock_dim`` (the
-truncation policy) calls it once per truncation tried, and ``materialize``
-turns one decomposition into a Fock-space state for comparison against
-brute-force propagation.
+truncation policy) calls it once per truncation tried.
+``materialize_columns`` turns K decompositions into the columns of one
+joint Fock-space array, with one norm check per column, for comparison
+against brute-force propagation; ``materialize`` is its one-column case.
 
 Neglected global phase factors are carried as metadata, never silently
 dropped; all state comparisons are phase-insensitive.
@@ -60,6 +61,7 @@ __all__ = [
     "squeezed_evolution",
     "materialize_labels",
     "materialize_label",
+    "materialize_columns",
     "materialize",
     "auto_fock_dim",
     "branch_decomposition_to_dict",
@@ -69,6 +71,8 @@ __all__ = [
 _SERIES_SWITCH = 0.25
 _SERIES_TERMS = 16
 _AMPLITUDE_BITS = 480  # log2 bound on a carried Yuen amplitude: a sum of squares stays finite
+_QUBIT_ROWS = {name: k for k, name in enumerate(QUBIT_AMPLITUDES)}  # rows of _QUBIT_TABLE
+_QUBIT_TABLE = np.array(list(QUBIT_AMPLITUDES.values()))
 
 
 @dataclass(frozen=True)
@@ -562,38 +566,72 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
         dim = min(2 * dim, MAX_FOCK_DIM)
 
 
+def materialize_columns(
+    decompositions, fock_dim: int, label_states: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand K branch decompositions into the columns of one (2*fock_dim x K) array.
+
+    ``label_states``, if given, holds the (rows, leakages) of the distinct
+    labels of all the decompositions at ``fock_dim``, in first-seen order,
+    as ``auto_fock_dim`` returns them; otherwise they are materialized here.
+    Every branch adds its coefficient times its qubit amplitude times its
+    label's row to the qubit blocks it populates, all branches in one
+    products array summed in branch order, so a column is bit for bit the
+    sum a branch-by-branch loop forms.  Each column must come out normalized
+    to BRANCH_NORM_TOL plus four times its truncation tail (its labels'
+    leakages weighted by |weight|^2); otherwise, a NaN column included,
+    NormalizationError is raised.  Returns the columns as built, their
+    norm^2, and each column's leakage: its tail plus |1 - norm^2|.
+    """
+    index = {}  # each distinct label's row, in first-seen order
+    branches = [
+        (k, index.setdefault(branch.label, len(index)), branch)
+        for k, d in enumerate(decompositions)
+        for branch in d.branches
+    ]
+    column, row = (np.array([entry[i] for entry in branches], dtype=int) for i in range(2))
+    rows, leakages = label_states or materialize_labels(list(index), fock_dim)
+    if rows.shape != (len(index), fock_dim):
+        raise ValueError(
+            f"label states of shape {rows.shape} do not fit {len(index)} labels on {fock_dim} levels"
+        )
+    qubits = _QUBIT_TABLE[[_QUBIT_ROWS[branch.qubit] for *_, branch in branches]]
+    coefficients = np.array([branch.coefficient for *_, branch in branches], dtype=complex)
+    # one term per branch and qubit block it populates, in branch order; each
+    # (column, block) slot sums its terms in that order, as one unbuffered add
+    term, block = np.nonzero(qubits)
+    products = (coefficients[term] * qubits[term, block])[:, None] * rows[row[term]]
+    slots = (2 * column[term] + block)[:, None] * fock_dim + np.arange(fock_dim)
+    states = np.zeros(len(decompositions) * 2 * fock_dim, dtype=complex)
+    np.add.at(states, slots.ravel(), products.ravel())
+    tails = np.zeros(len(decompositions))
+    weights = np.array([abs(branch.weight) ** 2 for *_, branch in branches], dtype=float)
+    np.add.at(tails, column, weights * leakages[row])
+    states = states.reshape(len(decompositions), -1)
+    norm2 = np.array([np.vdot(state, state).real for state in states])
+    bad = ~(np.abs(norm2 - 1.0) <= BRANCH_NORM_TOL + 4.0 * tails)
+    if bad.any():
+        raise NormalizationError(
+            f"branch decomposition materializes to norm^2 = {float(norm2[np.argmax(bad)])!r}; "
+            "weights are inconsistent"
+        )
+    return states.T, norm2, tails + np.abs(1.0 - norm2)
+
+
 def materialize(
     state: BranchDecomposition, fock_dim: int | None = None, label_states: tuple | None = None
 ) -> JointState:
-    """Expand a branch decomposition into a joint Fock-space state.
+    """Expand a branch decomposition into a joint Fock-space state, normalized.
 
-    Without ``fock_dim`` the truncation and the label states come from
-    ``auto_fock_dim``; with it, ``label_states`` may hold the
-    (rows, leakages) of ``state.labels()`` already materialized there, such
-    as those the policy returned.  The vector must come out normalized to
-    BRANCH_NORM_TOL plus its truncation leakage, which is recorded;
-    otherwise NormalizationError is raised.
+    The one-column case of ``materialize_columns``.  Without ``fock_dim``
+    the truncation and the label states come from ``auto_fock_dim``; with
+    it, ``label_states`` may hold the (rows, leakages) of ``state.labels()``
+    already materialized there, such as those the policy returned.
     """
-    labels = state.labels()
     if fock_dim is None:
-        fock_dim, label_states = auto_fock_dim(labels)
-    rows, leakages = label_states or materialize_labels(labels, fock_dim)
-    index = {label: k for k, label in enumerate(labels)}
-    blocks = np.zeros((2, fock_dim), dtype=complex)
-    tail = 0.0
-    for branch in state.branches:
-        k = index[branch.label]
-        tail += abs(branch.weight) ** 2 * float(leakages[k])
-        for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
-            if amplitude:
-                block += (branch.coefficient * amplitude) * rows[k]
-    vec = blocks.ravel()
-    norm2 = float(np.real(np.vdot(vec, vec)))
-    if abs(norm2 - 1.0) > BRANCH_NORM_TOL + 4.0 * tail:
-        raise NormalizationError(
-            f"branch decomposition materializes to norm^2 = {norm2!r}; weights are inconsistent"
-        )
-    return JointState(vec / math.sqrt(norm2), leakage=tail + abs(1.0 - norm2))
+        fock_dim, label_states = auto_fock_dim(state.labels())
+    columns, norm2, leakage = materialize_columns([state], fock_dim, label_states)
+    return JointState(columns[:, 0] / math.sqrt(norm2[0]), leakage=float(leakage[0]))
 
 
 def _label_to_dict(label: CoherentLabel | SqueezedLabel) -> dict:

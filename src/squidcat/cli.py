@@ -312,7 +312,7 @@ def _validate_wigner_grid(grid) -> None:
 
 
 def _measure_both(
-    decomposition: BranchDecomposition, fitted: tuple[int, dict] | None = None
+    decomposition: BranchDecomposition, fitted: tuple[int, tuple] | None = None
 ) -> list[MeasurementRecord | None]:
     """Records of the outcomes g and e, None for an outcome that cannot occur.
 

@@ -20,11 +20,11 @@ from .analytic import (
     evolve_coherent,
     evolve_vacuum,
     flux_pi_pulse,
+    materialize_columns,
     squeezed_evolution,
 )
-from .constants import BRANCH_NORM_TOL, HBAR, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
-from .errors import NormalizationError
-from .hilbert import QUBIT_AMPLITUDES, Propagator, coherent_fock, joint_state
+from .constants import HBAR, NORM_TOL, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
+from .hilbert import Propagator, coherent_fock, joint_state
 from .model import Coupling, DeviceParams, coupling_xi, hamiltonian
 
 __all__ = [
@@ -234,20 +234,18 @@ def verify_analytic_numeric(
     """Max infidelity between closed-form branches and brute-force propagation.
 
     Runs both paths at every grid time and returns max(1 - fidelity), with
-    one array per grid on each side.  The branch coefficients of the K
-    closed-form decompositions are gathered into one (2 x L x K) tensor over
-    the L distinct branch labels.  The truncation comes from
+    one array per grid on each side.  The truncation comes from
     ``auto_fock_dim``, starting at ``fock_dim`` if given, else at the tail
     requirement of the farthest label: at each truncation tried it
     materializes the distinct labels as one (L x N) array and propagates the
     initial state over the whole grid with one ``Propagator`` call per
     Hamiltonian, and it doubles (up to 512) until neither the closed-form
     rows nor the propagated columns populate the top Fock levels.  There,
-    the closed-form joint states are the columns of one (2N x K) matrix,
-    two (N x L) @ (L x K) products; each column's norm must hold to
-    BRANCH_NORM_TOL plus four times its truncation leakage (else
-    NormalizationError), and every fidelity is one column-wise overlap
-    with the propagated columns.
+    ``materialize_columns`` forms the K closed-form joint states as the
+    columns of one (2N x K) matrix and checks each column's norm (else
+    NormalizationError); each propagated column must hold its norm to
+    NORM_TOL (else ValueError), and every fidelity is one column-wise
+    overlap between the two.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
@@ -255,31 +253,21 @@ def verify_analytic_numeric(
     c = coupling_xi(params) if coupling is None else coupling
     analytic_at = _analytic_map(params, c, scenario, alpha_prime, gamma)
     decompositions = [analytic_at(tau) for tau in tau_grid]
-    branches = [(k, b) for k, d in enumerate(decompositions) for b in d.branches]
-    row = {}  # each distinct label's row, in first-seen order
-    index = ([row.setdefault(b.label, len(row)) for _, b in branches], [k for k, _ in branches])
-    labels = list(row)
-    # (label, time, qubit) coefficients, and each branch's |weight|^2 for its label's leakage
-    qubits = np.array([QUBIT_AMPLITUDES[b.qubit] for _, b in branches])
-    coefficients = np.zeros((len(labels), len(tau_grid), 2), dtype=complex)
-    np.add.at(coefficients, index, np.array([b.coefficient for _, b in branches])[:, None] * qubits)
-    weights = np.zeros((len(labels), len(tau_grid)))
-    np.add.at(weights, index, [abs(b.weight) ** 2 for _, b in branches])
     numeric = {}
 
     def propagated(dim):
         numeric[dim] = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)(np.array(tau_grid))
         return numeric[dim]
 
-    dim, (rows, leakages) = auto_fock_dim(labels, fock_dim, propagated=propagated)
-    closed = (rows.T @ coefficients.transpose(2, 0, 1)).reshape(2 * dim, -1)
-    norm2 = (closed.real**2 + closed.imag**2).sum(axis=0)
-    tail = leakages @ weights
-    bad = np.abs(norm2 - 1.0) > BRANCH_NORM_TOL + 4.0 * tail
+    labels = [label for d in decompositions for label in d.labels()]
+    dim, label_states = auto_fock_dim(labels, fock_dim, propagated=propagated)
+    closed, norm2, _ = materialize_columns(decompositions, dim, label_states)
+    evolved = numeric[dim]
+    evolved_norm2 = (evolved.real**2 + evolved.imag**2).sum(axis=0)
+    bad = ~(np.abs(evolved_norm2 - 1.0) <= NORM_TOL)
     if bad.any():
-        raise NormalizationError(
-            f"branch decomposition materializes to norm^2 = {float(norm2[np.argmax(bad)])!r}; "
-            "weights are inconsistent"
+        raise ValueError(
+            f"propagated state not normalized: |amplitudes|^2 = {float(evolved_norm2[np.argmax(bad)])!r}"
         )
-    overlaps = np.einsum("ik,ik->k", closed.conj(), numeric[dim])
+    overlaps = np.einsum("ik,ik->k", closed.conj(), evolved)
     return float((1.0 - (overlaps.real**2 + overlaps.imag**2) / norm2).max())

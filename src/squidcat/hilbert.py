@@ -27,10 +27,10 @@ exact Poisson upper tails, checked for all of them in one pass and summed
 over positive terms from Loader's saddle-point form of the Poisson
 probability (``coherent_tails``); ``coherent_fock`` is the one-state case.
 ``top_level_weights`` takes the truncation check of many states in one
-reduction, and a ``Propagator`` call evolves bare joint amplitudes, one
-column per grid time, as well as states.  This module needs only numpy
-unless a ``Propagator`` diagonalizes a Hamiltonian, which imports
-``scipy.linalg``.
+reduction, and a ``Propagator`` call evolves one state to one time or bare
+joint amplitudes over a time grid, one column per grid time.  This module
+needs only numpy unless a ``Propagator`` diagonalizes a Hamiltonian, which
+imports ``scipy.linalg``.
 
 Everything here is a pure function of its inputs; the state and Hamiltonian
 types freeze their arrays after construction and are safe to share across
@@ -425,20 +425,19 @@ class Propagator:
     rows negated.  Any other coupling (second order, cosine) has both
     sectors diagonalized.
 
-    ``propagator(state, t)`` evolves one ``JointState`` to one time.  Given
-    a 1-D array of K times it returns a list of K states: ``state`` evolved
-    to every time or, if ``state`` is a list (or tuple) of K states, the
-    k-th evolved to the k-th time.  The same calls take bare joint
-    amplitudes and return them, with no state built: a 1-D array is one
-    state (evolved to one time, a 1-D result, or to K times, a 2N x K
-    result) and a 2N x K array holds one state per time as its columns.
-    Either way the states are projected onto each eigenbasis once, as the
+    ``propagator(state, t)`` evolves one ``JointState`` to one time.  For
+    a time grid it takes bare joint amplitudes and returns them, with no
+    state built: given a 1-D array of K times, a 1-D array is one state
+    evolved to every time and a 2N x K array holds one state per time as
+    its columns, the k-th evolved to the k-th time; either way the result
+    is 2N x K.  The states are projected onto each eigenbasis once, as the
     columns of one matrix, and the phases exp(-i lambda t_k) of every time
     are applied together.  Each block's exp(-i H_block t) is applied in its
     eigenbasis, which preserves the norm to well below the 1e-10 unitarity
-    contract and composes exactly over time.  A non-finite time, or states
-    whose number is not the number of times, raises ValueError; a state of
-    the wrong size raises DimensionError.
+    contract and composes exactly over time.  A non-finite time, a time
+    grid given with a ``JointState`` or a scalar time with bare amplitudes,
+    or columns whose number is not the number of times, raises ValueError;
+    a state of the wrong size raises DimensionError.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -464,35 +463,29 @@ class Propagator:
 
     def __call__(self, state, t):
         times = np.asarray(t, dtype=float)
-        if times.ndim > 1:
-            raise ValueError(f"times must be a number or a 1-D array, got shape {times.shape}")
         bad = times[~np.isfinite(times)]
         if bad.size:
             raise ValueError(f"propagation time must be finite, got {float(bad[0])!r}")
-        bare = isinstance(state, np.ndarray)
-        if bare and state.ndim not in (1, 2):
+        if isinstance(state, JointState):
+            if times.ndim:
+                raise ValueError(f"a JointState is evolved to one time, got shape {times.shape}")
+            if self.dim != state.amplitudes.size:
+                raise DimensionError(
+                    f"dimension mismatch: H is {self.dim}, state is {state.amplitudes.size}"
+                )
+            evolved = self._evolve(state.amplitudes[:, None], times.reshape(1))
+            return JointState(evolved[:, 0], leakage=state.leakage)
+        if times.ndim != 1:
+            raise ValueError(f"joint amplitudes need a 1-D array of times, got shape {times.shape}")
+        if state.ndim not in (1, 2):
             raise ValueError(f"joint amplitudes must be 1-D or 2-D, got shape {state.shape}")
-        per_time = state.ndim == 2 if bare else isinstance(state, (list, tuple))
-        states = [state] if not (bare or per_time) else state
-        count = state.shape[-1] if bare else len(states)  # the states, when per_time
-        if per_time and (times.ndim != 1 or count != times.size):
-            raise ValueError(
-                f"{count} states need a 1-D array of as many times, got shape {times.shape}"
-            )
-        for size in [state.shape[0]] if bare else [s.amplitudes.size for s in states]:
-            if self.dim != size:
-                raise DimensionError(f"dimension mismatch: H is {self.dim}, state is {size}")
+        if state.ndim == 2 and state.shape[1] != times.size:
+            raise ValueError(f"{state.shape[1]} states need as many times, got {times.size}")
+        if self.dim != state.shape[0]:
+            raise DimensionError(f"dimension mismatch: H is {self.dim}, state is {state.shape[0]}")
         if times.size == 0:
-            return np.empty((self.dim, 0), dtype=complex) if bare else []
-        columns = state.reshape(self.dim, -1) if bare else np.stack([s.amplitudes for s in states], axis=1)
-        evolved = self._evolve(columns, times.ravel())
-        if bare:
-            return evolved[:, 0] if times.ndim == 0 else evolved
-        out = [
-            JointState(column, leakage=states[k if per_time else 0].leakage)
-            for k, column in enumerate(evolved.T)
-        ]
-        return out[0] if times.ndim == 0 else out
+            return np.empty((self.dim, 0), dtype=complex)
+        return self._evolve(state.reshape(self.dim, -1), times)
 
     def _evolve(self, columns: np.ndarray, times: np.ndarray) -> np.ndarray:
         """exp(-i H t_k) on the joint columns (2N x 1 or 2N x K) for K times."""

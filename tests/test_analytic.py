@@ -25,6 +25,7 @@ from squidcat.analytic import (
     evolve_vacuum,
     flux_pi_pulse,
     materialize,
+    materialize_columns,
     materialize_label,
     materialize_labels,
     squeezed_evolution,
@@ -32,6 +33,7 @@ from squidcat.analytic import (
 )
 from squidcat.errors import NormalizationError, TruncationError
 from squidcat.hilbert import (
+    QUBIT_AMPLITUDES,
     Propagator,
     coherent_fock,
     fidelity,
@@ -642,6 +644,64 @@ def test_materialize_rejects_inconsistent_weights():
     label = CoherentLabel(0.3)
     bad = BranchDecomposition((Branch("g", 1.0, label), Branch("e", 1.0, label)))
     with pytest.raises(NormalizationError):
+        materialize(bad, 16)
+
+
+def test_materialize_rejects_label_states_of_other_labels():
+    plus, minus = CoherentLabel(0.4), CoherentLabel(-0.4)
+    half = 1.0 / math.sqrt(2.0)
+    state = BranchDecomposition((Branch("+", half, plus), Branch("-", half, minus)))
+    rows, leakages = materialize_labels(state.labels() + [CoherentLabel(0.1)], 16)
+    with pytest.raises(ValueError, match="do not fit 2 labels on 16 levels"):
+        materialize(state, 16, (rows, leakages))
+    with pytest.raises(ValueError, match="do not fit 2 labels on 16 levels"):
+        materialize(state, 16, materialize_labels(state.labels(), 17))
+
+
+def _branch_loop(state, rows, leakages):
+    """A decomposition's joint vector and tail, one branch at a time, as a reference."""
+    index = {label: k for k, label in enumerate(state.labels())}
+    blocks = np.zeros((2, rows.shape[1]), dtype=complex)
+    tail = 0.0
+    for branch in state.branches:
+        k = index[branch.label]
+        tail += abs(branch.weight) ** 2 * float(leakages[k])
+        for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
+            if amplitude:
+                block += (branch.coefficient * amplitude) * rows[k]
+    return blocks.ravel(), tail
+
+
+def test_materialize_columns_are_the_branch_by_branch_states(strong_device, strong_coupling):
+    # complex coefficients on g/e (the pulse) and on +/- (by hand), over shared labels:
+    # each column is bit for bit the branch-by-branch sum, and materialize its one-column case
+    taus = np.linspace(0.0, 2.0, 5) / strong_device.omega_cavity
+    states = [
+        flux_pi_pulse(evolve_coherent(strong_device, strong_coupling, 1.0 + 0.5j, t), strong_device)
+        for t in taus
+    ]
+    plus, minus = CoherentLabel(0.4 + 0.1j, 0.3), CoherentLabel(-0.4 - 0.1j, -0.3)
+    terms = [("+", 0.6 + 0.2j, plus), ("-", 0.6 - 0.5j, minus), ("+", -0.1, minus)]
+    rows, label_leakages = materialize_labels([plus, minus], 48)
+    vec, _ = _branch_loop(BranchDecomposition([Branch(*term) for term in terms]), rows, label_leakages)
+    scale = 1.0 / np.linalg.norm(vec)
+    states.append(BranchDecomposition([Branch(qubit, w * scale, label) for qubit, w, label in terms]))
+    columns, norm2, leakages = materialize_columns(states, 48)
+    assert columns.shape == (96, len(states))
+    for state, column, n2, leakage in zip(states, columns.T, norm2, leakages):
+        rows, label_leakages = materialize_labels(state.labels(), 48)
+        vec, tail = _branch_loop(state, rows, label_leakages)
+        assert np.array_equal(column, vec)
+        assert n2 == float(np.real(np.vdot(vec, vec)))
+        assert leakage == tail + abs(1.0 - n2)
+        psi = materialize(state, 48)
+        assert np.array_equal(psi.amplitudes, vec / math.sqrt(n2)) and psi.leakage == leakage
+
+
+def test_materialize_rejects_nan_weights():
+    label = CoherentLabel(0.3)
+    bad = BranchDecomposition((Branch("g", math.nan, label), Branch("e", 0.5, label)))
+    with pytest.raises(NormalizationError, match="norm\\^2 = nan"):
         materialize(bad, 16)
 
 

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,51 @@ def test_verify_rejects_inconsistent_branch_weights(monkeypatch, strong_device, 
 
     monkeypatch.setattr(experiments, "_analytic_map", doubled)
     with pytest.raises(NormalizationError, match="norm\\^2 = 2.0"):
+        verify_analytic_numeric(
+            strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling
+        )
+
+
+def test_verify_rejects_a_nan_closed_form_column(monkeypatch, strong_device, strong_coupling):
+    # a NaN weight at one time makes that column NaN: it must not read as a NaN infidelity
+    from squidcat import analytic, experiments
+
+    def poisoned(*args):
+        def at(tau):
+            state = evolve_vacuum(strong_device, strong_coupling, tau)
+            if tau > 0.0:
+                return state
+            branch = state.branches[0]
+            return analytic.BranchDecomposition((replace(branch, weight=math.nan),) + state.branches[1:])
+
+        return at
+
+    monkeypatch.setattr(experiments, "_analytic_map", poisoned)
+    with pytest.raises(NormalizationError, match="norm\\^2 = nan"):
+        verify_analytic_numeric(
+            strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling
+        )
+
+
+@pytest.mark.parametrize("scale", [1.001, math.nan])
+def test_verify_rejects_propagated_states_off_their_norm(monkeypatch, strong_device, strong_coupling, scale):
+    # a propagated column of norm^2 > 1 would read as a negative infidelity, a NaN one as NaN
+    from squidcat import experiments
+
+    original = experiments._numeric_map
+
+    def scaled(*args):
+        evolve = original(*args)
+
+        def at(taus):
+            columns = evolve(taus)
+            columns[:, -1] *= scale
+            return columns
+
+        return at
+
+    monkeypatch.setattr(experiments, "_numeric_map", scaled)
+    with pytest.raises(ValueError, match="propagated state not normalized"):
         verify_analytic_numeric(
             strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling
         )

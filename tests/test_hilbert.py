@@ -188,21 +188,27 @@ def _decimal_poisson_tails(mu, count):
 
 @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 2.5, 7.3, 16.0, 40.5, 99.0, 180.0, 310.7, 460.0])
 def test_poisson_tail_against_exact_decimal_sum(mu):
-    # every dim above mu whose tail is at least 1e-20, summed as coherent_tails
-    # sums it: beside a larger mean, whose width covers both
+    # every dim from mu up (as required_fock_dim starts at ceil(mu)) whose tail is
+    # at least 1e-20: alone at the width of its own mean, as required_fock_dim and
+    # coherent_fock sum it, and, above mu, beside a larger mean whose width covers
+    # both, as coherent_tails sums a batch
     reference = _decimal_poisson_tails(mu, math.ceil(mu + 12.0 * math.sqrt(mu) + 60.0))
+    smallest = [dim for dim, exact in enumerate(reference) if exact < decimal.Decimal("1e-20")]
+    assert smallest, "the reference stops before the tail falls below 1e-20"
     checked = 0
-    for dim, exact in enumerate(reference):
-        if dim <= mu:
+    for dim, exact in enumerate(reference[: smallest[0]]):
+        if dim < mu:
             continue
-        if exact < decimal.Decimal("1e-20"):
-            break
-        mus = np.array([mu, (mu + dim) / 2.0])
-        tail = _poisson_terms(mus, dim, _tail_width(mus[1])).sum(axis=1)[0]
-        error = abs(decimal.Decimal(tail) - exact) / exact
+        alone = _poisson_terms(np.array([mu]), dim, _tail_width(mu))[0].sum()
+        error = abs(decimal.Decimal(alone) - exact) / exact
         assert error <= 2e-13, (mu, dim, float(error))
+        if dim > mu:
+            mus = np.array([mu, (mu + dim) / 2.0])
+            mixed = _poisson_terms(mus, dim, _tail_width(mus[1])).sum(axis=1)[0]
+            error = abs(decimal.Decimal(mixed) - exact) / exact
+            assert error <= 2e-13, (mu, dim, float(error))
         checked += 1
-    assert checked >= 5
+    assert checked == smallest[0] - math.ceil(mu) >= 5
 
 
 def _gammainc_search(alpha, tail_tol):
@@ -344,40 +350,18 @@ def test_grid_call_matches_scalar_calls(scenario):
     evolve = Propagator(h)
     period = 2.0 * math.pi / make_strong_device().omega_cavity
     times = np.linspace(0.0, 2.0 * period, 7)
-    grid = evolve(psi0, times)
-    assert isinstance(grid, list) and len(grid) == times.size
-    for t, state in zip(times, grid):
-        scalar = evolve(psi0, float(t))
-        assert isinstance(scalar, JointState)
-        assert np.abs(state.amplitudes - scalar.amplitudes).max() <= 1e-13
-    # one state per time: the k-th state is evolved to the k-th time
-    later = evolve(grid, times[::-1])
-    for state, t, out in zip(grid, times[::-1], later):
-        assert np.abs(out.amplitudes - evolve(state, float(t)).amplitudes).max() <= 1e-13
-    assert evolve(psi0, np.zeros(0)) == []
-
-
-@pytest.mark.parametrize("scenario", ["vacuum", "pulse", "squeeze", "cosine"])
-def test_bare_amplitudes_match_the_state_calls(scenario):
-    h, psi0 = _sector_case(scenario, 40)
-    evolve = Propagator(h)
-    period = 2.0 * math.pi / make_strong_device().omega_cavity
-    times = np.linspace(0.0, 2.0 * period, 7)
     grid = evolve(psi0.amplitudes, times)
     assert isinstance(grid, np.ndarray) and grid.shape == (80, times.size)
-    for state, column in zip(evolve(psi0, times), grid.T):
-        assert np.array_equal(state.amplitudes, column)
-    # one column per time, and one state to one time
+    for t, column in zip(times, grid.T):
+        scalar = evolve(psi0, float(t))
+        assert isinstance(scalar, JointState) and scalar.leakage == psi0.leakage
+        assert np.abs(column - scalar.amplitudes).max() <= 1e-13
+    # one state per time: the k-th column is evolved to the k-th time
     later = evolve(grid, times[::-1])
-    for state, column in zip(evolve(evolve(psi0, times), times[::-1]), later.T):
-        assert np.array_equal(state.amplitudes, column)
-    single = evolve(psi0.amplitudes, float(times[3]))
-    assert single.shape == (80,) and np.abs(single - grid[:, 3]).max() <= 1e-13
+    assert later.shape == grid.shape
+    for column, t, out in zip(grid.T, times[::-1], later.T):
+        assert np.abs(out - evolve(JointState(column), float(t)).amplitudes).max() <= 1e-13
     assert evolve(psi0.amplitudes, np.zeros(0)).shape == (80, 0)
-    with pytest.raises(ValueError, match="7 states need"):
-        evolve(grid, times[:3])
-    with pytest.raises(DimensionError):
-        evolve(grid[:40], times)
 
 
 def _chain_reference(h, psi, t):
@@ -407,8 +391,8 @@ def test_mirrored_sector_matches_its_own_eigensolve(stride):
         amp = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
         psi = JointState(amp / np.linalg.norm(amp))
         times = rng.uniform(0.0, 3.0, size=4)
-        for t, state in zip(times, Propagator(h)(psi, times)):
-            assert np.abs(state.amplitudes - _chain_reference(h, psi, t)).max() <= 1e-12
+        for t, column in zip(times, Propagator(h)(psi.amplitudes, times).T):
+            assert np.abs(column - _chain_reference(h, psi, t)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -443,23 +427,28 @@ def test_propagator_rejects_non_finite_times(bad):
     with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
         evolve(psi0, bad)
     with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
-        evolve(psi0, np.array([0.0, 1e-12, bad]))
+        evolve(psi0.amplitudes, np.array([0.0, 1e-12, bad]))
 
 
 def test_propagator_rejects_mismatched_states_and_times():
     h, psi0 = _sector_case("vacuum", 8)
     evolve = Propagator(h)
+    columns = np.repeat(psi0.amplitudes[:, None], 3, axis=1)
     with pytest.raises(ValueError, match="3 states"):
-        evolve([psi0] * 3, np.zeros(2))
-    with pytest.raises(ValueError, match="2 states"):
-        evolve([psi0] * 2, 0.0)
-    with pytest.raises(ValueError, match="1-D"):
-        evolve(psi0, np.zeros((2, 2)))
+        evolve(columns, np.zeros(2))
+    with pytest.raises(ValueError, match="1-D array of times"):
+        evolve(columns, 0.0)
+    with pytest.raises(ValueError, match="1-D array of times"):
+        evolve(psi0.amplitudes, 0.0)
+    with pytest.raises(ValueError, match="one time"):
+        evolve(psi0, np.zeros(2))
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        evolve(columns[None], np.zeros(3))
     wrong = joint_state("g", coherent_fock(0.0, 9))
     with pytest.raises(DimensionError):
-        evolve([psi0, wrong], np.zeros(2))
+        evolve(columns[:-2], np.zeros(3))
     with pytest.raises(DimensionError):
-        evolve(wrong, np.zeros(3))
+        evolve(wrong, 0.0)
 
 
 def _random_sector_hamiltonian(rng, dim, form):
