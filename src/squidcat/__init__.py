@@ -10,7 +10,6 @@ from .analytic import (
     BranchDecomposition,
     CoherentLabel,
     DisentangledFactors,
-    SqueezedLabel,
     cat_normalization,
     cat_state,
     coherent_overlap,
@@ -74,7 +73,6 @@ __all__ = [
     "NonFiniteError",
     "NullOutcomeError",
     "Propagator",
-    "SqueezedLabel",
     "SweepRow",
     "TruncationError",
     "cat_normalization",

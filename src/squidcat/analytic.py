@@ -6,12 +6,16 @@ qubit-entangled coherent branches with displacements and phases given in
 closed form.  The quadratic Hamiltonian is a squeezing oscillator in each
 sector, so coherent input evolves exactly into squeezed coherent branches,
 solved from the Heisenberg equations of the mode.  A BranchDecomposition
-records those branches symbolically.
+records those branches symbolically, each with one label type,
+``CoherentLabel``: exp(-i rotation n) S(squeeze)|alpha>, the coherent state
+|alpha> when squeeze and rotation are zero and Yuen's two-photon coherent
+state otherwise.  Any two labels overlap in closed form, so every
+post-selected combination's norm is one Gram sum (``superposition_norm2``).
 
 ``materialize_labels`` is the one materialization path: it turns a list of
 labels into an (L x N) array of Fock amplitudes, checking every label's
-Poisson tail in one pass, building coherent rows in one broadcast exp and
-running Yuen's three-term Fock recurrence once for all squeezed labels.
+Poisson tail in one pass, building unsqueezed rows in one broadcast exp and
+running Yuen's three-term Fock recurrence once for all the others.
 ``materialize_label`` is its one-row case, ``auto_fock_dim`` (the
 truncation policy) calls it once per truncation tried.
 ``materialize_columns`` turns K decompositions into the columns of one
@@ -45,7 +49,6 @@ from .model import Coupling, DeviceParams, require_setting, validity_margin
 
 __all__ = [
     "CoherentLabel",
-    "SqueezedLabel",
     "Branch",
     "BranchDecomposition",
     "DisentangledFactors",
@@ -77,25 +80,23 @@ _QUBIT_TABLE = np.array(list(QUBIT_AMPLITUDES.values()))
 
 @dataclass(frozen=True)
 class CoherentLabel:
-    """Coherent cavity branch: displacement ``alpha`` and accumulated phase (rad)."""
+    """Cavity branch label: the state exp(-i rotation n) S(squeeze)|alpha>.
+
+    S(squeeze) = exp((squeeze adag^2 - squeeze^* a^2)/2) is the squeeze
+    exponential and |squeeze| the squeeze degree r; ``phase`` is the
+    accumulated branch phase in radians.  With squeeze and rotation both
+    zero the label is the coherent state |alpha>.
+    """
 
     alpha: complex
     phase: float = 0.0
+    squeeze: complex = 0j
+    rotation: float = 0.0
 
-
-@dataclass(frozen=True)
-class SqueezedLabel:
-    """Squeezed coherent branch.
-
-    Materializes as exp(-i*rotation*n) S |gamma> where S is the squeeze
-    exponential exp((squeeze*adag^2 - squeeze^* a^2)/2); |squeeze| is the
-    squeeze degree r.  ``phase`` is the accumulated branch phase in radians.
-    """
-
-    gamma: complex
-    squeeze: complex
-    rotation: float
-    phase: float = 0.0
+    @property
+    def squeezed(self) -> bool:
+        """Whether the label is squeezed or rotated, rather than the coherent state |alpha>."""
+        return self.squeeze != 0 or self.rotation != 0
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class Branch:
 
     qubit: str
     weight: complex
-    label: CoherentLabel | SqueezedLabel
+    label: CoherentLabel
 
     def __post_init__(self):
         if self.qubit not in QUBIT_AMPLITUDES:
@@ -130,7 +131,7 @@ class BranchDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
 
-    def labels(self) -> list[CoherentLabel | SqueezedLabel]:
+    def labels(self) -> list[CoherentLabel]:
         seen = []
         for branch in self.branches:
             if branch.label not in seen:
@@ -243,34 +244,61 @@ def evolve_vacuum(params: DeviceParams, coupling: Coupling, tau: float) -> Branc
     return evolve_coherent(params, coupling, 0.0, tau)
 
 
-def _overlap_exponent(x: complex, y: complex) -> complex:
-    """log <x|y> = -|x - y|^2/2 + i Im(conj(x) y) of the coherent states |x> and |y>."""
-    distance = abs(x - y)
-    return complex(-distance * distance / 2.0, (x.conjugate() * y).imag)
+def _gaussian_form(x: CoherentLabel | complex) -> tuple[complex, complex, float]:
+    """Mean amplitude a, t and cosh r of a label x written as c exp(t adag^2/2 + B adag)|0>.
+
+    With squeeze = r e^(i phi) and theta = rotation, a = e^(-i theta)(alpha cosh r
+    + conj(alpha) e^(i phi) sinh r), t = e^(i(phi - 2 theta)) tanh r, B = a - t conj(a)
+    and log c = -|a|^2/2 + t conj(a)^2/2 - log(cosh r)/2.  A number x stands for |x>.
+    """
+    label = x if isinstance(x, CoherentLabel) else CoherentLabel(x)
+    r = abs(label.squeeze)
+    turn = cmath.exp(-1j * label.rotation)
+    spin = cmath.exp(1j * cmath.phase(label.squeeze))
+    alpha = complex(label.alpha)
+    a = turn * (alpha * math.cosh(r) + alpha.conjugate() * spin * math.sinh(r))
+    return a, spin * turn * turn * math.tanh(r), math.cosh(r)
 
 
-def coherent_overlap(
-    x: CoherentLabel | complex, y: CoherentLabel | complex
-) -> complex:
-    """Overlap <x|y> = exp(-|x - y|^2/2 + i Im(conj(x) y)) of two coherent states."""
-    ax = complex(x.alpha if isinstance(x, CoherentLabel) else x)
-    ay = complex(y.alpha if isinstance(y, CoherentLabel) else y)
-    return cmath.exp(_overlap_exponent(ax, ay))
+def _log_overlap(x: tuple, y: tuple) -> complex:
+    """log <x|y> of two labels given by their ``_gaussian_form``, phases not included.
+
+    The overlap is a Gaussian vacuum amplitude (Truax, Phys. Rev. D 31, 1988
+    (1985)): conj(log c_x) + log c_y - log(d)/2 + (conj(B_x)^2 t_y
+    + B_y^2 conj(t_x) + 2 conj(B_x) B_y)/(2d) with d = 1 - conj(t_x) t_y.
+    It is formed as the coherent exponent -|D|^2/2 + i Im(conj(a_x) a_y),
+    D = a_y - a_x, plus (u D^2 + v conj(D)^2 - 2 u v |D|^2)/(2d)
+    - log(d cosh r_x cosh r_y)/2 with u = conj(t_x) and v = t_y, which is
+    exactly 0 for two unsqueezed labels.
+    """
+    (ax, tx, cosh_x), (ay, ty, cosh_y) = x, y
+    u, v = tx.conjugate(), ty
+    d = 1.0 - u * v
+    gap = ay - ax
+    distance = abs(gap)
+    spread = u * gap * gap + v * (gap * gap).conjugate() - 2.0 * u * v * distance * distance
+    coherent = complex(-distance * distance / 2.0, (ax.conjugate() * ay).imag)
+    return coherent + spread / (2.0 * d) - cmath.log(d * cosh_x * cosh_y) / 2.0
+
+
+def coherent_overlap(x: CoherentLabel | complex, y: CoherentLabel | complex) -> complex:
+    """Overlap <x|y> of two labels, phases not included; a number x stands for |x>."""
+    return cmath.exp(_log_overlap(_gaussian_form(x), _gaussian_form(y)))
 
 
 def superposition_norm2(terms) -> float:
-    """Squared norm of sum_j c_j |a_j> over (c_j, a_j) pairs of coherent states.
+    """Squared norm of sum_j c_j |x_j> over (c_j, x_j) pairs, x_j as ``coherent_overlap`` takes it.
 
-    The Gram sum sum_jk conj(c_j) c_k <a_j|a_k> is formed as
-    |sum_j c_j|^2 + sum_jk conj(c_j) c_k expm1(z_jk), with z_jk = log <a_j|a_k>,
-    so close displacements lose no digits to cancellation: an odd cat's
+    The Gram sum sum_jk conj(c_j) c_k <x_j|x_k> is formed as
+    |sum_j c_j|^2 + sum_jk conj(c_j) c_k expm1(z_jk), with z_jk = log <x_j|x_k>,
+    so close labels lose no digits to cancellation: an odd cat's
     norm is then its exact 2 - 2 e^(-2|alpha|^2) to rounding at any |alpha|.
     """
-    terms = [(complex(c), complex(a)) for c, a in terms]
+    terms = [(complex(c), _gaussian_form(x)) for c, x in terms]
     total = abs(sum(c for c, _ in terms)) ** 2
-    for cj, aj in terms:
-        for ck, ak in terms:
-            z = _overlap_exponent(aj, ak)
+    for cj, xj in terms:
+        for ck, xk in terms:
+            z = _log_overlap(xj, xk)
             total += (cj.conjugate() * ck * z * _expm1_over_z(z)).real
     return total
 
@@ -278,14 +306,12 @@ def superposition_norm2(terms) -> float:
 def cat_normalization(alpha: complex, parity: str) -> float:
     """Normalization constant 1/sqrt(2 +- 2 e^(-2|alpha|^2)) of a coherent-state cat.
 
-    The odd norm is formed as -2 expm1(-2|alpha|^2), which keeps its
-    relative precision as |alpha| -> 0.
+    The norm is the Gram sum of ``superposition_norm2``, which keeps the
+    odd norm's relative precision as |alpha| -> 0.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if parity == "even":
-        return 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * abs(alpha) ** 2))
-    norm2 = -2.0 * math.expm1(-2.0 * abs(alpha) ** 2)
+    norm2 = superposition_norm2(((1.0, alpha), (1.0 if parity == "even" else -1.0, -alpha)))
     if norm2 == 0.0:
         raise ValueError(f"odd cat at |alpha| = {abs(alpha)!r} is the null state")
     return 1.0 / math.sqrt(norm2)
@@ -308,44 +334,37 @@ def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> Cavit
     return CavityState(v / norm, leakage=leakage)
 
 
-def flux_pi_pulse(
-    state: BranchDecomposition, params: DeviceParams, sign: int = 1
-) -> BranchDecomposition:
+def flux_pi_pulse(state: BranchDecomposition, params: DeviceParams) -> BranchDecomposition:
     """Apply the flux pulse that rotates the qubit about x by a Bloch angle pi/2.
 
     With the classical flux at one flux quantum the field-qubit coupling is
-    off and the generator is the bare Josephson term, so the pulse of
-    duration hbar*pi/(4 E_J) acts as exp(-i (pi/4) sigma_x * sign) on the
-    qubit while the cavity labels rotate freely by omega * t_pulse.  On the
-    sigma_x eigenbranches this shifts the accumulated branch phases by
-    -sign*pi/4; it cannot change which cavity labels pair with the
-    eigenbranches.
+    off and the generator is omega n plus the bare Josephson term, so the
+    pulse of duration hbar*pi/(4 E_J) is exactly exp(-i omega t_pulse n)
+    (x) exp(-i (pi/4) sigma_x): an unsqueezed label's alpha turns by
+    e^(-i omega t_pulse), any other label's rotation grows by omega t_pulse.
+    On the sigma_x eigenbranches this shifts the accumulated branch phases
+    by -pi/4; it cannot change which cavity labels pair with them.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if any(branch.qubit not in ("g", "e") for branch in state.branches):
         raise ValueError("flux pulse requires a decomposition over g/e branches")
-    if any(not isinstance(branch.label, CoherentLabel) for branch in state.branches):
-        raise ValueError("flux pulse supports coherent-label decompositions only")
 
     t_pulse = math.pi / (4.0 * params.ej_rate)
-    free_rot = cmath.exp(-1j * params.omega_cavity * t_pulse)
+    angle = params.omega_cavity * t_pulse
+    free_rot = cmath.exp(-1j * angle)
     cos_half = math.cos(math.pi / 4.0)
-    mix = -1j * sign * math.sin(math.pi / 4.0)
+    mix = -1j * math.sin(math.pi / 4.0)
 
     grouped: dict[CoherentLabel, dict[str, complex]] = {}
-    order: list[CoherentLabel] = []
     for branch in state.branches:
-        if branch.label not in grouped:
-            grouped[branch.label] = {"g": 0.0, "e": 0.0}
-            order.append(branch.label)
-        grouped[branch.label][branch.qubit] += branch.weight
+        grouped.setdefault(branch.label, {"g": 0.0, "e": 0.0})[branch.qubit] += branch.weight
 
     new_branches: list[Branch] = []
-    for label in order:
-        w_g = grouped[label]["g"]
-        w_e = grouped[label]["e"]
-        rotated = replace(label, alpha=label.alpha * free_rot)
+    for label, weights in grouped.items():
+        if label.squeezed:
+            rotated = replace(label, rotation=label.rotation + angle)
+        else:
+            rotated = replace(label, alpha=label.alpha * free_rot)
+        w_g, w_e = weights["g"], weights["e"]
         for qubit, weight in (("g", cos_half * w_g + mix * w_e), ("e", mix * w_g + cos_half * w_e)):
             if weight != 0:
                 new_branches.append(Branch(qubit, weight, rotated))
@@ -354,7 +373,7 @@ def flux_pi_pulse(
 
 def _sector_label(
     omega: float, lam: complex, shift: float, gamma: complex, t: float
-) -> SqueezedLabel:
+) -> CoherentLabel:
     """Exact label of exp(-i H t)|gamma> for H = omega n + (lam a^2 + lam^* adag^2)/2 + shift.
 
     The Heisenberg solution is U^dag a U = u a + v adag with
@@ -378,7 +397,7 @@ def _sector_label(
     rotation = principal + 2.0 * math.pi * round((reference - principal) / (2.0 * math.pi))
     squeeze = math.asinh(abs(v)) * cmath.exp(1j * (cmath.phase(v) + rotation))
     phase = (omega * t - rotation) / 2.0 - shift * t
-    return SqueezedLabel(gamma=gamma, squeeze=squeeze, rotation=rotation, phase=phase)
+    return CoherentLabel(gamma, phase, squeeze, rotation)
 
 
 def squeezed_evolution(
@@ -419,16 +438,16 @@ def squeezed_evolution(
     return BranchDecomposition(branches)
 
 
-def _squeezed_rows(labels: list[SqueezedLabel], fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fock rows of squeezed labels, all at once: (L x fock_dim) amplitudes and L leakages.
+def _squeezed_rows(labels: list[CoherentLabel], fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fock rows of squeezed or rotated labels at once: (L x fock_dim) amplitudes and L leakages.
 
-    A label exp(-i rotation n) S(squeeze)|gamma> is annihilated by
-    mu a + nu adag - gamma with mu = cosh(r) e^(i rotation) and
+    A label exp(-i rotation n) S(squeeze)|alpha> is annihilated by
+    mu a + nu adag - alpha with mu = cosh(r) e^(i rotation) and
     nu = -sinh(r) e^(i(arg squeeze - rotation)), r = |squeeze|, so its Fock
-    amplitudes obey mu sqrt(n+1) c_(n+1) = gamma c_n - nu sqrt(n) c_(n-1)
+    amplitudes obey mu sqrt(n+1) c_(n+1) = alpha c_n - nu sqrt(n) c_(n-1)
     (Yuen, Phys. Rev. A 13, 2226 (1976)) from the closed-form vacuum amplitude
-    c_0 = exp(-|gamma|^2/2 - e^(-i arg squeeze) tanh(r) gamma^2/2)/sqrt(cosh r).
-    The per-step coefficients A_n = (gamma/mu)/sqrt(n+1) and
+    c_0 = exp(-|alpha|^2/2 - e^(-i arg squeeze) tanh(r) alpha^2/2)/sqrt(cosh r).
+    The per-step coefficients A_n = (alpha/mu)/sqrt(n+1) and
     B_n = (nu/mu) sqrt(n/(n+1)) of c_(n+1) = A_n c_n - B_n c_(n-1) are
     formed first, as (levels x labels) arrays, so each step advances every
     label in one vector operation.  Each label carries its amplitudes in
@@ -436,12 +455,12 @@ def _squeezed_rows(labels: list[SqueezedLabel], fock_dim: int) -> tuple[np.ndarr
     far-displaced c_0 does not underflow: every ``period`` steps the rows
     whose last two amplitudes exceed 1 are scaled down by a power of two,
     which is exact.  One step grows those two by at most
-    max(1, |A_n| + |B_n|) <= |gamma/mu| + 1, so ``period`` steps keep every
+    max(1, |A_n| + |B_n|) <= |alpha/mu| + 1, so ``period`` steps keep every
     amplitude near or below 2^_AMPLITUDE_BITS, and neither a row nor the sum
     of its squares overflows.  The weight beyond the truncation,
     1 - sum |c_n|^2, is a row's leakage.
     """
-    gamma = np.array([label.gamma for label in labels], dtype=complex)
+    alpha = np.array([label.alpha for label in labels], dtype=complex)
     squeeze = np.array([label.squeeze for label in labels], dtype=complex)
     r = np.abs(squeeze)
     spin = np.exp(1j * np.angle(squeeze))
@@ -449,12 +468,12 @@ def _squeezed_rows(labels: list[SqueezedLabel], fock_dim: int) -> tuple[np.ndarr
     mu = np.cosh(r) * turn
     nu = -np.sinh(r) * spin / turn
     log_vacuum = (
-        -np.abs(gamma) ** 2 / 2.0 - spin.conj() * np.tanh(r) * gamma**2 / 2.0 - np.log(np.cosh(r)) / 2.0
+        -np.abs(alpha) ** 2 / 2.0 - spin.conj() * np.tanh(r) * alpha**2 / 2.0 - np.log(np.cosh(r)) / 2.0
     )
     roots = np.sqrt(np.arange(fock_dim, dtype=float))
-    a_steps = (gamma / mu) / roots[1:, None]
+    a_steps = (alpha / mu) / roots[1:, None]
     b_steps = (nu / mu) * (roots[:-1] / roots[1:])[:, None]
-    growth = max(1.0, float(np.abs(gamma / mu).max()) + 1.0)
+    growth = max(1.0, float(np.abs(alpha / mu).max()) + 1.0)
     period = max(1, int(_AMPLITUDE_BITS / max(math.log2(growth), 1.0)))
 
     amps = np.empty((fock_dim, len(labels)), dtype=complex)
@@ -481,32 +500,28 @@ def materialize_labels(labels, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Fock rows of branch labels (phase factors not included): an (L x fock_dim) array and L leakages.
 
     Row k is ``labels[k]`` on ``fock_dim`` levels.  The Poisson tail of
-    every label's coherent centre (alpha, or gamma for a squeezed label) is
-    checked in one pass (``coherent_tails``), so a truncation too small for
-    any label raises the TruncationError that label alone would raise.
-    Coherent rows come from one broadcast exp (``coherent_amplitudes``) and
-    carry their tail as leakage; squeezed rows come from one run of Yuen's
+    every label's coherent centre ``alpha`` is checked in one pass
+    (``coherent_tails``), so a truncation too small for any label raises
+    the TruncationError that label alone would raise.  Unsqueezed rows come
+    from one broadcast exp (``coherent_amplitudes``) and carry their tail as
+    leakage; squeezed or rotated rows come from one run of Yuen's
     recurrence for all of them (``_squeezed_rows``).
     """
     if fock_dim < 2:
         raise DimensionError(f"Fock truncation must be >= 2, got {fock_dim}")
     labels = list(labels)
-    squeezed = np.array([isinstance(label, SqueezedLabel) for label in labels], dtype=bool)
-    leakages = coherent_tails(
-        [label.gamma if sq else label.alpha for label, sq in zip(labels, squeezed)], fock_dim
-    )
+    squeezed = np.array([label.squeezed for label in labels], dtype=bool)
+    alphas = np.array([label.alpha for label in labels], dtype=complex)
+    leakages = coherent_tails(alphas, fock_dim)
     rows = np.empty((len(labels), fock_dim), dtype=complex)
-    rows[~squeezed] = coherent_amplitudes(
-        [label.alpha for label, sq in zip(labels, squeezed) if not sq], fock_dim
-    )
+    rows[~squeezed] = coherent_amplitudes(alphas[~squeezed], fock_dim)
     if squeezed.any():
-        rows[squeezed], leakages[squeezed] = _squeezed_rows(
-            [label for label, sq in zip(labels, squeezed) if sq], fock_dim
-        )
+        picked = [labels[k] for k in np.flatnonzero(squeezed)]
+        rows[squeezed], leakages[squeezed] = _squeezed_rows(picked, fock_dim)
     return rows, leakages
 
 
-def materialize_label(label: CoherentLabel | SqueezedLabel, fock_dim: int) -> CavityState:
+def materialize_label(label: CoherentLabel, fock_dim: int) -> CavityState:
     """Fock-space vector of one cavity branch label: the one-row case of ``materialize_labels``."""
     rows, leakages = materialize_labels([label], fock_dim)
     return CavityState(rows[0], leakage=float(leakages[0]))
@@ -535,8 +550,7 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     labels = list(dict.fromkeys(labels))
     dim = start
     if dim is None:
-        centres = (label.alpha if isinstance(label, CoherentLabel) else label.gamma for label in labels)
-        far = max(map(abs, centres), default=0.0)
+        far = max((abs(label.alpha) for label in labels), default=0.0)
         # A coherent tail is about 1/2 at the mean photon number: past the cap, no sum is needed.
         if far * far >= MAX_FOCK_DIM:
             raise TruncationError(
@@ -634,33 +648,25 @@ def materialize(
     return JointState(columns[:, 0] / math.sqrt(norm2[0]), leakage=float(leakage[0]))
 
 
-def _label_to_dict(label: CoherentLabel | SqueezedLabel) -> dict:
-    if isinstance(label, CoherentLabel):
-        return {
-            "kind": "coherent",
-            "alpha": [label.alpha.real, label.alpha.imag],
-            "phase": label.phase,
-        }
+def _label_to_dict(label: CoherentLabel) -> dict:
+    if not label.squeezed:
+        return {"kind": "coherent", "alpha": [label.alpha.real, label.alpha.imag], "phase": label.phase}
     return {
         "kind": "squeezed",
-        "gamma": [label.gamma.real, label.gamma.imag],
+        "gamma": [label.alpha.real, label.alpha.imag],
         "squeeze": [label.squeeze.real, label.squeeze.imag],
         "rotation": label.rotation,
         "phase": label.phase,
     }
 
 
-def _label_from_dict(data: dict) -> CoherentLabel | SqueezedLabel:
+def _label_from_dict(data: dict) -> CoherentLabel:
     kind = data.get("kind")
     if kind == "coherent":
-        return CoherentLabel(alpha=complex(*data["alpha"]), phase=float(data["phase"]))
+        return CoherentLabel(complex(*data["alpha"]), float(data["phase"]))
     if kind == "squeezed":
-        return SqueezedLabel(
-            gamma=complex(*data["gamma"]),
-            squeeze=complex(*data["squeeze"]),
-            rotation=float(data["rotation"]),
-            phase=float(data["phase"]),
-        )
+        squeeze, rotation = complex(*data["squeeze"]), float(data["rotation"])
+        return CoherentLabel(complex(*data["gamma"]), float(data["phase"]), squeeze, rotation)
     raise ValueError(f"unknown label kind {kind!r}")
 
 

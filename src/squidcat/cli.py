@@ -205,6 +205,7 @@ _VALUE_RULES = {
     ),
     "alpha_prime": (_is_complex, "a finite number or [re, im] pair"),
     "gamma": (_is_complex, "a finite number or [re, im] pair"),
+    "target": (lambda v: v in VERIFY_SCENARIOS, f"one of {VERIFY_SCENARIOS}"),
 }
 
 
@@ -426,7 +427,7 @@ def _run_squeeze(config: RunConfig) -> dict:
         "gamma": [gamma.real, gamma.imag],
         "branches": branch_decomposition_to_dict(decomposition),
         "variances": variances,
-        "measurements": _record_dicts(_measure_both(decomposition, None if fock_dim else fitted)),
+        "measurements": _record_dicts(_measure_both(decomposition, fitted)),
     }
 
 
@@ -441,8 +442,6 @@ def _run_sweep(config: RunConfig) -> str:
 def _run_verify(config: RunConfig) -> dict:
     params = config.device
     target = config.args["target"]
-    if target not in VERIFY_SCENARIOS:
-        raise ConfigError(f"key 'target' must be one of {VERIFY_SCENARIOS}, got {target!r}")
     points = config.args.get("points", 20)
     tau_max = config.args.get("tau_max")
     if tau_max is None:

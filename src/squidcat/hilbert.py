@@ -397,12 +397,10 @@ def coherent_fock(alpha: complex, dim: int) -> CavityState:
     return CavityState(coherent_amplitudes([alpha], dim)[0], leakage=float(tail))
 
 
-def joint_state(qubit: str | np.ndarray, cavity: CavityState) -> JointState:
-    """Tensor a qubit state (name or 2-amplitude vector) with a cavity state."""
-    q = QUBIT_AMPLITUDES[qubit] if isinstance(qubit, str) else np.asarray(qubit, dtype=complex)
-    if q.size != 2:
-        raise DimensionError(f"qubit amplitudes must have length 2, got {q.size}")
-    return JointState(np.outer(q, cavity.amplitudes).ravel(), leakage=cavity.leakage)
+def joint_state(qubit: str, cavity: CavityState) -> JointState:
+    """Tensor a named qubit state (a key of QUBIT_AMPLITUDES) with a cavity state."""
+    amplitudes = np.outer(QUBIT_AMPLITUDES[qubit], cavity.amplitudes).ravel()
+    return JointState(amplitudes, leakage=cavity.leakage)
 
 
 class Propagator:
@@ -664,28 +662,26 @@ def wigner(state: CavityState, points) -> np.ndarray:
     return (2.0 / math.pi) * acc.real * scale[radius]
 
 
-def top_level_weights(columns: np.ndarray, blocks: int = 1, levels: int = 4) -> np.ndarray:
-    """Population in the top ``levels`` Fock levels of every column, in one reduction.
+def top_level_weights(columns: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """Population in the top four Fock levels of every column, in one reduction.
 
     Each column of ``columns`` is one state made of ``blocks`` qubit blocks
     of N Fock levels (1 for cavity states, 2 for joint ones), and its weight
-    sums the top levels of every block.  A state with at most ``levels``
-    levels has all of them at the top.
+    sums the top levels of every block.  A state with at most four levels
+    has all of them at the top.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels!r}")
     n = columns.shape[0] // blocks
-    top = columns.reshape(blocks, n, -1)[:, max(n - levels, 0):]
+    top = columns.reshape(blocks, n, -1)[:, max(n - 4, 0):]
     return (np.abs(top) ** 2).sum(axis=(0, 1))
 
 
-def top_level_weight(state: CavityState | JointState, levels: int = 4) -> float:
-    """Population in the top ``levels`` Fock levels (both qubit blocks for joint states).
+def top_level_weight(state: CavityState | JointState) -> float:
+    """Population in the top four Fock levels (both qubit blocks for joint states).
 
     The one-state case of ``top_level_weights``.
     """
     blocks = 2 if isinstance(state, JointState) else 1
-    return float(top_level_weights(state.amplitudes[:, None], blocks, levels)[0])
+    return float(top_level_weights(state.amplitudes[:, None], blocks)[0])
 
 
 def quadrature_covariance(state: CavityState) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Measuring the qubit in the charge basis projects the cavity onto the
 corresponding block; post-selecting on the ground (excited) outcome of a
-cat-generating evolution leaves the even (odd) superposition.  Readout is
+cat-generating evolution leaves the even (odd) superposition.  For a branch
+decomposition the record also carries the post-selected label combination,
+whose constant always comes from the closed-form Gram sum of its labels
+(``analytic.superposition_norm2``), squeezed labels included.  Readout is
 modeled as ideal and instantaneous.
 """
 
@@ -16,7 +19,6 @@ import numpy as np
 from .analytic import (
     Branch,
     BranchDecomposition,
-    CoherentLabel,
     materialize,
     superposition_norm2,
 )
@@ -83,11 +85,8 @@ def _measure_decomposition(
     record = _measure_joint(materialize(state) if joint is None else joint, outcome)
 
     collected = _collapse_branches(state, outcome)
-    if all(isinstance(b.label, CoherentLabel) for b in collected):
-        # Gram-matrix norm of the label combination, exact in closed form.
-        norm2 = superposition_norm2((b.coefficient, b.label.alpha) for b in collected)
-    else:
-        norm2 = record.probability
+    # Gram-matrix norm of the label combination, exact in closed form.
+    norm2 = superposition_norm2((b.coefficient, b.label) for b in collected)
     if norm2 < ZERO_PROBABILITY_THRESHOLD:
         raise NullOutcomeError(
             f"outcome {outcome!r} has probability {norm2:.3e}; no post-state exists"

@@ -123,8 +123,7 @@ def policy_start(labels) -> int:
 
 def start_over_every_centre(labels) -> int:
     """The start as the max over every label's own tail requirement."""
-    centres = [label.alpha if isinstance(label, CoherentLabel) else label.gamma for label in labels]
-    return max([64] + [required_fock_dim(c, 1e-12) for c in centres])
+    return max([64] + [required_fock_dim(label.alpha, 1e-12) for label in labels])
 
 
 def coherent_reference(alpha, dim):
@@ -140,13 +139,13 @@ def coherent_reference(alpha, dim):
 
 
 def yuen_reference(label, dim):
-    """Yuen's recurrence for one squeezed label, step by step in Python complex arithmetic.
+    """Yuen's recurrence for one label, step by step in Python complex arithmetic.
 
     Returns the renormalized amplitudes and the leakage |1 - norm^2| of the
     unrenormalized ones; the amplitudes are carried in units of e^log_scale
     and rescaled by 2^500 when one exceeds it.
     """
-    gamma = complex(label.gamma)
+    gamma = complex(label.alpha)
     r = abs(label.squeeze)
     spin = cmath.exp(1j * cmath.phase(label.squeeze))
     turn = cmath.exp(1j * label.rotation)

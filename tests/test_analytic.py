@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import decimal
+import itertools
+import json
 import math
 import re
 
@@ -12,7 +14,6 @@ from squidcat.analytic import (
     Branch,
     BranchDecomposition,
     CoherentLabel,
-    SqueezedLabel,
     auto_fock_dim,
     branch_decomposition_from_dict,
     branch_decomposition_to_dict,
@@ -216,6 +217,22 @@ def test_coherent_overlap_basics():
     assert abs(coherent_overlap(alpha, -alpha) - expected) <= 1e-14
 
 
+def test_label_overlap_matches_the_fock_sum():
+    # every pair of squeezed, rotated and displaced labels, unstable-sector ones
+    # (|xi| = 0.1, omega = 1.5|lam|) included, against the materialized rows
+    labels = [
+        CoherentLabel(alpha, squeeze=r * cmath.exp(0.7j * k), rotation=rotation)
+        for k, (alpha, r, rotation) in enumerate(
+            itertools.product((0.0, 1.5 - 2.0j, 3.9j), (0.0, 0.4, 1.1), (0.0, 2.5, -17.0))
+        )
+    ]
+    labels += _sector_labels(1.5)[:4]
+    rows = materialize_labels(labels, 512)[0]
+    fock_sums = rows.conj() @ rows.T
+    closed = np.array([[coherent_overlap(x, y) for y in labels] for x in labels])
+    assert np.abs(closed - fock_sums).max() <= 1e-12
+
+
 def test_injected_pair_overlap_matches_general_form():
     value = injected_pair_overlap(0.5, 1.0, math.pi / 2.0)
     rot = cmath.exp(-1j * math.pi / 2.0)
@@ -406,13 +423,34 @@ def test_flux_pulse_against_propagation_oracle(strong_device, strong_coupling):
     assert fidelity(materialize(after, dim), numeric) >= 1.0 - 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:expansion margin")
+@pytest.mark.parametrize("xi", [0.02, 0.09])
+def test_flux_pulse_on_squeezed_branches_against_propagation(xi):
+    # at phi_c = 1 the pulse is exp(-i omega t n) (x) exp(-i E_J t sigma_x) exactly,
+    # so the rotated squeezed labels match propagation phase for phase
+    device = make_strong_device(phi_c_ratio=0.0)
+    coupling = Coupling.from_xi(xi)
+    dim = 128
+    h_pulse = hamiltonian(dataclasses.replace(device, phi_c_ratio=1.0), coupling, "first", dim)
+    t_pulse = math.pi / (4.0 * device.ej_rate)
+    for omega_t in (0.7, 2.3):
+        before = squeezed_evolution(device, coupling, 0.8 + 0.3j, omega_t / device.omega_cavity)
+        after = flux_pi_pulse(before, device)
+        assert all(label.squeezed for label in after.labels())
+        numeric = propagate(h_pulse, materialize(before, dim), t_pulse)
+        overlap = np.vdot(materialize(after, dim).amplitudes, numeric.amplitudes)
+        assert abs(overlap - 1.0) <= 1e-12
+
+
 def test_flux_pulse_input_validation(strong_device):
     plus_branch = BranchDecomposition((Branch("+", 1.0, CoherentLabel(0.0)),))
     with pytest.raises(ValueError):
         flux_pi_pulse(plus_branch, strong_device)
-    squeezed = BranchDecomposition((Branch("g", 1.0, SqueezedLabel(0.0, 0.1j, 0.0)),))
-    with pytest.raises(ValueError):
-        flux_pi_pulse(squeezed, strong_device)
+    # a squeezed label is accepted: only its rotation moves, by omega t_pulse
+    label = CoherentLabel(0.3, 0.2, squeeze=0.1j, rotation=0.4)
+    after = flux_pi_pulse(BranchDecomposition((Branch("g", 1.0, label),)), strong_device)
+    angle = strong_device.omega_cavity * math.pi / (4.0 * strong_device.ej_rate)
+    assert {branch.label for branch in after.branches} == {dataclasses.replace(label, rotation=0.4 + angle)}
 
 
 # ---------------------------------------------------------------- squeezed evolution
@@ -440,7 +478,7 @@ def test_squeeze_degree_invariant(physical_device):
 
 def test_squeezed_label_variance_law():
     for r in (0.1, 0.4):
-        label = SqueezedLabel(gamma=0.0, squeeze=r * cmath.exp(0.3j), rotation=1.1)
+        label = CoherentLabel(0.0, squeeze=r * cmath.exp(0.3j), rotation=1.1)
         state = materialize_label(label, 96)
         assert min_quadrature_variance(state) == pytest.approx(0.5 * math.exp(-2.0 * r), abs=1e-6)
 
@@ -461,7 +499,7 @@ def test_squeezed_label_matches_dense_expm(gamma, squeeze, rotation):
     generator = (squeeze * adag @ adag - np.conj(squeeze) * a @ a) / 2.0
     dense = expm(generator) @ coherent_fock(gamma, 2 * dim).amplitudes
     dense *= np.exp(-1j * rotation * np.arange(2 * dim))
-    state = materialize_label(SqueezedLabel(gamma, squeeze, rotation), dim)
+    state = materialize_label(CoherentLabel(gamma, squeeze=squeeze, rotation=rotation), dim)
     assert state.leakage <= 1e-13
     assert np.abs(state.amplitudes - dense[:dim]).max() <= 1e-12
 
@@ -469,7 +507,7 @@ def test_squeezed_label_matches_dense_expm(gamma, squeeze, rotation):
 def test_squeezed_label_far_displaced():
     # c_0 = e^(-800) underflows a double: the recurrence must carry its scale
     dim = 2000
-    state = materialize_label(SqueezedLabel(gamma=40.0, squeeze=0.0, rotation=0.3), dim)
+    state = materialize_label(CoherentLabel(40.0, rotation=0.3), dim)
     reference = coherent_fock(40.0 * cmath.exp(-0.3j), dim)
     assert state.leakage <= 1e-12
     assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
@@ -477,7 +515,7 @@ def test_squeezed_label_far_displaced():
 
 def test_squeezed_label_too_small_for_its_displacement_raises():
     with pytest.raises(TruncationError):
-        materialize_label(SqueezedLabel(gamma=4.0, squeeze=0.1, rotation=0.0), 8)
+        materialize_label(CoherentLabel(4.0, squeeze=0.1), 8)
 
 
 def _sector_labels(omega_over_lam):
@@ -498,7 +536,7 @@ def _check_rows(labels, dim):
     rows, leakages = materialize_labels(labels, dim)
     assert rows.shape == (len(labels), dim) and leakages.shape == (len(labels),)
     for label, row, leakage in zip(labels, rows, leakages):
-        if isinstance(label, CoherentLabel):
+        if label.squeeze == 0 and label.rotation == 0:
             # bit for bit the state built alone, so outputs built from it do not move
             assert np.array_equal(row, coherent_reference(label.alpha, dim))
             assert leakage == coherent_fock(label.alpha, dim).leakage
@@ -510,32 +548,38 @@ def _check_rows(labels, dim):
 
 def test_materialize_labels_matches_the_per_label_references():
     # mixed kinds, alpha = 0, and the stable, critical and unstable sectors
-    labels = [CoherentLabel(0.0), CoherentLabel(1.5 - 0.5j), SqueezedLabel(0.0, 0.0, 0.0)]
+    labels = [CoherentLabel(0.0), CoherentLabel(1.5 - 0.5j), CoherentLabel(0.0, rotation=0.5)]
     for omega_over_lam in (50.0, 2.0, 1.5):
         labels += _sector_labels(omega_over_lam)
-    labels += [CoherentLabel(3.0j), SqueezedLabel(-2.5, 0.0, 7.0)]
+    labels += [CoherentLabel(3.0j), CoherentLabel(-2.5, rotation=7.0)]
     _check_rows(labels, 256)
 
 
 def test_materialize_labels_rescales_each_label_on_its_own():
     # |gamma| = 19 at 512 levels: c_0 = e^-180 sits 2^260 below the peak, so that
     # row is carried rescaled, beside rows that need no rescaling
-    far = SqueezedLabel(19.0 * cmath.exp(0.4j), 0.2 * cmath.exp(1.1j), 0.7)
-    labels = [SqueezedLabel(0.5, 0.3, 0.1), far, CoherentLabel(2.0), SqueezedLabel(1j, 0.05, -1.0)]
+    far = CoherentLabel(19.0 * cmath.exp(0.4j), squeeze=0.2 * cmath.exp(1.1j), rotation=0.7)
+    labels = [CoherentLabel(0.5, squeeze=0.3, rotation=0.1), far, CoherentLabel(2.0)]
+    labels.append(CoherentLabel(1j, squeeze=0.05, rotation=-1.0))
     _check_rows(labels, 512)
     assert np.array_equal(materialize_label(far, 512).amplitudes, materialize_labels([far], 512)[0][0])
 
 
 @pytest.mark.parametrize(
     "far",
-    [SqueezedLabel(9.0, 0.2, 0.3), CoherentLabel(9.0j), SqueezedLabel(7.0, 0.1, 0.0), CoherentLabel(-7.0)],
+    [
+        CoherentLabel(9.0, squeeze=0.2, rotation=0.3),
+        CoherentLabel(9.0j),
+        CoherentLabel(7.0, squeeze=0.1),
+        CoherentLabel(-7.0),
+    ],
 )
 def test_materialize_labels_raises_what_the_far_label_alone_raises(far):
     # |centre|^2 = 81 reaches 64 levels; 49 leaves a tail of about 1e-2 past them
     with pytest.raises(TruncationError) as alone:
         materialize_label(far, 64)
     with pytest.raises(TruncationError) as batch:
-        materialize_labels([CoherentLabel(1.0), SqueezedLabel(0.5, 0.1, 0.0), far, CoherentLabel(2.0)], 64)
+        materialize_labels([CoherentLabel(1.0), CoherentLabel(0.5, squeeze=0.1), far, CoherentLabel(2.0)], 64)
     assert str(batch.value) == str(alone.value)
     assert batch.value.required_dim == alone.value.required_dim is not None
 
@@ -584,12 +628,12 @@ def test_squeezed_evolution_preconditions():
 
 @pytest.mark.parametrize("r,expected", [(0.5, 64), (1.0, 128), (1.5, 256)])
 def test_auto_fock_dim_doubles_for_squeezed_vacuum(r, expected):
-    label = SqueezedLabel(gamma=0.0, squeeze=r, rotation=0.0)
+    label = CoherentLabel(0.0, squeeze=r)
     assert auto_fock_dim([label])[0] == expected
 
 
 def test_auto_fock_dim_raises_at_the_cap():
-    label = SqueezedLabel(gamma=0.0, squeeze=2.0, rotation=0.0)
+    label = CoherentLabel(0.0, squeeze=2.0)
     with pytest.raises(TruncationError, match="maximum truncation 512"):
         auto_fock_dim([label])
 
@@ -605,7 +649,7 @@ def test_auto_fock_dim_start_past_the_cap_raises_before_any_state(monkeypatch, a
         raise AssertionError("a label state was built")
 
     monkeypatch.setattr(analytic, "materialize_labels", never)
-    for label in (CoherentLabel(alpha), SqueezedLabel(alpha, 0.1, 0.0)):
+    for label in (CoherentLabel(alpha), CoherentLabel(alpha, squeeze=0.1)):
         with pytest.raises(TruncationError, match="maximum truncation 512") as info:
             auto_fock_dim([CoherentLabel(1.0), label])
         assert info.value.required_dim == required
@@ -623,7 +667,7 @@ def test_auto_fock_dim_explicit_start_is_not_raised():
 def test_auto_fock_dim_counts_every_level_below_four():
     # a 3-level state has all its levels in the top four, so start=3 must double
     assert auto_fock_dim([CoherentLabel(0.0)], start=3)[0] == 6
-    assert auto_fock_dim([CoherentLabel(1e-3), SqueezedLabel(0.0, 0.0, 0.0)], start=3)[0] == 6
+    assert auto_fock_dim([CoherentLabel(1e-3), CoherentLabel(0.0, rotation=0.5)], start=3)[0] == 6
 
 
 def test_auto_fock_dim_start_is_the_max_over_every_centre():
@@ -632,7 +676,7 @@ def test_auto_fock_dim_start_is_the_max_over_every_centre():
         radii = np.exp(rng.uniform(math.log(1e-3), math.log(15.0), size=rng.integers(1, 12)))
         centres = radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=radii.size))
         labels = [CoherentLabel(complex(c)) for c in centres]
-        labels += [SqueezedLabel(complex(c), 0.05, 0.3) for c in centres[::3]]
+        labels += [CoherentLabel(complex(c), squeeze=0.05, rotation=0.3) for c in centres[::3]]
         labels.append(CoherentLabel(0.0))
         rng.shuffle(labels)
         assert policy_start(labels) == start_over_every_centre(labels)
@@ -726,3 +770,15 @@ def test_branch_decomposition_dict_round_trip(strong_device, strong_coupling):
     ):
         data = branch_decomposition_to_dict(state)
         assert branch_decomposition_from_dict(data) == state
+
+
+def test_post_pulse_squeezed_decomposition_json_round_trip(strong_device):
+    device = make_strong_device(phi_c_ratio=0.0)
+    coupling = Coupling.from_xi(0.02)
+    state = flux_pi_pulse(squeezed_evolution(device, coupling, 0.8 + 0.3j, 1.1 / device.omega_cavity), device)
+    data = json.loads(json.dumps(branch_decomposition_to_dict(state)))
+    assert {branch["label"]["kind"] for branch in data["branches"]} == {"squeezed"}
+    assert branch_decomposition_from_dict(data) == state
+    # at t = 0 the labels are unsqueezed and unrotated, so they are written as coherent
+    start = branch_decomposition_to_dict(squeezed_evolution(device, coupling, 0.8 + 0.3j, 0.0))
+    assert {branch["label"]["kind"] for branch in start["branches"]} == {"coherent"}

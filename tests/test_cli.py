@@ -67,6 +67,14 @@ def test_unknown_device_key_rejected(tmp_path):
         validate_config(config)
 
 
+@pytest.mark.parametrize("target", ["bogus", ["vacuum"], None])
+def test_unknown_verify_target_rejected_before_any_run(target):
+    config = example_config("verify")
+    config["target"] = target
+    with pytest.raises(ConfigError, match="key 'target' must be one of"):
+        validate_config(config)
+
+
 def test_missing_required_key_rejected(tmp_path):
     config = _base_cat_config(tmp_path)
     del config["tau"]
@@ -212,6 +220,27 @@ def test_squeeze_run_reuses_the_policy_label_states(tmp_path, monkeypatch):
     run(load_config(_write_config(tmp_path, config)))
     # the policy once, for the variances and both measured outcomes
     assert len(set(calls)) == 2 and len(calls) == 2
+
+
+def test_squeeze_measures_at_its_explicit_truncation(tmp_path, monkeypatch):
+    from squidcat import analytic
+
+    calls = []
+    original = analytic.materialize_labels
+
+    def counting(labels, fock_dim):
+        calls.extend((label, fock_dim) for label in labels)
+        return original(labels, fock_dim)
+
+    monkeypatch.setattr(analytic, "materialize_labels", counting)
+    config = example_config("squeeze")
+    config["fock_dim"] = 128
+    config["output"] = {"path": str(tmp_path / "squeeze.json"), "format": "json"}
+    data = json.loads(run(load_config(_write_config(tmp_path, config))).read_text())
+    # the variances and both outcomes are judged at 128 levels, from one policy run
+    assert len(set(calls)) == len(calls) == 2 and {dim for _, dim in calls} == {128}
+    for record in data["measurements"]:
+        assert len(record["post_state"]["fock_amplitudes"]) == 128
 
 
 def test_squeeze_at_a_too_small_explicit_truncation_exits_3(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import gammainc, gammaln
 
 from squidcat.analytic import (
-    SqueezedLabel,
+    CoherentLabel,
     cat_state,
     evolve_vacuum,
     materialize,
@@ -134,7 +134,7 @@ def test_coherent_tail_of_a_far_label_raises_before_any_sum(monkeypatch, alpha):
     monkeypatch.setattr(hilbert, "required_fock_dim", never)
     for build in (
         lambda: coherent_fock(alpha, 64),
-        lambda: materialize_label(SqueezedLabel(alpha, 0.1, 0.0), 64),
+        lambda: materialize_label(CoherentLabel(alpha, squeeze=0.1), 64),
     ):
         with pytest.raises(TruncationError, match="mean photon number") as err:
             build()
@@ -644,9 +644,6 @@ def test_top_level_weight_of_a_state_shorter_than_the_levels():
     assert top_level_weight(CavityState(uniform)) == pytest.approx(1.0, abs=1e-15)
     joint = JointState(np.concatenate((uniform, uniform)) / math.sqrt(2.0))
     assert top_level_weight(joint) == pytest.approx(1.0, abs=1e-15)
-    assert top_level_weight(CavityState(uniform), levels=1) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError, match="levels"):
-        top_level_weight(CavityState(uniform), levels=0)
 
 
 def test_top_level_weight_joint_blocks():

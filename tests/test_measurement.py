@@ -12,16 +12,21 @@ from squidcat.analytic import (
     coherent_overlap,
     complex_rabi,
     evolve_vacuum,
+    flux_pi_pulse,
     materialize,
     materialize_label,
+    squeezed_evolution,
 )
 from squidcat.errors import NullOutcomeError
-from squidcat.hilbert import coherent_fock, fidelity, joint_state
+from squidcat.hilbert import JointState, coherent_fock, fidelity, joint_state
 from squidcat.measurement import (
     measure_qubit,
     measurement_record_to_dict,
     parity_spectrum,
 )
+from squidcat.model import Coupling
+
+from conftest import make_strong_device
 
 
 def _cat_run(strong_device, strong_coupling, omega_tau=math.pi):
@@ -118,7 +123,7 @@ def test_sigma_x_branches_collapse_with_their_charge_amplitudes():
 def test_joint_state_measurement_blocks():
     cavity = coherent_fock(0.8, 24)
     qubit = np.array([math.sqrt(0.3), -1j * math.sqrt(0.7)])
-    psi = joint_state(qubit, cavity)
+    psi = JointState(np.outer(qubit, cavity.amplitudes).ravel())
     rec_g = measure_qubit(psi, "g")
     rec_e = measure_qubit(psi, "e")
     assert rec_g.probability == pytest.approx(0.3, abs=1e-12)
@@ -179,6 +184,22 @@ def test_analytic_post_odd_constant_at_a_small_cat():
     record = measure_qubit(BranchDecomposition(branches), "e")
     exact = 1.0 / math.sqrt(-math.expm1(-2.0 * abs(alpha) ** 2) / 2.0)
     assert abs(record.analytic_post.constant - exact) <= 1e-14 * exact
+
+
+@pytest.mark.filterwarnings("ignore:expansion margin")
+@pytest.mark.parametrize("xi", [0.02, 0.09])
+def test_analytic_post_constant_of_squeezed_branches(xi):
+    # the Gram constant against the numeric probability of a state materialized
+    # well past its tail, before and after the flux pulse
+    device = make_strong_device(phi_c_ratio=0.0)
+    coupling = Coupling.from_xi(xi)
+    for omega_t in (0.7, 2.3):
+        before = squeezed_evolution(device, coupling, 0.8 + 0.3j, omega_t / device.omega_cavity)
+        for state in (before, flux_pi_pulse(before, device)):
+            joint = materialize(state, 256)
+            for outcome in ("g", "e"):
+                record = measure_qubit(state, outcome, joint=joint)
+                assert record.analytic_post.constant**-2 == pytest.approx(record.probability, rel=1e-12)
 
 
 def test_analytic_post_matches_even_cat_constant(strong_device, strong_coupling):
