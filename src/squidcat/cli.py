@@ -344,7 +344,10 @@ def _wigner_section(records: list[MeasurementRecord | None], args) -> list[dict]
     grid_cfg = args.get("wigner") or {}
     extent = float(grid_cfg.get("extent", 3.0))
     points = int(grid_cfg.get("points", 41))
-    axis = np.linspace(-extent, extent, points)
+    if points == 1:
+        axis = np.array([-extent])
+    else:  # exactly antisymmetric, unlike linspace, so the map has fewer distinct radii
+        axis = extent * np.arange(1 - points, points, 2) / (points - 1)
     grid = (axis[:, None] * 1j + axis[None, :]).ravel()  # values[i_im][i_re]
     sections = []
     for record in records:

@@ -27,6 +27,7 @@ BRANCH_NORM_TOL = 1e-8  # norm^2 slack of a materialized decomposition beyond 4x
 COUPLING_RTOL = 1e-12  # relative slack of |xi| against pi*eta_abs/Phi0: rounding of the conversion
 SETTING_TOL = 1e-12  # slack on n_g and phi_c_ratio at a closed form's operating point: rounding
 VALIDITY_WARN_LEVEL = 0.1  # margin |xi| sqrt(n + 1) past which the cosine expansion is unreliable
+WIGNER_TRIM_TOL = 2.0**-55  # summed |rho| a Wigner map may leave out: eps/8, under its rounding
 ZERO_PROBABILITY_THRESHOLD = 1e-14  # an outcome less likely has no post-state: unit-norm rounding
 DEFAULT_FOCK_DIM = 64  # the policy's smallest start: holds |alpha| <= 5 within TRUNCATION_TOL
 MAX_FOCK_DIM = 512  # largest truncation the policy or a configuration may use: bounds a run's cost

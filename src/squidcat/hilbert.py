@@ -14,12 +14,12 @@ N-level blocks, never the dense 2N x 2N joint matrix.
 
 Wigner maps are summed from the Fock-basis Wigner functions by Clenshaw
 recurrence of the associated Laguerre polynomials (Johansson, Nation &
-Nori, Comput. Phys. Commun. 184, 1234 (2013)) over the state's support,
-trimmed of trailing levels below rounding: one backward sweep evaluates
-every diagonal of rho at each distinct radius |2 beta|^2, and a Horner
-step in 2 beta combines them at the points.  Both carry base-2 exponents,
-so nothing overflows, and no state is displaced, so a map is exact at any
-grid extent, whatever the truncation (see ``wigner``).
+Nori, Comput. Phys. Commun. 184, 1234 (2013)): one backward sweep evaluates
+every diagonal of rho at each distinct radius |2 beta|^2, leaving out
+trailing levels and each diagonal's highest entries while they sum below
+one rounding floor, and a Horner step in 2 beta combines them at the points.  Both carry
+base-2 exponents, so nothing overflows, and no state is displaced, so a map
+is exact at any grid extent, whatever the truncation (see ``wigner``).
 
 Coherent states are built as rows of one array, one per displacement, in
 one broadcast exp (``coherent_amplitudes``), and their truncation tails are
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL
+from .constants import MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL, WIGNER_TRIM_TOL
 from .errors import DimensionError, TruncationError
 
 __all__ = [
@@ -537,60 +537,83 @@ def _laguerre_sweep(amp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     Order L's series is f_L(x) = sum over k of c_k (-1)^k L_k^L(x) /
     sqrt(binom(k + L, k)), with c_k = rho[k, k + L], doubled for L > 0.
     Clenshaw's backward recurrence for these normalized polynomials runs
-    over k = s - 1 .. 0 once (s = amp.size); step k updates the orders
-    L <= s - 1 - k, the diagonals that reach k, as one (orders x radii)
-    slice with real and imaginary parts side by side.  No factorial is
-    formed.
+    over k once, updating the started orders as one (orders x radii) slice
+    with real and imaginary parts side by side.  No factorial is formed.
+
+    The entries left out sum to at most WIGNER_TRIM_TOL, in s + 1 equal
+    shares (s = amp.size).  The trailing levels J.. are cut while all their
+    entries, which sum to b (2 |amp|_1 - b) with b = |amp[J:]|_1, fit in one
+    share, so no entry of them is ever formed.  Order L then starts at the
+    highest k whose entries |c_k'|, k' >= k, sum above one share.  An order
+    left with no entry is exactly 0.  Orders never interact, so they are
+    swept in order of descending start, which keeps the started ones a
+    prefix slice.
 
     Each order keeps a base-2 exponent per radius.  Every ``period`` steps
-    the orders at or above 1 in size are scaled down by a power of two,
-    which is exact.  Since |c_k| <= 1 and one step grows max(1, |b|) at
-    most by 2 + x + max(centre), ``period`` steps stay below 2^1000.  Returns
-    (mantissa, exponent) with f_L(x) = mantissa * 2^exponent and
-    max(|Re|, |Im|) of each mantissa in [1/2, 1); an order that is exactly
-    zero gets the exponent -10^6.
+    since the first start, the orders at or above 1 in size are scaled down
+    by a power of two, which is exact.  Since |c_k| <= 1 and one step grows
+    max(1, |b|) at most by 2 + x + max(centre), ``period`` steps stay below
+    2^1000.  Returns (mantissa, exponent) for the orders up to the highest
+    one kept, with f_L(x) = mantissa * 2^exponent and max(|Re|, |Im|) of each
+    mantissa in [1/2, 1); an order that is exactly zero gets the exponent
+    -10^6.
     """
-    s, m = amp.size, x.size
-    k = np.arange(s)
-    rho = np.zeros((s, 2 * s), dtype=complex)
-    rho[:, :s] = np.outer(amp, amp.conj())
-    coeffs = rho[k[:, None], k[:, None] + k]  # coeffs[k, L] = rho[k, k + L]
+    share = WIGNER_TRIM_TOL / (amp.size + 1)
+    beyond = np.cumsum(np.abs(amp[::-1]))[::-1]  # beyond[j]: |amp_j'| summed over j' >= j
+    s, m = np.count_nonzero(beyond * (2.0 * beyond[0] - beyond) > share), x.size
+    amp = amp[:s]
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate((amp.conj(), np.zeros(s))), s)
+    coeffs = amp[:, None] * window[:s]  # coeffs[k, L] = rho[k, k + L]
     coeffs[:, 1:] *= 2.0  # rho[k + L, k] is the conjugate: take Re at the end
-    coeffs = coeffs.view(float).reshape(s, s, 2)
-    n = np.arange(1.0, s + 2.0)[:, None]  # the polynomial index k + 1 of step k
-    order = np.arange(s, dtype=float)
+    left = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]  # left[k, L]: |c_k'| summed over k' >= k
+    start = np.count_nonzero(left > share, axis=0) - 1  # -1: order left out
+    orders = np.flatnonzero(start >= 0)[-1] + 1
+    perm = np.argsort(-start[:orders], kind="stable")
+    first = start[perm[0]]
+    active = np.cumsum(np.bincount(start[start >= 0])[::-1])[::-1]  # active[k]: starts >= k
+    coeffs = coeffs[: first + 1].take(perm, axis=1).view(float).reshape(first + 1, orders, 2)
+    n = np.arange(1.0, first + 3.0)[:, None]  # the polynomial index k + 1 of step k
+    order = perm.astype(float)
     scale = 1.0 / np.sqrt((order + n) * n)
     centre = (order + 2.0 * n[:-1] - 1.0) * scale[:-1]
-    lower = np.sqrt(n[:-1] * (order + n[:-1])) * scale[1:]
+    minus_lower = -np.sqrt(n[:-1] * (order + n[:-1])) * scale[1:]
     period = max(1, int(1000.0 / math.log2(2.0 + x[-1] + centre.max())))
 
-    b1 = np.zeros((s, 2, m))  # b_(k+1), then b_k
-    b2 = np.zeros((s, 2, m))  # b_(k+2), overwritten by b_k
-    work = np.empty((s, 2, m))
-    exponent = np.zeros((s, m), dtype=int)
+    b1 = np.zeros((orders, 2, m))  # b_(k+1), then b_k
+    b2 = np.zeros((orders, 2, m))  # b_(k+2), overwritten by b_k
+    work = np.empty((orders, 2, m))
+    t = np.empty((orders, m))
+    exponent = np.zeros((orders, m), dtype=int)
+    shift = np.empty((orders, m), dtype=int)
     shrink = None  # 2^-exponent, once an order has been scaled down
-    for step in range(s - 1, -1, -1):
-        active = s - step
-        coeff = coeffs[step, :active, :, None]
-        if shrink is not None:
-            coeff = coeff * shrink[:active, None]
-        new = b2[:active]
-        new *= -lower[step, :active, None, None]
-        new += coeff
-        t = centre[step, :active, None] - scale[step, :active, None] * x
-        new -= np.multiply(t[:, None], b1[:active], out=work[:active])
+    for step in range(first, -1, -1):
+        a = active[step]
+        coeff = coeffs[step, :a, :, None]
+        new = b2[:a]
+        new *= minus_lower[step, :a, None, None]
+        new += coeff if shrink is None else np.multiply(coeff, shrink[:a, None], out=work[:a])
+        np.multiply(scale[step, :a, None], x, out=t[:a])
+        np.subtract(centre[step, :a, None], t[:a], out=t[:a])
+        new -= np.multiply(t[:a, None], b1[:a], out=work[:a])
         b1, b2 = b2, b1
-        if active % period == 0 and step:
-            size = np.maximum(np.abs(b1[:active]).max(axis=1), np.abs(b2[:active]).max(axis=1))
-            shift = np.maximum(np.frexp(size)[1], 0)
+        if (first + 1 - step) % period == 0 and step:
+            np.max(np.abs(b1[:a], out=work[:a]), axis=1, out=t[:a])
+            np.maximum(np.abs(b2[:a], out=work[:a]), t[:a, None], out=work[:a])
+            np.frexp(np.max(work[:a], axis=1, out=t[:a]), out=(t[:a], shift[:a]))
+            np.negative(shift[:a], out=shift[:a])
+            np.minimum(shift[:a], 0, out=shift[:a])  # -max(frexp exponent, 0)
             for b in (b1, b2):
-                np.ldexp(b[:active], -shift[:, None], out=b[:active])
-            exponent[:active] += shift
-            shrink = np.ldexp(1.0, -exponent)
-    del b2, work  # freed before the outputs are allocated
+                np.ldexp(b[:a], shift[:a, None], out=b[:a])
+            exponent[:a] -= shift[:a]
+            if shrink is None:
+                shrink = np.ones((orders, m))
+            np.ldexp(1.0, np.negative(exponent[:a], out=shift[:a]), out=shrink[:a])
+    del b2, work, t, shift  # freed before the outputs are allocated
+    inverse = np.argsort(perm)
+    b1, exponent = b1[inverse], exponent[inverse]
     size = np.maximum(np.abs(b1[:, 0]), np.abs(b1[:, 1]))
     shift = np.frexp(size)[1]
-    mantissa = np.empty((s, m), dtype=complex)
+    mantissa = np.empty((orders, m), dtype=complex)
     mantissa.real = np.ldexp(b1[:, 0], -shift)
     mantissa.imag = np.ldexp(b1[:, 1], -shift)
     exponent += shift
@@ -604,14 +627,15 @@ def wigner(state: CavityState, points) -> np.ndarray:
     Pi is the photon parity operator, so |W| <= 2/pi everywhere.  The map is
     the sum of rho_mn times the Fock-basis Wigner functions, which are
     associated Laguerre polynomials in x = |2 beta|^2 (Johansson, Nation &
-    Nori, Comput. Phys. Commun. 184, 1234 (2013)), summed in three steps:
+    Nori, Comput. Phys. Commun. 184, 1234 (2013)), summed in two steps:
 
-    - the support: trailing levels whose joint norm |t| is at most 2^-55
-      are dropped, without renormalizing.  W is an expectation value of a
-      unitary, so this moves it by at most (2/pi)(2|t| + |t|^2);
     - the radii: the Laguerre series of every diagonal of rho depend only
       on x, so one Clenshaw sweep evaluates all of them at each distinct x
-      (``_laguerre_sweep``);
+      (``_laguerre_sweep``).  It leaves out trailing levels and the highest
+      entries of each diagonal while the entries left out, rho_mn and rho_nm
+      counted apart, sum to at most WIGNER_TRIM_TOL.  Each Fock cross term
+      (2/pi) <n| D Pi D^dag |m> is at most 2/pi, as D Pi D^dag is unitary, so
+      this moves the map by at most (2/pi) WIGNER_TRIM_TOL;
     - the points: the diagonals are combined Horner-style in 2 beta.
 
     Every sum carries base-2 exponents, and exp(-x/2) is applied last, so
@@ -623,15 +647,12 @@ def wigner(state: CavityState, points) -> np.ndarray:
     beta = np.asarray(points, dtype=complex).ravel()
     if beta.size == 0:
         return np.zeros(0)
-    amp = state.amplitudes
-    tail = np.sqrt(np.cumsum(np.abs(amp[::-1]) ** 2))[::-1]  # tail[k] = |amp[k:]|
-    amp = amp[: np.count_nonzero(tail > 2.0**-55)]
-    s = amp.size
     with np.errstate(over="ignore"):
         x, radius = np.unique(np.abs(2.0 * beta) ** 2, return_inverse=True)
     if not np.isfinite(x[-1]):
         raise ValueError(f"Wigner points need a finite |2 beta|^2, got {x[-1]!r}")
-    terms, exponent = _laguerre_sweep(amp, x)  # f_L = terms 2^exponent
+    terms, exponent = _laguerre_sweep(state.amplitudes, x)  # f_L = terms 2^exponent
+    s = terms.shape[0]
 
     # W = (2/pi) Re(acc_0) exp(-x/2), with acc_L = f_L + acc_(L+1) 2 beta / sqrt(L + 1)
     # held as a mantissa times 2^level[L].  level[L] is log2 of the largest

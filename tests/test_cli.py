@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,6 +594,35 @@ def test_wigner_grid_accepts_one_point_integers_and_notes(tmp_path, capsys):
     assert (section["extent"], section["points"], section["axis"]) == (2.0, 1, [-2.0])
     vacuum = (2.0 / math.pi) * math.exp(-16.0)
     assert section["values"][0][0] == pytest.approx(vacuum, rel=1e-12)
+
+
+def _wigner_grids(monkeypatch, grids):
+    """(axis, points) that the cat scenario maps for each ``wigner`` block, with no state."""
+    from squidcat import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "wigner", lambda state, pts: seen.append(pts) or np.zeros(pts.size))
+    record = SimpleNamespace(outcome="g", post_state=None)
+    axes = [np.array(cli._wigner_section([record], {"wigner": g})[0]["axis"]) for g in grids]
+    return list(zip(axes, seen))
+
+
+@pytest.mark.parametrize("extent", [3.0, 2.0, 0.7, 20.0])
+def test_wigner_axis_is_exactly_antisymmetric(monkeypatch, extent):
+    grids = [{"extent": extent, "points": p} for p in range(1, 102)]
+    (one, _), *rest = _wigner_grids(monkeypatch, grids)
+    assert one.tolist() == [-extent]
+    for axis, _ in rest:
+        assert np.array_equal(axis, -axis[::-1])
+        reference = np.linspace(-extent, extent, axis.size)
+        assert np.abs(axis - reference).max() <= 8 * np.spacing(extent)
+
+
+def test_default_wigner_grid_has_few_distinct_radii(monkeypatch):
+    # linspace(-3, 3, 41) is off antisymmetry by an ulp at 21 entries: 367 radii.
+    ((axis, points),) = _wigner_grids(monkeypatch, [{}])
+    assert axis.size == 41 and points.size == 41 * 41
+    assert np.unique(np.abs(2.0 * points) ** 2).size <= 210
 
 
 def test_main_out_override(tmp_path, capsys):

@@ -31,5 +31,11 @@ def test_every_threshold_is_assigned_once_in_constants():
     names = [name for _, name in assigned]
     assert [entry for entry in assigned if entry[0] != "constants.py"] == []
     assert len(names) == len(set(names))
-    expected = {"NORM_TOL", "TRUNCATION_TOL", "MAX_FOCK_DIM", "ZERO_PROBABILITY_THRESHOLD"}
+    expected = {
+        "NORM_TOL",
+        "TRUNCATION_TOL",
+        "MAX_FOCK_DIM",
+        "ZERO_PROBABILITY_THRESHOLD",
+        "WIGNER_TRIM_TOL",
+    }
     assert expected <= set(names)

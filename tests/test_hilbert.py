@@ -614,6 +614,38 @@ def test_wigner_matches_displaced_parity(amp):
     assert np.abs(values - _displaced_parity_wigner(amp, _ORACLE_GRID)).max() <= 1e-12
 
 
+def _decaying_amplitudes(seed, dim=64, mean=4.0):
+    """Random complex amplitudes under a Poisson(mean) envelope, like a coherent state's."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(dim)
+    envelope = np.exp(0.5 * (n * math.log(mean) - mean - gammaln(n + 1.0)))
+    amp = envelope * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize(
+    "amp_fn, flat",
+    [
+        (lambda: cat_state(_DIAGONAL_ALPHA, "odd", fock_dim=64).amplitudes, False),
+        (lambda: _decaying_amplitudes(4), False),
+        (lambda: _random_amplitudes(5), True),  # every entry is far above the floor
+    ],
+    ids=["parity-cat", "poisson-decay", "flat"],
+)
+def test_wigner_trim_moves_the_map_by_at_most_its_bound(monkeypatch, amp_fn, flat):
+    from squidcat import constants, hilbert
+
+    state = CavityState(amp_fn())
+    values = wigner(state, _GRID)
+    monkeypatch.setattr(hilbert, "WIGNER_TRIM_TOL", 0.0)  # keeps every nonzero entry
+    untrimmed = wigner(state, _GRID)
+    if flat:
+        assert np.array_equal(values, untrimmed)
+    else:
+        bound = (2.0 / math.pi) * constants.WIGNER_TRIM_TOL + 1e-15  # the trim's, plus rounding
+        assert np.abs(values - untrimmed).max() <= bound
+
+
 def test_wigner_ignores_trailing_empty_levels():
     amp = _random_amplitudes(3)
     padded = np.concatenate((amp, np.zeros(500)))
