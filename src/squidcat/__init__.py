@@ -51,6 +51,7 @@ from .hilbert import (
     propagate,
     required_fock_dim,
     wigner,
+    wigner_maps,
 )
 from .measurement import MeasurementRecord, measure_qubit, parity_spectrum
 from .model import Coupling, DeviceParams, coupling_xi, hamiltonian, validity_margin
@@ -105,4 +106,5 @@ __all__ = [
     "validity_margin",
     "verify_analytic_numeric",
     "wigner",
+    "wigner_maps",
 ]

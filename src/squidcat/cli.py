@@ -4,9 +4,12 @@ One invocation runs one scenario (cat, inject, squeeze, sweep, verify or
 feasibility) and writes a single output file at the configured path.  All
 floating-point output is printed with 17 significant digits so emitted
 states reload bit-faithfully.  The JSON writer ``dumps17`` puts one item
-per line; a list of floats (a Wigner row, an amplitude pair) is checked and
-formatted in one pass, with the same bytes as item by item: ``-0`` stays
-``-0`` and any NaN or infinity raises NonFiniteError (exit 3).
+per line.  A float block, a row of floats or equal-length rows of them (a
+Wigner map, its axis, the [re, im] pairs of a state), is checked and
+formatted in one pass by one ``%`` call, with the same bytes as item by
+item: ``-0`` stays ``-0`` and any NaN or infinity raises NonFiniteError
+(exit 3).  The cat scenario's Wigner maps, one per possible outcome, come
+from one ``wigner_maps`` call on one grid.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract failure.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -33,7 +37,7 @@ from .analytic import (
     materialize,
     squeezed_evolution,
 )
-from .constants import MAX_FOCK_DIM
+from .constants import MAX_FOCK_DIM, MAX_WIGNER_POINTS
 from .errors import (
     ConfigError,
     DimensionError,
@@ -50,7 +54,7 @@ from .experiments import (
     sweep_rows_to_csv,
     verify_analytic_numeric,
 )
-from .hilbert import CavityState, min_quadrature_variance, wigner
+from .hilbert import CavityState, min_quadrature_variance, wigner_maps
 from .measurement import MeasurementRecord, measure_qubit, measurement_record_to_dict
 from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 
@@ -101,7 +105,7 @@ class RunConfig:
     out_format: str
 
 
-# Item types of a float row, written by dumps17 in one pass.
+# Item types of a float row or block, written by dumps17 in one pass.
 _FLOAT_TYPES = frozenset((float, np.float64))
 
 
@@ -111,15 +115,42 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@functools.lru_cache(maxsize=64)
+def _float_template(shape: tuple[int, ...], indent: int) -> str:
+    """The ``%`` template of a float row (shape (columns,)) or block (rows, columns)."""
+    if not shape:
+        return "%.17g"
+    pad = "  " * indent
+    item = _float_template(shape[1:], indent + 1)
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def _float_block(obj) -> tuple[tuple[int, ...], list] | None:
+    """(shape, items in row-major order) of a non-empty float row, or of a
+    block of equal-length non-empty float rows given as lists or tuples;
+    None for anything else."""
+    if isinstance(obj[0], (list, tuple)):
+        shape = (len(obj), len(obj[0]))
+        if not shape[1] or any(not isinstance(r, (list, tuple)) or len(r) != shape[1] for r in obj):
+            return None
+        items = list(itertools.chain.from_iterable(obj))
+    else:
+        shape, items = (len(obj),), obj
+    return (shape, items) if _FLOAT_TYPES.issuperset(map(type, items)) else None
+
+
 def dumps17(obj, indent: int = 0) -> str:
     """JSON rendering with every float printed at 17 significant digits.
 
     Containers open one item per line, indented two spaces per level.  A
-    non-empty list or tuple whose items are all floats (``np.float64``
-    included, bools and ints not) is written in one pass: its finiteness
-    is checked once and each item formatted by ``"%.17g"`` inline, with no
-    Python function call per item, giving the same bytes as the recursive
-    path.
+    float block, a non-empty list or tuple of floats (``np.float64``
+    included, bools and ints not) or of equal-length non-empty rows of
+    them, such as a Wigner map or the [re, im] pairs of a state, is written
+    in one pass: its item types and finiteness are checked once, in
+    row-major order, and every item is formatted by one ``%`` call on a
+    ``"%.17g"`` template cached by (rows, columns, indent).  A row is the
+    one-row case.  The bytes are those of the recursive path, which writes
+    everything else.
     """
     pad = "  " * indent
     if obj is None:
@@ -135,13 +166,13 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        sep = ",\n" + pad + "  "
-        if _FLOAT_TYPES.issuperset(map(type, obj)):
-            for bad in itertools.filterfalse(math.isfinite, obj):
+        block = _float_block(obj)
+        if block is not None:
+            shape, items = block
+            for bad in itertools.filterfalse(math.isfinite, items):
                 _fmt(float(bad))  # raises, naming the first non-finite item
-            items = sep.join(["%.17g" % v for v in obj])
-        else:
-            items = sep.join(dumps17(v, indent + 1) for v in obj)
+            return _float_template(shape, indent) % tuple(items)
+        items = (",\n" + pad + "  ").join(dumps17(v, indent + 1) for v in obj)
         return "[\n" + pad + "  " + items + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -294,17 +325,19 @@ def validate_config(data) -> RunConfig:
 
 
 def _validate_wigner_grid(grid) -> None:
-    """Check the cat scenario's ``wigner`` block: an integer ``points`` >= 1 and
-    a real ``extent`` > 0 whose grid corners extent (1 + i) have a finite
-    |2 beta|^2 = 8 extent^2."""
+    """Check the cat scenario's ``wigner`` block: an integer ``points`` in
+    1..MAX_WIGNER_POINTS and a real ``extent`` > 0 whose grid corners
+    extent (1 + i) have a finite |2 beta|^2 = 8 extent^2."""
     if not isinstance(grid, dict):
         raise ConfigError("key 'wigner' must be an object with 'extent' and 'points'")
     for key in grid:
         if key not in ("extent", "points") and not key.startswith("_"):
             raise ConfigError(f"unknown wigner key {key!r}")
     points = grid.get("points", 41)
-    if not _is_count(points):
-        raise ConfigError(f"key 'wigner.points' must be an integer >= 1, got {points!r}")
+    if not _is_count(points) or points > MAX_WIGNER_POINTS:
+        raise ConfigError(
+            f"key 'wigner.points' must be an integer from 1 to {MAX_WIGNER_POINTS}, got {points!r}"
+        )
     extent = grid.get("extent", 3.0)
     if not _is_real(extent) or extent <= 0 or not math.isfinite(8.0 * extent * extent):
         raise ConfigError(
@@ -349,21 +382,18 @@ def _wigner_section(records: list[MeasurementRecord | None], args) -> list[dict]
     else:  # exactly antisymmetric, unlike linspace, so the map has fewer distinct radii
         axis = extent * np.arange(1 - points, points, 2) / (points - 1)
     grid = (axis[:, None] * 1j + axis[None, :]).ravel()  # values[i_im][i_re]
-    sections = []
-    for record in records:
-        if record is None:
-            continue
-        values = wigner(record.post_state, grid).reshape(points, points)
-        sections.append(
-            {
-                "outcome": record.outcome,
-                "extent": extent,
-                "points": points,
-                "axis": axis.tolist(),
-                "values": values.tolist(),
-            }
-        )
-    return sections
+    records = [record for record in records if record is not None]
+    maps = wigner_maps([record.post_state for record in records], grid)
+    return [
+        {
+            "outcome": record.outcome,
+            "extent": extent,
+            "points": points,
+            "axis": axis.tolist(),
+            "values": values.reshape(points, points).tolist(),
+        }
+        for record, values in zip(records, maps)
+    ]
 
 
 def _run_cat(config: RunConfig) -> dict:

@@ -31,6 +31,7 @@ WIGNER_TRIM_TOL = 2.0**-55  # summed |rho| a Wigner map may leave out: eps/8, un
 ZERO_PROBABILITY_THRESHOLD = 1e-14  # an outcome less likely has no post-state: unit-norm rounding
 DEFAULT_FOCK_DIM = 64  # the policy's smallest start: holds |alpha| <= 5 within TRUNCATION_TOL
 MAX_FOCK_DIM = 512  # largest truncation the policy or a configuration may use: bounds a run's cost
+MAX_WIGNER_POINTS = 401  # points per axis of a cat Wigner map: the example's 2 maps take 64 MiB
 
 
 def ev_to_rate(energy_ev: float) -> float:

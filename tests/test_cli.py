@@ -519,7 +519,7 @@ def test_main_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeyp
     one_infinite = np.zeros(41 * 41)
     one_infinite[7] = -np.inf
     for bad, name in ((np.full(41 * 41, np.nan), "nan"), (one_infinite, "-inf")):
-        monkeypatch.setattr(cli, "wigner", lambda state, points, bad=bad: bad)
+        monkeypatch.setattr(cli, "wigner_maps", lambda states, points, bad=bad: [bad] * len(states))
         config = _base_cat_config(tmp_path)
         assert main(["--config", _write_config(tmp_path, config)]) == 3
         err = capsys.readouterr().err
@@ -596,12 +596,51 @@ def test_wigner_grid_accepts_one_point_integers_and_notes(tmp_path, capsys):
     assert section["values"][0][0] == pytest.approx(vacuum, rel=1e-12)
 
 
+def test_wigner_grid_past_the_cap_rejected_before_any_map(tmp_path, capsys, monkeypatch):
+    from squidcat import cli
+    from squidcat.constants import MAX_WIGNER_POINTS
+
+    def never(*args):
+        raise AssertionError("a Wigner map was computed")
+
+    monkeypatch.setattr(cli, "wigner_maps", never)
+    config = _base_cat_config(tmp_path)
+    config["wigner"] = {"extent": 3.0, "points": MAX_WIGNER_POINTS}
+    validate_config(config)  # the cap itself is accepted
+    config["wigner"]["points"] = MAX_WIGNER_POINTS + 1
+    assert main(["--config", _write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"'wigner.points' must be an integer from 1 to {MAX_WIGNER_POINTS}" in err
+    assert not (tmp_path / "cat.json").exists()
+
+
+def test_cat_with_one_possible_outcome_writes_one_map(tmp_path, capsys):
+    # At tau = 0 the cavity stays in vacuum and the e outcome cannot occur.
+    config = _base_cat_config(tmp_path, tau=0.0)
+    assert main(["--config", _write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "cat.json").read_text())
+    assert [m["probability"] for m in data["measurements"]][1] == 0.0
+    (section,) = data["wigner"]
+    assert section["outcome"] == "g" and section["points"] == 41
+    axis = np.array(section["axis"])
+    beta = axis[None, :] + 1j * axis[:, None]
+    vacuum = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta) ** 2)
+    assert np.abs(np.array(section["values"]) - vacuum).max() <= 1e-15
+
+
 def _wigner_grids(monkeypatch, grids):
     """(axis, points) that the cat scenario maps for each ``wigner`` block, with no state."""
     from squidcat import cli
 
     seen = []
-    monkeypatch.setattr(cli, "wigner", lambda state, pts: seen.append(pts) or np.zeros(pts.size))
+
+    def maps(states, pts):
+        seen.append(pts)
+        return [np.zeros(pts.size) for _ in states]
+
+    monkeypatch.setattr(cli, "wigner_maps", maps)
     record = SimpleNamespace(outcome="g", post_state=None)
     axes = [np.array(cli._wigner_section([record], {"wigner": g})[0]["axis"]) for g in grids]
     return list(zip(axes, seen))
@@ -731,6 +770,26 @@ def test_dumps17_matches_the_reference_on_example_runs(tmp_path, capsys, monkeyp
         [None, 1.0],
         [np.float32(0.1), 1.0],
         [[1.0, 2.0], [], [3.0]],
+        # blocks of equal-length float rows
+        [[0.25]],
+        [[0.1, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]],
+        [[1.0 / 3.0], [-0.0], [5e-324]],
+        np.linspace(-2.0, 2.0, 41 * 41).reshape(41, 41).tolist(),
+        np.geomspace(1e-300, 1e300, 128).reshape(64, 2).tolist(),
+        ((0.5, -2.0), (1e-300, -0.0)),
+        [(0.5, -2.0), [1e-300, -0.0]],
+        [[np.float64(0.1), 2.5], [np.float64(-0.0), np.float64(5e-324)]],
+        # not blocks: written by the recursive path
+        [[1.0, 2.0], [3.0]],
+        [[], []],
+        [[1.0], []],
+        [[1.0, 2.0], [3, 4.0]],
+        [[1.0, 2.0], [3.0, True]],
+        [[1.0, None], [3.0, 4.0]],
+        [[1.0, 2.0], [np.float32(3.0), 4.0]],
+        [[[1.0, 2.0]], [[3.0, 4.0]]],
+        [[1.0, 2.0], 3.0],
+        [1.0, [2.0]],
     ],
 )
 def test_dumps17_float_rows_match_the_reference(row):
@@ -745,6 +804,11 @@ def test_dumps17_float_rows_match_the_reference(row):
         [1.0, math.nan, math.inf],
         (2.0, -math.inf),
         [np.float64(1.0), np.float64(math.nan)],
+        [[math.nan]],
+        [[1.0, 2.0], [3.0, math.inf]],
+        [[1.0, 2.0, -math.inf], [math.nan, 3.0, 4.0]],  # the first in row-major order
+        [[1.0, math.nan], [-math.inf, 2.0]],
+        ((1.0, 2.0), (np.float64(math.inf), 0.0)),
     ],
 )
 def test_dumps17_float_row_rejects_non_finite(row):

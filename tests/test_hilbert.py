@@ -32,6 +32,7 @@ from squidcat.hilbert import (
     required_fock_dim,
     top_level_weight,
     wigner,
+    wigner_maps,
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
@@ -661,6 +662,51 @@ def test_wigner_empty_and_non_finite_points():
         wigner(state, [0.0, complex(1e155, 0.0)])
     with pytest.raises(ValueError, match="finite"):
         wigner(state, [np.nan])
+
+
+
+def _trailing_zero_levels():
+    amp = np.zeros(40, dtype=complex)
+    amp[:12] = _random_amplitudes(6)
+    return CavityState(amp)
+
+
+_MAP_STATES = {
+    "even-cat": lambda: cat_state(_DIAGONAL_ALPHA, "even", fock_dim=64),
+    "odd-cat": lambda: cat_state(_DIAGONAL_ALPHA, "odd", fock_dim=64),
+    "squeezed": lambda: materialize_label(
+        CoherentLabel(0.8 - 0.3j, squeeze=0.6 * np.exp(0.4j), rotation=0.9), 96
+    ),
+    "fock-5": lambda: CavityState(np.eye(16)[5]),
+    "trailing-zeros": _trailing_zero_levels,
+    "poisson-decay": lambda: CavityState(_decaying_amplitudes(7, dim=48)),
+    "flat-200": lambda: CavityState(_random_amplitudes(8, dim=200)),
+}
+
+
+@pytest.mark.parametrize(
+    "names",
+    [[name] for name in _MAP_STATES] + [list(_MAP_STATES), ["fock-5", "even-cat", "fock-5"]],
+    ids=[*_MAP_STATES, "all-lengths", "repeated"],
+)
+def test_wigner_maps_equal_the_one_state_maps(names):
+    states = [_MAP_STATES[name]() for name in names]
+    for grid in (_GRID, _ORACLE_GRID, [0.0, 20.0 + 15.0j]):  # the last rescales "flat-200"
+        maps = wigner_maps(states, grid)
+        assert len(maps) == len(states)
+        for state, values in zip(states, maps):
+            assert np.array_equal(values, wigner(state, grid))
+
+
+def test_wigner_maps_of_no_states_sweep_nothing(monkeypatch):
+    from squidcat import hilbert
+
+    def never(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(hilbert, "_laguerre_sweep", never)
+    assert wigner_maps([], _GRID) == []
+    assert [m.shape for m in wigner_maps([coherent_fock(1.0, 16)] * 2, [])] == [(0,), (0,)]
 
 
 # ---------------------------------------------------------------- diagnostics
