@@ -5,22 +5,33 @@ into driven-oscillator problems, so vacuum or coherent input evolves into
 qubit-entangled coherent branches with displacements and phases given in
 closed form.  The quadratic Hamiltonian is a squeezing oscillator in each
 sector, so coherent input evolves exactly into squeezed coherent branches,
-solved from the Heisenberg equations of the mode.  A BranchDecomposition
-records those branches symbolically, each with one label type,
-``CoherentLabel``: exp(-i rotation n) S(squeeze)|alpha>, the coherent state
-|alpha> when squeeze and rotation are zero and Yuen's two-photon coherent
-state otherwise.  Any two labels overlap in closed form, so every
-post-selected combination's norm is one Gram sum (``superposition_norm2``).
+solved from the Heisenberg equations of the mode.  Every branch has one
+label type, ``CoherentLabel``: exp(-i rotation n) S(squeeze)|alpha>, the
+coherent state |alpha> when squeeze and rotation are zero and Yuen's
+two-photon coherent state otherwise.  Any two labels overlap in closed form,
+so every post-selected combination's norm is one Gram sum
+(``superposition_norm2``).
 
-``materialize_labels`` is the one materialization path: it turns a list of
-labels into an (L x N) array of Fock amplitudes, checking every label's
-Poisson tail in one pass, building unsqueezed rows in one broadcast exp and
-running Yuen's three-term Fock recurrence once for all the others.
-``materialize_label`` is its one-row case, ``auto_fock_dim`` (the
-truncation policy) calls it once per truncation tried.
-``materialize_columns`` turns K decompositions into the columns of one
-joint Fock-space array, with one norm check per column, for comparison
-against brute-force propagation; ``materialize`` is its one-column case.
+Each closed form is computed once for a whole time grid, in the sigma_x-sector
+form the physics has (``SectorBranches``): for each of the two sectors, arrays
+of the label's alpha, phase, squeeze and rotation over the K times
+(``LabelArrays``), and one constant 2 x 2 matrix of (g/e block x sector)
+weights.  The flux pulse acts on that form by turning every label and
+left-multiplying the weights by its qubit rotation (``pulse_sectors``).
+``evolve_vacuum``, ``evolve_coherent`` and ``squeezed_evolution`` are the
+one-time views of it, a ``BranchDecomposition`` of weighted ``Branch``es.
+
+``materialize_labels`` is the one materialization path: it turns label
+arrays (or a list of labels, converted once) into an (L x N) array of Fock
+amplitudes, checking every label's Poisson tail in one pass, building
+unsqueezed rows in one broadcast exp and running Yuen's three-term Fock
+recurrence once for all the others.  ``materialize_label`` is its one-row
+case, ``auto_fock_dim`` (the truncation policy) calls it once per truncation
+tried.  ``materialize_sectors`` forms a sector form's K joint states as the
+columns of one array in one contraction of the weights and branch phases
+against the label rows; ``materialize_columns`` does the same for K
+decompositions, and ``materialize`` is its one-column case.  Both check
+every column's norm with one shared rule.
 
 Neglected global phase factors are carried as metadata, never silently
 dropped; all state comparisons are phase-insensitive.
@@ -29,8 +40,9 @@ dropped; all state comparisons are phase-insensitive.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +57,14 @@ from .hilbert import (
     required_fock_dim,
     top_level_weights,
 )
-from .model import Coupling, DeviceParams, require_setting, validity_margin
+from .model import Coupling, DeviceParams, flux_pulse, require_setting, validity_margin
 
 __all__ = [
     "CoherentLabel",
+    "LabelArrays",
     "Branch",
     "BranchDecomposition",
+    "SectorBranches",
     "DisentangledFactors",
     "disentangle",
     "complex_rabi",
@@ -62,8 +76,12 @@ __all__ = [
     "cat_state",
     "flux_pi_pulse",
     "squeezed_evolution",
+    "linear_sectors",
+    "pulse_sectors",
+    "squeezed_sectors",
     "materialize_labels",
     "materialize_label",
+    "materialize_sectors",
     "materialize_columns",
     "materialize",
     "auto_fock_dim",
@@ -76,6 +94,9 @@ _SERIES_TERMS = 16
 _AMPLITUDE_BITS = 480  # log2 bound on a carried Yuen amplitude: a sum of squares stays finite
 _QUBIT_ROWS = {name: k for k, name in enumerate(QUBIT_AMPLITUDES)}  # rows of _QUBIT_TABLE
 _QUBIT_TABLE = np.array(list(QUBIT_AMPLITUDES.values()))
+_PREPARED = np.array([[0.5, 0.5], [0.5, -0.5]])  # g (x) sector labels: (g/e block x sector) weights
+_PREPARED.setflags(write=False)
+_SECTOR_SIGNS = np.array([[1.0], [-1.0]])  # s of the sigma_x = +1 and -1 rows of a sector form
 
 
 @dataclass(frozen=True)
@@ -97,6 +118,45 @@ class CoherentLabel:
     def squeezed(self) -> bool:
         """Whether the label is squeezed or rotated, rather than the coherent state |alpha>."""
         return self.squeeze != 0 or self.rotation != 0
+
+
+@dataclass(frozen=True)
+class LabelArrays:
+    """Cavity labels as four arrays of one shape: entry k is the label
+    CoherentLabel(alpha[k], phase[k], squeeze[k], rotation[k]); iterating
+    yields those labels in row-major order."""
+
+    alpha: np.ndarray
+    phase: np.ndarray
+    squeeze: np.ndarray
+    rotation: np.ndarray
+
+    @classmethod
+    def of(cls, labels) -> LabelArrays:
+        """The label arrays of an iterable of ``CoherentLabel``s, in its order."""
+        labels = list(labels)
+        return cls(
+            np.array([label.alpha for label in labels], dtype=complex),
+            np.array([label.phase for label in labels], dtype=float),
+            np.array([label.squeeze for label in labels], dtype=complex),
+            np.array([label.rotation for label in labels], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return self.alpha.size
+
+    def __iter__(self):
+        fields = (self.alpha, self.phase, self.squeeze, self.rotation)
+        return map(CoherentLabel, *(field.reshape(-1).tolist() for field in fields))
+
+    @property
+    def squeezed(self) -> np.ndarray:
+        """Which labels are squeezed or rotated, rather than coherent states |alpha>."""
+        return (self.squeeze != 0) | (self.rotation != 0)
+
+    def take(self, index) -> LabelArrays:
+        """The labels at ``index`` (any numpy index, such as a boolean mask)."""
+        return LabelArrays(self.alpha[index], self.phase[index], self.squeeze[index], self.rotation[index])
 
 
 @dataclass(frozen=True)
@@ -137,6 +197,49 @@ class BranchDecomposition:
             if branch.label not in seen:
                 seen.append(branch.label)
         return seen
+
+
+@dataclass(frozen=True)
+class SectorBranches:
+    """Closed-form joint states at K times in sigma_x-sector form.
+
+    ``labels`` holds (2, K) arrays: row 0 the sigma_x = +1 sector's label at
+    each time, row 1 the -1 sector's.  ``weights`` is the constant 2 x 2
+    matrix of (g/e block x sector) weights, so the state at time k is
+    sum_bs weights[b, s] e^(i phase[s, k]) |b> (x) |label[s, k]>.
+    """
+
+    labels: LabelArrays
+    weights: np.ndarray
+
+    def branches(self) -> tuple[Branch, ...]:
+        """The nonzero branches of a one-time form, g block first and sector +1 first within it."""
+        labels = list(self.labels.take((slice(None), 0)))  # sector +1, sector -1
+        return tuple(
+            Branch(qubit, complex(weight), label)
+            for qubit, row in zip(("g", "e"), self.weights.tolist())
+            for weight, label in zip(row, labels)
+            if weight != 0
+        )
+
+    @functools.cached_property
+    def distinct_labels(self) -> tuple[LabelArrays, np.ndarray]:
+        """The labels to materialize, and the (2, K) row of each (sector, time) label among them.
+
+        Every +1 sector label gets a row, in time order, then every -1 sector
+        label that differs from the +1 one at its time; where the two give
+        the same Fock row (the input state, at t = 0) the -1 label reuses it.
+        """
+        labels = self.labels
+        same = (
+            (labels.alpha[0] == labels.alpha[1])
+            & (labels.squeeze[0] == labels.squeeze[1])
+            & (labels.rotation[0] == labels.rotation[1])
+        )
+        keep = np.stack((np.ones_like(same), ~same))
+        index = np.cumsum(keep.ravel()).reshape(keep.shape) - 1
+        index[1, same] = index[0, same]
+        return labels.take(keep), index
 
 
 @dataclass(frozen=True)
@@ -202,36 +305,42 @@ def _dropped_phase_record(kappa: complex, omega_tau: float) -> str:
     return f"exp(1j*{angle:.17g})"
 
 
+def linear_sectors(
+    params: DeviceParams, coupling: Coupling, alpha_prime: complex, times
+) -> SectorBranches:
+    """Injected coherent state (x) qubit ground under the linear coupling, at every time in ``times``.
+
+    Requires the preparation setting n_g = 1/2, phi_c_ratio = 1/2.  At time
+    tau the two sigma_x sectors displace the field to
+    alpha_pm = alpha' e^(-i w tau) +- kappa (e^(-i w tau) - 1) and pick up
+    branch phases +-phi with phi = Im[kappa conj(alpha') (1 - e^(i w tau))];
+    the common phase exp(i |kappa|^2 (w tau - sin w tau)) is left out.  The
+    qubit ground state is (|+> + |->)/sqrt(2), so the weights are 1/2 on
+    both sectors in the g block and +-1/2 in the e block.
+    """
+    require_setting(params, 0.5, "preparation")
+    kappa = _kappa(params, coupling)
+    alpha_prime = complex(alpha_prime)
+    omega_tau = params.omega_cavity * np.asarray(times, dtype=float)
+    rot = np.exp(-1j * omega_tau)
+    drive = kappa * (rot - 1.0)
+    phi = (kappa * alpha_prime.conjugate() * (1.0 - np.exp(1j * omega_tau))).imag
+    alpha = alpha_prime * rot + _SECTOR_SIGNS * drive
+    unsqueezed = np.zeros(alpha.shape, dtype=complex), np.zeros(alpha.shape)
+    return SectorBranches(LabelArrays(alpha, _SECTOR_SIGNS * phi, *unsqueezed), _PREPARED)
+
+
 def evolve_coherent(
     params: DeviceParams, coupling: Coupling, alpha_prime: complex, tau1: float
 ) -> BranchDecomposition:
     """Evolve an injected coherent state (x) qubit ground under the linear coupling.
 
-    Requires the preparation setting n_g = 1/2, phi_c_ratio = 1/2.  The two
-    sigma_x sectors displace the field to
-    alpha_pm = alpha' e^(-i w tau) +- kappa (e^(-i w tau) - 1) and pick up
-    branch phases +-phi with phi = Im[kappa conj(alpha') (1 - e^(i w tau))];
-    the common phase exp(i |kappa|^2 (w tau - sin w tau)) is recorded as
-    dropped.
+    The one-time view of ``linear_sectors``, with the common phase
+    exp(i |kappa|^2 (w tau - sin w tau)) recorded as dropped.
     """
-    require_setting(params, 0.5, "preparation")
-    omega = params.omega_cavity
-    kappa = _kappa(params, coupling)
-    alpha_prime = complex(alpha_prime)
-    omega_tau = omega * tau1
-    rot = cmath.exp(-1j * omega_tau)
-    alpha_plus = alpha_prime * rot + kappa * (rot - 1.0)
-    alpha_minus = alpha_prime * rot - kappa * (rot - 1.0)
-    phi = (kappa * np.conj(alpha_prime) * (1.0 - cmath.exp(1j * omega_tau))).imag
-    label_plus = CoherentLabel(alpha=alpha_plus, phase=phi)
-    label_minus = CoherentLabel(alpha=alpha_minus, phase=-phi)
-    branches = (
-        Branch("g", 0.5, label_plus),
-        Branch("g", 0.5, label_minus),
-        Branch("e", 0.5, label_plus),
-        Branch("e", -0.5, label_minus),
-    )
-    return BranchDecomposition(branches, _dropped_phase_record(kappa, omega_tau))
+    state = linear_sectors(params, coupling, alpha_prime, [tau1])
+    omega_tau = params.omega_cavity * float(tau1)
+    return BranchDecomposition(state.branches(), _dropped_phase_record(_kappa(params, coupling), omega_tau))
 
 
 def evolve_vacuum(params: DeviceParams, coupling: Coupling, tau: float) -> BranchDecomposition:
@@ -334,70 +443,122 @@ def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> Cavit
     return CavityState(v / norm, leakage=leakage)
 
 
+def _turn(labels: LabelArrays, angle: float) -> LabelArrays:
+    """The labels after exp(-i angle n): an unsqueezed label's alpha turns by e^(-i angle),
+    any other label's rotation grows by angle."""
+    squeezed = labels.squeezed
+    alpha = np.where(squeezed, labels.alpha, labels.alpha * cmath.exp(-1j * angle))
+    rotation = np.where(squeezed, labels.rotation + angle, labels.rotation)
+    return LabelArrays(alpha, labels.phase, labels.squeeze, rotation)
+
+
+def pulse_sectors(state: SectorBranches, params: DeviceParams) -> SectorBranches:
+    """Apply the flux pulse (``model.flux_pulse``) to a sector form at every time.
+
+    The pulse is exp(-i omega t_pulse n) (x) exp(-i (pi/4) sigma_x): it turns
+    every label (``_turn``) and left-multiplies the (g/e block x sector)
+    weights by the qubit rotation.  It commutes with sigma_x, so it shifts
+    the phases of the sigma_x eigenbranches by -pi/4 and cannot change which
+    cavity labels pair with them.
+    """
+    pulse = flux_pulse(params)
+    return SectorBranches(_turn(state.labels, pulse.angle), pulse.rotation @ state.weights)
+
+
 def flux_pi_pulse(state: BranchDecomposition, params: DeviceParams) -> BranchDecomposition:
     """Apply the flux pulse that rotates the qubit about x by a Bloch angle pi/2.
 
-    With the classical flux at one flux quantum the field-qubit coupling is
-    off and the generator is omega n plus the bare Josephson term, so the
-    pulse of duration hbar*pi/(4 E_J) is exactly exp(-i omega t_pulse n)
-    (x) exp(-i (pi/4) sigma_x): an unsqueezed label's alpha turns by
-    e^(-i omega t_pulse), any other label's rotation grows by omega t_pulse.
-    On the sigma_x eigenbranches this shifts the accumulated branch phases
-    by -pi/4; it cannot change which cavity labels pair with them.
+    The decomposition's g and e weights of each distinct label form one
+    (g/e x label) matrix, which the pulse acts on as on a sector form
+    (``pulse_sectors``): every label turns and the qubit rotation
+    left-multiplies the weights.  A label's branches come out g first, and
+    a weight that comes out zero has no branch.
     """
     if any(branch.qubit not in ("g", "e") for branch in state.branches):
         raise ValueError("flux pulse requires a decomposition over g/e branches")
-
-    t_pulse = math.pi / (4.0 * params.ej_rate)
-    angle = params.omega_cavity * t_pulse
-    free_rot = cmath.exp(-1j * angle)
-    cos_half = math.cos(math.pi / 4.0)
-    mix = -1j * math.sin(math.pi / 4.0)
-
-    grouped: dict[CoherentLabel, dict[str, complex]] = {}
+    grouped: dict[CoherentLabel, list] = {}
     for branch in state.branches:
-        grouped.setdefault(branch.label, {"g": 0.0, "e": 0.0})[branch.qubit] += branch.weight
-
-    new_branches: list[Branch] = []
-    for label, weights in grouped.items():
-        if label.squeezed:
-            rotated = replace(label, rotation=label.rotation + angle)
-        else:
-            rotated = replace(label, alpha=label.alpha * free_rot)
-        w_g, w_e = weights["g"], weights["e"]
-        for qubit, weight in (("g", cos_half * w_g + mix * w_e), ("e", mix * w_g + cos_half * w_e)):
-            if weight != 0:
-                new_branches.append(Branch(qubit, weight, rotated))
-    return BranchDecomposition(tuple(new_branches), state.dropped_global_phase)
+        grouped.setdefault(branch.label, [0.0, 0.0])["ge".index(branch.qubit)] += branch.weight
+    pulse = flux_pulse(params)
+    labels = _turn(LabelArrays.of(grouped), pulse.angle)
+    weights = pulse.rotation @ np.array(list(grouped.values()), dtype=complex).reshape(-1, 2).T
+    branches = tuple(
+        Branch(qubit, weight, label)
+        for label, column in zip(labels, weights.T.tolist())
+        for qubit, weight in zip(("g", "e"), column)
+        if weight != 0
+    )
+    return BranchDecomposition(branches, state.dropped_global_phase)
 
 
-def _sector_label(
-    omega: float, lam: complex, shift: float, gamma: complex, t: float
-) -> CoherentLabel:
-    """Exact label of exp(-i H t)|gamma> for H = omega n + (lam a^2 + lam^* adag^2)/2 + shift.
+def _sector_labels(omega: float, lam: complex, shift: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Phase, squeeze and rotation of the exact label of exp(-i H t)|gamma> at every time in ``t``.
 
-    The Heisenberg solution is U^dag a U = u a + v adag with
-    u = cos(w t) - i omega sin(w t)/w and v = -i lam^* sin(w t)/w, where
-    w = sqrt(omega^2 - |lam|^2) is a complex root (sin(w t)/w = t at w = 0),
-    so one expression covers the oscillating, critical and unstable cases.
-    U = exp(i phase) exp(-i rotation n) S(squeeze) with rotation = arg conj(u)
-    and squeeze = asinh|v| e^(i(arg v + rotation)).  The phase follows from
-    the su(1,1) vacuum amplitude <0|U|gamma>, which carries conj(u)^(-1/2)
-    times exp(i(omega/2 - shift) t) (Truax, Phys. Rev. D 31, 1988 (1985)):
-    phase = (omega t - rotation)/2 - shift t, with arg conj(u) unwrapped
-    continuously in t from conj(u(0)) = 1 rather than taken as a principal value.
+    H = omega n + (lam a^2 + lam^* adag^2)/2 + shift.  The Heisenberg
+    solution is U^dag a U = u a + v adag with u = cos(w t) - i omega sin(w t)/w
+    and v = -i lam^* sin(w t)/w, where w = sqrt(omega^2 - |lam|^2) is a
+    complex root (sin(w t)/w = t at w = 0), so one expression covers the
+    oscillating, critical and unstable cases.  U = exp(i phase)
+    exp(-i rotation n) S(squeeze) with rotation = arg conj(u) and
+    squeeze = asinh|v| e^(i(arg v + rotation)), and the label's alpha stays
+    gamma.  The phase follows from the su(1,1) vacuum amplitude <0|U|gamma>,
+    which carries conj(u)^(-1/2) times exp(i(omega/2 - shift) t) (Truax,
+    Phys. Rev. D 31, 1988 (1985)): phase = (omega t - rotation)/2 - shift t,
+    with arg conj(u) unwrapped continuously in t from conj(u(0)) = 1 rather
+    than taken as a principal value.  Where an unstable sector's u and v
+    overflow, the label comes out non-finite.
     """
     w = cmath.sqrt((omega - abs(lam)) * (omega + abs(lam)))
-    sin_over_w = t if w == 0 else cmath.sin(w * t) / w
-    u_bar = cmath.cos(w * t).conjugate() + 1j * omega * sin_over_w.conjugate()
-    v = -1j * lam.conjugate() * sin_over_w
-    # arg conj(u) stays within pi/2 of sign(omega) Re(w) t, so that reference unwraps it.
-    principal = cmath.phase(u_bar)
-    reference = math.copysign(1.0, omega) * w.real * t
-    rotation = principal + 2.0 * math.pi * round((reference - principal) / (2.0 * math.pi))
-    squeeze = math.asinh(abs(v)) * cmath.exp(1j * (cmath.phase(v) + rotation))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin_over_w = t + 0j if w == 0 else np.sin(w * t) / w
+        u_bar = np.cos(w * t).conj() + 1j * omega * sin_over_w.conj()
+        v = -1j * lam.conjugate() * sin_over_w
+        # arg conj(u) stays within pi/2 of sign(omega) Re(w) t, so that reference unwraps it.
+        principal = np.angle(u_bar)
+        reference = math.copysign(1.0, omega) * w.real * t
+        rotation = principal + 2.0 * math.pi * np.round((reference - principal) / (2.0 * math.pi))
+        squeeze = np.arcsinh(np.abs(v)) * np.exp(1j * (np.angle(v) + rotation))
     phase = (omega * t - rotation) / 2.0 - shift * t
-    return CoherentLabel(gamma, phase, squeeze, rotation)
+    return phase, squeeze, rotation
+
+
+def squeezed_sectors(params: DeviceParams, coupling: Coupling, gamma: complex, times) -> SectorBranches:
+    """Coherent state (x) qubit ground under the quadratic coupling, at every time in ``times``.
+
+    Requires n_g = 1/2 and phi_c_ratio = 0.  The sigma_x = s sector
+    (s = +-1) is the squeezing oscillator
+    H_s = Omega_s n + (lam_s a^2 + lam_s^* adag^2)/2 + c_s with
+    Omega_s = omega - s |xi|^2 E_J/hbar, lam_s = -s xi^2 E_J/hbar and
+    c_s = -s E_J (1 + |xi|^2/2)/hbar.  Each sector's branch is its exact
+    squeezed coherent state (``_sector_labels``) at any coupling and time;
+    its squeeze degree is asinh|lam_s sin(w_s t)/w_s| with
+    w_s = sqrt(Omega_s^2 - |lam_s|^2), which stays below asinh(|lam_s|/w_s)
+    in a stable sector and grows without bound where |lam_s| >= |Omega_s|:
+    a time at which a label is not finite (it overflows a double there)
+    raises TruncationError, since no truncation holds that state.  The
+    weights are those of ``linear_sectors``.
+    """
+    require_setting(params, 0.0, "squeezed evolution")
+    gamma = complex(gamma)
+    photons = abs(gamma) * abs(gamma)  # inf, where abs(gamma) ** 2 would raise OverflowError
+    validity_margin(coupling, math.ceil(photons) if math.isfinite(photons) else photons)
+
+    t = np.asarray(times, dtype=float)
+    omega = params.omega_cavity
+    ej = params.ej_rate
+    xi = coupling.xi
+    xi2 = abs(xi) ** 2
+    sectors = [
+        _sector_labels(omega - s * xi2 * ej, -s * xi**2 * ej, -s * ej * (1.0 + xi2 / 2.0), t) for s in (1, -1)
+    ]
+    phase, squeeze, rotation = (np.stack(field) for field in zip(*sectors))
+    unbounded = ~(np.isfinite(squeeze) & np.isfinite(phase)).all(axis=0)
+    if unbounded.any():
+        raise TruncationError(
+            f"a sector label is not finite at t = {float(t[np.argmax(unbounded)])!r}: no truncation holds it",
+            required_dim=None,
+        )
+    return SectorBranches(LabelArrays(np.full(phase.shape, gamma), phase, squeeze, rotation), _PREPARED)
 
 
 def squeezed_evolution(
@@ -405,40 +566,12 @@ def squeezed_evolution(
 ) -> BranchDecomposition:
     """Evolve a coherent state (x) qubit ground under the quadratic coupling.
 
-    Requires n_g = 1/2 and phi_c_ratio = 0.  The sigma_x = s sector
-    (s = +-1) is the squeezing oscillator
-    H_s = Omega_s n + (lam_s a^2 + lam_s^* adag^2)/2 + c_s with
-    Omega_s = omega - s |xi|^2 E_J/hbar, lam_s = -s xi^2 E_J/hbar and
-    c_s = -s E_J (1 + |xi|^2/2)/hbar.  Each sector's branch is its exact
-    squeezed coherent state (``_sector_label``) at any coupling and time;
-    its squeeze degree is asinh|lam_s sin(w_s t)/w_s| with
-    w_s = sqrt(Omega_s^2 - |lam_s|^2), which stays below asinh(|lam_s|/w_s)
-    in a stable sector and grows without bound where |lam_s| >= |Omega_s|.
+    The one-time view of ``squeezed_sectors``.
     """
-    require_setting(params, 0.0, "squeezed evolution")
-    gamma = complex(gamma)
-    t = float(t)
-    photons = abs(gamma) * abs(gamma)  # inf, where abs(gamma) ** 2 would raise OverflowError
-    validity_margin(coupling, math.ceil(photons) if math.isfinite(photons) else photons)
-
-    omega = params.omega_cavity
-    ej = params.ej_rate
-    xi = coupling.xi
-    xi2 = abs(xi) ** 2
-    label_plus, label_minus = (
-        _sector_label(omega - s * xi2 * ej, -s * xi**2 * ej, -s * ej * (1.0 + xi2 / 2.0), gamma, t)
-        for s in (1, -1)
-    )
-    branches = (
-        Branch("g", 0.5, label_plus),
-        Branch("g", 0.5, label_minus),
-        Branch("e", 0.5, label_plus),
-        Branch("e", -0.5, label_minus),
-    )
-    return BranchDecomposition(branches)
+    return BranchDecomposition(squeezed_sectors(params, coupling, gamma, [t]).branches())
 
 
-def _squeezed_rows(labels: list[CoherentLabel], fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _squeezed_rows(labels: LabelArrays, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Fock rows of squeezed or rotated labels at once: (L x fock_dim) amplitudes and L leakages.
 
     A label exp(-i rotation n) S(squeeze)|alpha> is annihilated by
@@ -460,11 +593,10 @@ def _squeezed_rows(labels: list[CoherentLabel], fock_dim: int) -> tuple[np.ndarr
     of its squares overflows.  The weight beyond the truncation,
     1 - sum |c_n|^2, is a row's leakage.
     """
-    alpha = np.array([label.alpha for label in labels], dtype=complex)
-    squeeze = np.array([label.squeeze for label in labels], dtype=complex)
+    alpha, squeeze = labels.alpha, labels.squeeze
     r = np.abs(squeeze)
     spin = np.exp(1j * np.angle(squeeze))
-    turn = np.exp(1j * np.array([label.rotation for label in labels], dtype=float))
+    turn = np.exp(1j * labels.rotation)
     mu = np.cosh(r) * turn
     nu = -np.sinh(r) * spin / turn
     log_vacuum = (
@@ -499,25 +631,26 @@ def _squeezed_rows(labels: list[CoherentLabel], fock_dim: int) -> tuple[np.ndarr
 def materialize_labels(labels, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Fock rows of branch labels (phase factors not included): an (L x fock_dim) array and L leakages.
 
-    Row k is ``labels[k]`` on ``fock_dim`` levels.  The Poisson tail of
-    every label's coherent centre ``alpha`` is checked in one pass
-    (``coherent_tails``), so a truncation too small for any label raises
-    the TruncationError that label alone would raise.  Unsqueezed rows come
-    from one broadcast exp (``coherent_amplitudes``) and carry their tail as
-    leakage; squeezed or rotated rows come from one run of Yuen's
-    recurrence for all of them (``_squeezed_rows``).
+    ``labels`` is a 1-D ``LabelArrays`` or an iterable of ``CoherentLabel``s,
+    converted once; row k is its k-th label on ``fock_dim`` levels.  The
+    Poisson tail of every label's coherent centre ``alpha`` is checked in
+    one pass (``coherent_tails``), so a truncation too small for any label
+    raises the TruncationError that label alone would raise.  Unsqueezed
+    rows come from one broadcast exp (``coherent_amplitudes``) and carry
+    their tail as leakage; squeezed or rotated rows come from one run of
+    Yuen's recurrence for all of them (``_squeezed_rows``).
     """
     if fock_dim < 2:
         raise DimensionError(f"Fock truncation must be >= 2, got {fock_dim}")
-    labels = list(labels)
-    squeezed = np.array([label.squeezed for label in labels], dtype=bool)
-    alphas = np.array([label.alpha for label in labels], dtype=complex)
-    leakages = coherent_tails(alphas, fock_dim)
+    if not isinstance(labels, LabelArrays):
+        labels = LabelArrays.of(labels)
+    squeezed = labels.squeezed
+    leakages = coherent_tails(labels.alpha, fock_dim)
+    if not squeezed.any():
+        return coherent_amplitudes(labels.alpha, fock_dim), leakages
     rows = np.empty((len(labels), fock_dim), dtype=complex)
-    rows[~squeezed] = coherent_amplitudes(alphas[~squeezed], fock_dim)
-    if squeezed.any():
-        picked = [labels[k] for k in np.flatnonzero(squeezed)]
-        rows[squeezed], leakages[squeezed] = _squeezed_rows(picked, fock_dim)
+    rows[~squeezed] = coherent_amplitudes(labels.alpha[~squeezed], fock_dim)
+    rows[squeezed], leakages[squeezed] = _squeezed_rows(labels.take(squeezed), fock_dim)
     return rows, leakages
 
 
@@ -541,16 +674,19 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     further joint states (such as brute-force propagated ones) that must
     pass the same check, as the columns of one 2*dim x K array; the top
     weights of the label rows and of those columns are each one reduction.
-    Returns the truncation and the label states judged there, as the
-    (rows, leakages) of the distinct labels in first-seen order, for
-    callers to reuse.  A start above MAX_FOCK_DIM raises TruncationError
-    before any state is built, and an explicit ``start`` too small for a
-    coherent label raises it too.
+    ``labels`` is a 1-D ``LabelArrays``, every entry of which is judged,
+    or an iterable of ``CoherentLabel``s, whose distinct labels are
+    converted to one once.  Returns the truncation and the label states
+    judged there, as the (rows, leakages) of those labels (for an iterable,
+    the distinct ones in first-seen order), for callers to reuse.  A start
+    above MAX_FOCK_DIM raises TruncationError before any state is built,
+    and an explicit ``start`` too small for a coherent label raises it too.
     """
-    labels = list(dict.fromkeys(labels))
+    if not isinstance(labels, LabelArrays):
+        labels = LabelArrays.of(dict.fromkeys(labels))
     dim = start
     if dim is None:
-        far = max((abs(label.alpha) for label in labels), default=0.0)
+        far = float(np.abs(labels.alpha).max(initial=0.0))
         # A coherent tail is about 1/2 at the mean photon number: past the cap, no sum is needed.
         if far * far >= MAX_FOCK_DIM:
             raise TruncationError(
@@ -580,6 +716,49 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
         dim = min(2 * dim, MAX_FOCK_DIM)
 
 
+def _checked_norms(states: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """norm^2 of each row of ``states`` (K x 2N), each within BRANCH_NORM_TOL plus four times its tail of 1.
+
+    A row off its norm, a NaN row included, raises NormalizationError.
+    """
+    norm2 = np.array([np.vdot(state, state).real for state in states])
+    bad = ~(np.abs(norm2 - 1.0) <= BRANCH_NORM_TOL + 4.0 * tails)
+    if bad.any():
+        raise NormalizationError(
+            f"branch decomposition materializes to norm^2 = {float(norm2[np.argmax(bad)])!r}; "
+            "weights are inconsistent"
+        )
+    return norm2
+
+
+def materialize_sectors(
+    state: SectorBranches, fock_dim: int, label_states: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand a sector form's K times into the columns of one (2*fock_dim x K) array.
+
+    ``label_states`` holds the (rows, leakages) of ``state.distinct_labels``
+    at ``fock_dim``, as ``auto_fock_dim`` returns them.  Column k is one
+    contraction of the weights and branch phases against the (2, K, N)
+    label rows, sum_s weights[b, s] e^(i phase[s, k]) row[s, k] in block b.
+    Each column must come out normalized to BRANCH_NORM_TOL plus four times
+    its truncation tail (its labels' leakages weighted by |weight|^2);
+    otherwise, a NaN column included, NormalizationError is raised.
+    Returns the columns as built, their norm^2, and each column's leakage:
+    its tail plus |1 - norm^2|.
+    """
+    labels, index = state.distinct_labels
+    rows, leakages = label_states
+    if rows.shape != (len(labels), fock_dim):
+        raise ValueError(
+            f"label states of shape {rows.shape} do not fit {len(labels)} labels on {fock_dim} levels"
+        )
+    factors = state.weights[:, :, None] * np.exp(1j * state.labels.phase)  # (block, sector, time)
+    states = np.einsum("bsk,skn->kbn", factors, rows[index]).reshape(index.shape[1], -1)
+    tails = (np.abs(state.weights) ** 2).sum(axis=0) @ leakages[index]
+    norm2 = _checked_norms(states, tails)
+    return states.T, norm2, tails + np.abs(1.0 - norm2)
+
+
 def materialize_columns(
     decompositions, fock_dim: int, label_states: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -591,11 +770,8 @@ def materialize_columns(
     Every branch adds its coefficient times its qubit amplitude times its
     label's row to the qubit blocks it populates, all branches in one
     products array summed in branch order, so a column is bit for bit the
-    sum a branch-by-branch loop forms.  Each column must come out normalized
-    to BRANCH_NORM_TOL plus four times its truncation tail (its labels'
-    leakages weighted by |weight|^2); otherwise, a NaN column included,
-    NormalizationError is raised.  Returns the columns as built, their
-    norm^2, and each column's leakage: its tail plus |1 - norm^2|.
+    sum a branch-by-branch loop forms.  Each column is checked as in
+    ``materialize_sectors``; the return values are those it returns.
     """
     index = {}  # each distinct label's row, in first-seen order
     branches = [
@@ -622,13 +798,7 @@ def materialize_columns(
     weights = np.array([abs(branch.weight) ** 2 for *_, branch in branches], dtype=float)
     np.add.at(tails, column, weights * leakages[row])
     states = states.reshape(len(decompositions), -1)
-    norm2 = np.array([np.vdot(state, state).real for state in states])
-    bad = ~(np.abs(norm2 - 1.0) <= BRANCH_NORM_TOL + 4.0 * tails)
-    if bad.any():
-        raise NormalizationError(
-            f"branch decomposition materializes to norm^2 = {float(norm2[np.argmax(bad)])!r}; "
-            "weights are inconsistent"
-        )
+    norm2 = _checked_norms(states, tails)
     return states.T, norm2, tails + np.abs(1.0 - norm2)
 
 

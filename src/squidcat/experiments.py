@@ -4,8 +4,10 @@ The sweep reproduces how the qubit-field drive rate varies with microwave
 wavelength for several charging-to-Josephson energy ratios, under the fixed
 conventions omega = 4 E_ch / hbar, SQUID area 100 um^2, qubit at the cavity
 midpoint, and cavity volume L^3.  ``verify_analytic_numeric`` is the master
-cross-check: it materializes closed-form branch states and compares them
-against brute-force propagation on a time grid.
+cross-check: it computes the closed form of a target once for its whole time
+grid, in the sigma_x-sector form of ``analytic.SectorBranches`` (two sectors
+of label arrays over the grid and one 2 x 2 weight matrix), and compares the
+joint states it gives against brute-force propagation of the same grid.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import (
+    SectorBranches,
     auto_fock_dim,
-    evolve_coherent,
-    evolve_vacuum,
-    flux_pi_pulse,
-    materialize_columns,
-    squeezed_evolution,
+    linear_sectors,
+    materialize_sectors,
+    pulse_sectors,
+    squeezed_sectors,
 )
 from .constants import HBAR, NORM_TOL, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
 from .hilbert import Propagator, coherent_fock, joint_state
-from .model import Coupling, DeviceParams, coupling_xi, hamiltonian
+from .model import Coupling, DeviceParams, coupling_xi, flux_pulse, hamiltonian
 
 __all__ = [
     "SweepRow",
@@ -168,24 +170,20 @@ def feasibility_report(
     )
 
 
-def _analytic_map(
+def _closed_forms(
     params: DeviceParams,
     coupling: Coupling,
     scenario: str,
+    taus: np.ndarray,
     alpha_prime: complex,
     gamma: complex,
-):
-    """Closed-form evolution tau -> BranchDecomposition for one scenario."""
-    if scenario == "vacuum":
-        return lambda tau: evolve_vacuum(params, coupling, tau)
-    if scenario == "coherent":
-        return lambda tau: evolve_coherent(params, coupling, alpha_prime, tau)
-    if scenario == "pulse":
-        return lambda tau: flux_pi_pulse(
-            evolve_coherent(params, coupling, alpha_prime, tau), params
-        )
+) -> SectorBranches:
+    """Closed-form evolution of one scenario over a whole grid, in sigma_x-sector form."""
+    if scenario in ("vacuum", "coherent", "pulse"):
+        state = linear_sectors(params, coupling, 0.0 if scenario == "vacuum" else alpha_prime, taus)
+        return pulse_sectors(state, params) if scenario == "pulse" else state
     if scenario == "squeeze":
-        return lambda tau: squeezed_evolution(params, coupling, gamma, tau)
+        return squeezed_sectors(params, coupling, gamma, taus)
     raise ValueError(f"scenario must be one of {VERIFY_SCENARIOS}, got {scenario!r}")
 
 
@@ -215,10 +213,21 @@ def _numeric_map(
     psi0 = joint_state("g", coherent_fock(start, dim)).amplitudes
     if scenario != "pulse":
         return lambda taus: evolve(psi0, taus)
-    pulse_params = replace(params, phi_c_ratio=1.0)
-    pulse = Propagator(hamiltonian(pulse_params, coupling, "first", dim))
-    t_pulse = math.pi / (4.0 * params.ej_rate)
-    return lambda taus: pulse(evolve(psi0, taus), np.full(len(taus), t_pulse))
+    pulse = Propagator(hamiltonian(replace(params, phi_c_ratio=1.0), coupling, "first", dim))
+    duration = flux_pulse(params).duration
+    return lambda taus: pulse(evolve(psi0, taus), np.full(len(taus), duration))
+
+
+def _time_grid(tau_grid) -> np.ndarray:
+    """The grid times as one float array: nonempty and finite, else ValueError naming the first bad time."""
+    taus = np.array([float(t) for t in tau_grid])
+    if not taus.size:
+        raise ValueError("tau_grid must be nonempty")
+    bad = ~np.isfinite(taus)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"tau_grid must be finite: tau_grid[{k}] = {float(taus[k])!r}")
+    return taus
 
 
 def verify_analytic_numeric(
@@ -234,34 +243,33 @@ def verify_analytic_numeric(
     """Max infidelity between closed-form branches and brute-force propagation.
 
     Runs both paths at every grid time and returns max(1 - fidelity), with
-    one array per grid on each side.  The truncation comes from
-    ``auto_fock_dim``, starting at ``fock_dim`` if given, else at the tail
-    requirement of the farthest label: at each truncation tried it
-    materializes the distinct labels as one (L x N) array and propagates the
-    initial state over the whole grid with one ``Propagator`` call per
-    Hamiltonian, and it doubles (up to 512) until neither the closed-form
-    rows nor the propagated columns populate the top Fock levels.  There,
-    ``materialize_columns`` forms the K closed-form joint states as the
-    columns of one (2N x K) matrix and checks each column's norm (else
-    NormalizationError); each propagated column must hold its norm to
-    NORM_TOL (else ValueError), and every fidelity is one column-wise
-    overlap between the two.
+    one array per grid on each side.  The grid must be nonempty and finite
+    (else ValueError, before any state is computed).  The closed form is
+    computed once for the whole grid as a ``SectorBranches``: per sigma_x
+    sector, label arrays over the grid, and one 2 x 2 weight matrix.  The
+    truncation comes from ``auto_fock_dim``, starting at ``fock_dim`` if
+    given, else at the tail requirement of the farthest label: at each
+    truncation tried it materializes the distinct labels as one (L x N)
+    array and propagates the initial state over the whole grid with one
+    ``Propagator`` call per Hamiltonian, and it doubles (up to 512) until
+    neither the closed-form rows nor the propagated columns populate the top
+    Fock levels.  There, ``materialize_sectors`` forms the K closed-form
+    joint states as the columns of one (2N x K) matrix in one contraction
+    and checks each column's norm (else NormalizationError); each propagated
+    column must hold its norm to NORM_TOL (else ValueError), and every
+    fidelity is one column-wise overlap between the two.
     """
-    tau_grid = [float(t) for t in tau_grid]
-    if not tau_grid:
-        raise ValueError("tau_grid must be nonempty")
+    taus = _time_grid(tau_grid)
     c = coupling_xi(params) if coupling is None else coupling
-    analytic_at = _analytic_map(params, c, scenario, alpha_prime, gamma)
-    decompositions = [analytic_at(tau) for tau in tau_grid]
+    closed_form = _closed_forms(params, c, scenario, taus, alpha_prime, gamma)
     numeric = {}
 
     def propagated(dim):
-        numeric[dim] = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)(np.array(tau_grid))
+        numeric[dim] = _numeric_map(params, c, scenario, dim, alpha_prime, gamma)(taus)
         return numeric[dim]
 
-    labels = [label for d in decompositions for label in d.labels()]
-    dim, label_states = auto_fock_dim(labels, fock_dim, propagated=propagated)
-    closed, norm2, _ = materialize_columns(decompositions, dim, label_states)
+    dim, label_states = auto_fock_dim(closed_form.distinct_labels[0], fock_dim, propagated=propagated)
+    closed, norm2, _ = materialize_sectors(closed_form, dim, label_states)
     evolved = numeric[dim]
     evolved_norm2 = (evolved.real**2 + evolved.imag**2).sum(axis=0)
     bad = ~(np.abs(evolved_norm2 - 1.0) <= NORM_TOL)

@@ -379,9 +379,11 @@ def coherent_amplitudes(alphas, dim: int) -> np.ndarray:
     if vacuum:
         rows[vacuum] = 0.0
         rows[vacuum, 0] = 1.0
-    # each row's norm as np.linalg.norm takes it: two strided dot products
-    norms = [math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag)) for row in rows]
-    rows /= np.array(norms)[:, None]
+    # each row's norm as np.linalg.norm takes it, two strided dot products; as
+    # a stack of (1 x N) @ (N x 1) products, each runs as that dot in one call
+    real, imag = rows.real, rows.imag
+    norm2 = real[:, None, :] @ real[:, :, None] + imag[:, None, :] @ imag[:, :, None]
+    rows /= np.sqrt(norm2[:, 0])
     return rows
 
 

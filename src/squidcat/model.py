@@ -17,6 +17,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "coupling_xi",
     "validity_margin",
     "require_setting",
+    "FluxPulse",
+    "flux_pulse",
     "hamiltonian",
 ]
 
@@ -178,6 +181,29 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
         value = getattr(params, name)
         if abs(value - wanted) > SETTING_TOL:
             raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
+
+
+class FluxPulse(NamedTuple):
+    """The flux pulse: its duration in s, the cavity's turn omega * duration, and the qubit gate."""
+
+    duration: float
+    angle: float
+    rotation: np.ndarray
+
+
+def flux_pulse(params: DeviceParams) -> FluxPulse:
+    """The pulse of duration hbar*pi/(4 E_J) at one flux quantum, which rotates the qubit about x.
+
+    With the classical flux at one flux quantum the field-qubit coupling is
+    off and the generator is omega n + E_J sigma_x, so the pulse is exactly
+    exp(-i angle n) (x) exp(-i (pi/4) sigma_x): ``rotation`` is that qubit
+    gate in the (g, e) basis, a Bloch rotation by pi/2.
+    """
+    duration = math.pi / (4.0 * params.ej_rate)
+    cos_half, mix = math.cos(math.pi / 4.0), -1j * math.sin(math.pi / 4.0)
+    rotation = np.array([[cos_half, mix], [mix, cos_half]])
+    rotation.setflags(write=False)
+    return FluxPulse(duration, params.omega_cavity * duration, rotation)
 
 
 def _flux_sin_cos(phi_c_ratio: float) -> tuple[float, float]:

@@ -552,6 +552,9 @@ def test_materialize_labels_matches_the_per_label_references():
     for omega_over_lam in (50.0, 2.0, 1.5):
         labels += _sector_labels(omega_over_lam)
     labels += [CoherentLabel(3.0j), CoherentLabel(-2.5, rotation=7.0)]
+    # enough plain rows that a norm summed in another order than np.linalg.norm's shows
+    radii, angles = np.linspace(0.1, 6.0, 12), np.linspace(-3.0, 3.0, 12)
+    labels += [CoherentLabel(r * cmath.exp(1j * a)) for r, a in zip(radii, angles)]
     _check_rows(labels, 256)
 
 

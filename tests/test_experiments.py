@@ -10,7 +10,7 @@ import pytest
 from squidcat.cli import validate_config
 from squidcat.errors import NormalizationError, TruncationError
 from squidcat.experiments import (
-    _analytic_map,
+    _closed_forms,
     SWEEP_CSV_HEADER,
     default_lambda_grid,
     feasibility_report,
@@ -279,18 +279,15 @@ def test_auto_fock_dim_start_on_the_benchmark_labels(monkeypatch, tmp_path, work
         config = validate_config(op.config)
         params, args = config.device, config.args
         tau_max = args.get("tau_max", 4.0 * math.pi / params.omega_cavity)
-        analytic_at = _analytic_map(
+        closed_form = _closed_forms(
             params,
             coupling_xi(params),
             args["target"],
+            np.linspace(0.0, tau_max, args["points"]),
             complex(*args.get("alpha_prime", [0.0])),
             complex(*args.get("gamma", [0.0])),
         )
-        labels = [
-            label
-            for tau in np.linspace(0.0, tau_max, args["points"])
-            for label in analytic_at(tau).labels()
-        ]
+        labels = closed_form.distinct_labels[0]  # the label arrays verify passes to the policy
         assert policy_start(labels) == start_over_every_centre(labels), op.name
 
 
@@ -320,18 +317,14 @@ def test_verify_squeeze_complex_coupling_phase():
 
 def test_verify_rejects_inconsistent_branch_weights(monkeypatch, strong_device, strong_coupling):
     # one label on both qubit states with unit weights: norm^2 = 2 at every time
-    from squidcat import analytic, experiments
+    from squidcat import experiments
+
+    original = experiments._closed_forms
 
     def doubled(*args):
-        def at(tau):
-            label = evolve_vacuum(strong_device, strong_coupling, tau).branches[0].label
-            return analytic.BranchDecomposition(
-                (analytic.Branch("g", 1.0, label), analytic.Branch("e", 1.0, label))
-            )
+        return replace(original(*args), weights=np.array([[1.0, 0.0], [1.0, 0.0]]))
 
-        return at
-
-    monkeypatch.setattr(experiments, "_analytic_map", doubled)
+    monkeypatch.setattr(experiments, "_closed_forms", doubled)
     with pytest.raises(NormalizationError, match="norm\\^2 = 2.0"):
         verify_analytic_numeric(
             strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling
@@ -339,20 +332,18 @@ def test_verify_rejects_inconsistent_branch_weights(monkeypatch, strong_device, 
 
 
 def test_verify_rejects_a_nan_closed_form_column(monkeypatch, strong_device, strong_coupling):
-    # a NaN weight at one time makes that column NaN: it must not read as a NaN infidelity
-    from squidcat import analytic, experiments
+    # a NaN branch phase at one time makes that column NaN: it must not read as a NaN infidelity
+    from squidcat import experiments
+
+    original = experiments._closed_forms
 
     def poisoned(*args):
-        def at(tau):
-            state = evolve_vacuum(strong_device, strong_coupling, tau)
-            if tau > 0.0:
-                return state
-            branch = state.branches[0]
-            return analytic.BranchDecomposition((replace(branch, weight=math.nan),) + state.branches[1:])
+        state = original(*args)
+        phase = state.labels.phase.copy()
+        phase[0, 0] = math.nan
+        return replace(state, labels=replace(state.labels, phase=phase))
 
-        return at
-
-    monkeypatch.setattr(experiments, "_analytic_map", poisoned)
+    monkeypatch.setattr(experiments, "_closed_forms", poisoned)
     with pytest.raises(NormalizationError, match="norm\\^2 = nan"):
         verify_analytic_numeric(
             strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling

@@ -12,6 +12,7 @@ from squidcat.model import (
     Coupling,
     DeviceParams,
     coupling_xi,
+    flux_pulse,
     hamiltonian,
     validity_margin,
 )
@@ -277,3 +278,17 @@ def test_cosine_vs_first_order_quadratic_scaling():
         deviations.append(np.linalg.norm(diff, 2))
     slope = np.polyfit(np.log(xis), np.log(deviations), 1)[0]
     assert abs(slope - 2.0) <= 0.2
+
+
+# ---------------------------------------------------------------- flux pulse
+
+def test_flux_pulse_is_a_quarter_turn_of_the_josephson_phase():
+    params = make_strong_device()
+    pulse = flux_pulse(params)
+    assert params.ej_rate * pulse.duration == pytest.approx(math.pi / 4.0, rel=1e-15)
+    assert pulse.angle == params.omega_cavity * pulse.duration
+    # exp(-i (pi/4) sigma_x), the generator's qubit part E_J sigma_x over that duration
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    expected = math.cos(math.pi / 4.0) * np.eye(2) - 1j * math.sin(math.pi / 4.0) * sigma_x
+    assert np.abs(pulse.rotation - expected).max() <= 1e-16
+    assert np.abs(pulse.rotation @ pulse.rotation.conj().T - np.eye(2)).max() <= 1e-15
