@@ -1,7 +1,12 @@
 """Batch front end: JSON run configuration in, tables/states/reports out.
 
 One invocation runs one scenario (cat, inject, squeeze, sweep, verify or
-feasibility) and writes a single output file at the configured path.  All
+feasibility) and writes a single output file at the configured path.  The
+path is checked before any state is computed: an empty path, an existing
+directory or a path under an existing file is a configuration error.  The
+file is written in place, without O_TRUNC, and cut to the payload's length
+if it is a regular file; nothing is synced, and a run that fails before the
+write leaves an existing output untouched.  All
 floating-point output is printed with 17 significant digits so emitted
 states reload bit-faithfully.  The JSON writer ``dumps17`` puts one item
 per line.  A float block, a row of floats or equal-length rows of them (a
@@ -11,7 +16,8 @@ item: ``-0`` stays ``-0`` and any NaN or infinity raises NonFiniteError
 (exit 3).  The cat scenario's Wigner maps, one per possible outcome, come
 from one ``wigner_maps`` call on one grid.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-contract failure.
+Exit codes: 0 success, 2 configuration error (an unwritable output
+included), 3 numerical-contract failure.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -509,8 +517,56 @@ def _run_feasibility(config: RunConfig) -> dict:
     return out
 
 
+def _check_destination(path: str) -> Path:
+    """The output path, refused with ConfigError before any state is computed
+    when it is empty, names an existing directory, lies under an existing
+    path that is not a directory, or cannot be looked up."""
+    if not path:
+        raise ConfigError("cannot write output '': the path is empty")
+    out_path = Path(path)
+    try:
+        if out_path.is_dir():
+            raise ConfigError(f"cannot write output {path!r}: it is a directory")
+        parent = next(p for p in out_path.parents if p.exists())
+        if not parent.is_dir():
+            raise ConfigError(f"cannot write output {path!r}: {str(parent)!r} is not a directory")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+    return out_path
+
+
+def _write_output(out_path: Path, text: str) -> None:
+    """Write ``text`` over the file at ``out_path`` in place.
+
+    The file is opened without O_TRUNC, created with mode 0o666 & ~umask
+    when new, written from its start, and then cut to the payload's length
+    if it is a regular file, so a FIFO or a device such as /dev/null takes
+    the bytes unchanged.  Replacing an existing file's contents this way
+    skips the cost of truncating it first.  Nothing is synced: if the
+    process dies between the write and the cut, the file holds the new
+    bytes followed by the tail of the old ones.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = len(data)
+        while data:
+            data = data[os.write(fd, data):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
 def run(config: RunConfig) -> Path:
-    """Execute a validated configuration and write its output file."""
+    """Execute a validated configuration and write its output file.
+
+    An output path that cannot be written (see ``_check_destination``) is
+    refused before any state is computed, and an OSError from the write
+    itself is a ConfigError; an existing output is left untouched by a run
+    that fails before the write.
+    """
+    out_path = _check_destination(config.out_path)
     if config.scenario == "sweep":
         payload = _run_sweep(config)
     elif config.scenario == "cat":
@@ -524,13 +580,13 @@ def run(config: RunConfig) -> Path:
     else:
         payload = _run_feasibility(config)
 
-    out_path = Path(config.out_path)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    if config.out_format == "csv":
-        out_path.write_text(payload, encoding="utf-8")
-    else:
-        out_path.write_text(dumps17(payload) + "\n", encoding="utf-8")
+    text = payload if config.out_format == "csv" else dumps17(payload) + "\n"
+    try:
+        if out_path.parent != Path("."):
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_output(out_path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {config.out_path!r}: {exc}") from exc
     return out_path
 
 
@@ -635,7 +691,7 @@ def main(argv=None) -> int:
             print("error: --config or --print-example is required", file=sys.stderr)
             return 2
         config = load_config(opts.config)
-        if opts.out:
+        if opts.out is not None:
             config = dataclasses.replace(config, out_path=opts.out)
         out_path = run(config)
     except ConfigError as exc:

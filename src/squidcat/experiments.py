@@ -201,8 +201,8 @@ def _numeric_map(
     diagonalized once here, and the returned function makes one
     ``Propagator`` call per Hamiltonian for the whole grid, on bare joint
     amplitudes: the initial state to every grid time, then for ``pulse``
-    every evolved column through the same flux pulse.  Column k is the
-    state at the k-th time.
+    every evolved column through the same flux pulse, one duration for all
+    columns.  Column k is the state at the k-th time.
     """
     if scenario == "squeeze":
         evolve = Propagator(hamiltonian(params, coupling, "second", dim))
@@ -214,8 +214,8 @@ def _numeric_map(
     if scenario != "pulse":
         return lambda taus: evolve(psi0, taus)
     pulse = Propagator(hamiltonian(replace(params, phi_c_ratio=1.0), coupling, "first", dim))
-    duration = flux_pulse(params).duration
-    return lambda taus: pulse(evolve(psi0, taus), np.full(len(taus), duration))
+    duration = np.array([flux_pulse(params).duration])
+    return lambda taus: pulse(evolve(psi0, taus), duration)
 
 
 def _time_grid(tau_grid) -> np.ndarray:

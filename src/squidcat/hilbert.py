@@ -228,17 +228,18 @@ class JointState:
         raise ValueError(f"unknown qubit outcome {outcome!r}")
 
 
-def _poisson_pmf(n: int, mu: float) -> float:
-    """P(X = n) for X ~ Poisson(mu) by Loader's saddle-point form, as in R's dpois.
+def _poisson_pmfs(n: int, mus: list[float]) -> list[float]:
+    """P(X = n) for X ~ Poisson(mu), one per mean in ``mus``, by Loader's
+    saddle-point form, as in R's dpois.
 
     exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n) keeps relative precision
     where exp(-mu + n log mu - log n!) loses it to cancellation (C. Loader,
     "Fast and accurate computation of binomial probabilities", 2000).
+    stirlerr(n) and sqrt(2 pi n) are formed once for every mean; each mean
+    keeps its own ``_bd0`` and ``math.exp``.
     """
     if n == 0:
-        return math.exp(-mu)
-    if mu == 0.0:
-        return 0.0
+        return [math.exp(-mu) for mu in mus]
     if n <= 15:
         # stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n), to a few 1e-15 absolute
         stirlerr = math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
@@ -246,7 +247,8 @@ def _poisson_pmf(n: int, mu: float) -> float:
         # Stirling's series; the next term is below 1e-16 of the first
         nn = float(n) * n
         stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
-    return math.exp(-stirlerr - _bd0(n, mu)) / math.sqrt(2.0 * math.pi * n)
+    root = math.sqrt(2.0 * math.pi * n)
+    return [0.0 if mu == 0.0 else math.exp(-stirlerr - _bd0(n, mu)) / root for mu in mus]
 
 
 def _bd0(x: float, m: float) -> float:
@@ -279,7 +281,7 @@ def _poisson_terms(mus: np.ndarray, start: int, width: int) -> np.ndarray:
     negligible.
     """
     terms = np.empty((mus.size, width))
-    terms[:, 0] = [_poisson_pmf(start, mu) for mu in mus.tolist()]
+    terms[:, 0] = _poisson_pmfs(start, mus.tolist())
     np.divide(mus[:, None], np.arange(start + 1, start + width), out=terms[:, 1:])
     return np.cumprod(terms, axis=1, out=terms)
 
@@ -425,22 +427,26 @@ class Propagator:
     and (d - c, -e) = S (d + c, e) S - 2c exactly, with S = diag((-1)^k)
     along the chain.  So only the + chains are diagonalized; each - chain
     takes their eigenvalues minus 2c and their eigenvectors with alternate
-    rows negated.  Any other coupling (second order, cosine) has both
-    sectors diagonalized.
+    rows negated.  At the preparation flux c is exactly 0, so a - chain has
+    its + chain's eigenvalues bit for bit, and the two share one phase
+    table.  Any other coupling (second order, cosine) has both sectors
+    diagonalized.
 
     ``propagator(state, t)`` evolves one ``JointState`` to one time.  For
     a time grid it takes bare joint amplitudes and returns them, with no
     state built: given a 1-D array of K times, a 1-D array is one state
     evolved to every time and a 2N x K array holds one state per time as
-    its columns, the k-th evolved to the k-th time; either way the result
-    is 2N x K.  The states are projected onto each eigenbasis once, as the
-    columns of one matrix, and the phases exp(-i lambda t_k) of every time
-    are applied together.  Each block's exp(-i H_block t) is applied in its
+    its columns, the k-th evolved to the k-th time; a 2N x K array with a
+    one-element array of times has every column evolved to that time.
+    Either way the result is 2N x K.  The states are projected onto each
+    eigenbasis once, as the columns of one matrix, and the phases
+    exp(-i lambda t_k) of every time are formed once per distinct spectrum
+    and applied together.  Each block's exp(-i H_block t) is applied in its
     eigenbasis, which preserves the norm to well below the 1e-10 unitarity
     contract and composes exactly over time.  A non-finite time, a time
     grid given with a ``JointState`` or a scalar time with bare amplitudes,
-    or columns whose number is not the number of times, raises ValueError;
-    a state of the wrong size raises DimensionError.
+    or more than one time for a different number of columns, raises
+    ValueError; a state of the wrong size raises DimensionError.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -453,16 +459,23 @@ class Propagator:
         half = len(blocks) // 2
         coupling = hamiltonian.coupling
         mirror = hamiltonian.band is not None and not (coupling != coupling[0]).any()
+        # Each distinct eigenvalue array once; a block names its phase table by index.
+        self._spectra = []
         self._blocks = []
         for k, (rows, main, off) in enumerate(blocks):
             if off is not None and not off.any():
                 evals, evecs = main, None
             elif mirror and k >= half:
-                _, evals, evecs = self._blocks[k - half]
-                evals, evecs = evals - 2.0 * coupling[0], evecs * (-1.0) ** np.arange(evals.size)[:, None]
+                _, table, evecs = self._blocks[k - half]
+                evecs = evecs * (-1.0) ** np.arange(evecs.shape[0])[:, None]
+                if coupling[0] == 0.0:  # the shift -2c is exactly zero: the + chain's table
+                    self._blocks.append((rows, table, evecs))
+                    continue
+                evals = self._spectra[table] - 2.0 * coupling[0]
             else:
                 evals, evecs = eigh(main) if off is None else eigh_tridiagonal(main, off)
-            self._blocks.append((rows, evals, evecs))
+            self._spectra.append(evals)
+            self._blocks.append((rows, len(self._spectra) - 1, evecs))
 
     def __call__(self, state, t):
         times = np.asarray(t, dtype=float)
@@ -482,23 +495,26 @@ class Propagator:
             raise ValueError(f"joint amplitudes need a 1-D array of times, got shape {times.shape}")
         if state.ndim not in (1, 2):
             raise ValueError(f"joint amplitudes must be 1-D or 2-D, got shape {state.shape}")
-        if state.ndim == 2 and state.shape[1] != times.size:
-            raise ValueError(f"{state.shape[1]} states need as many times, got {times.size}")
+        if state.ndim == 2 and times.size not in (1, state.shape[1]):
+            raise ValueError(f"{state.shape[1]} states need as many times or one, got {times.size}")
         if self.dim != state.shape[0]:
             raise DimensionError(f"dimension mismatch: H is {self.dim}, state is {state.shape[0]}")
-        if times.size == 0:
+        columns = state.reshape(self.dim, -1)
+        if 0 in (times.size, columns.shape[1]):
             return np.empty((self.dim, 0), dtype=complex)
-        return self._evolve(state.reshape(self.dim, -1), times)
+        return self._evolve(columns, times)
 
     def _evolve(self, columns: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """exp(-i H t_k) on the joint columns (2N x 1 or 2N x K) for K times."""
+        """exp(-i H t_k) on the joint columns (2N x 1 or 2N x K) for K times,
+        or on K columns for one time."""
         n = self.dim // 2
         gauge = self._gauge[:, None]
         v = (_SECTOR_BASIS.T @ columns.reshape(2, -1)).reshape(2, n, -1) * gauge.conj()
         v = v.reshape(self.dim, -1)  # + sector rows, then - sector rows
-        out = np.empty((self.dim, times.size), dtype=complex)
-        for rows, evals, evecs in self._blocks:
-            phases = np.exp(-1j * np.outer(evals, times))
+        tables = [np.exp(-1j * np.outer(evals, times)) for evals in self._spectra]
+        out = np.empty((self.dim, max(times.size, v.shape[1])), dtype=complex)
+        for rows, table, evecs in self._blocks:
+            phases = tables[table]
             if evecs is None:
                 out[rows] = phases * v[rows]
             else:

@@ -1,6 +1,9 @@
+import builtins
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -674,6 +677,132 @@ def test_main_out_override(tmp_path, capsys):
     capsys.readouterr()
     assert override.exists()
     assert not (tmp_path / "a.json").exists()
+
+
+# ---------------------------------------------------------------- output file
+
+def _verify_spy(monkeypatch):
+    """Calls of the verify scenario, recorded through a spy that still runs it."""
+    from squidcat import cli
+
+    calls, real = [], cli._run_verify
+
+    def spy(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cli, "_run_verify", spy)
+    return calls
+
+
+def _quick_verify_config(tmp_path, out):
+    config = example_config("verify")
+    config["points"] = 2
+    config["output"] = {"path": out, "format": "json"}
+    return _write_config(tmp_path, config)
+
+
+def _assert_one_line_config_error(capsys, what):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+    assert lines[0].startswith(f"config error: cannot write output {what!r}"), lines[0]
+
+
+@pytest.mark.parametrize("case", ["empty", "directory", "under a file"])
+def test_unwritable_output_rejected_before_any_state(tmp_path, capsys, monkeypatch, case):
+    calls = _verify_spy(monkeypatch)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    out = {
+        "empty": "",
+        "directory": str(tmp_path / "dir"),
+        "under a file": str(tmp_path / "file" / "sub" / "out.json"),
+    }[case]
+    assert main(["--config", _quick_verify_config(tmp_path, out)]) == 2
+    _assert_one_line_config_error(capsys, out)
+    assert calls == []
+    assert (tmp_path / "file").read_text() == "kept" and (tmp_path / "dir").is_dir()
+    # --out takes the same checks, an empty one included
+    good = _quick_verify_config(tmp_path, str(tmp_path / "good.json"))
+    assert main(["--config", good, "--out", out]) == 2
+    _assert_one_line_config_error(capsys, out)
+    assert calls == [] and not (tmp_path / "good.json").exists()
+
+
+def test_read_only_output_is_a_config_error_and_stays(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "ro.json"
+    out.write_text("old")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):  # a privileged user may write it: refuse as the kernel would
+        real_open = os.open
+
+        def refusing(path, flags, *args, **kwargs):
+            if Path(path) == out and flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+    assert main(["--config", _quick_verify_config(tmp_path, str(out))]) == 2
+    _assert_one_line_config_error(capsys, str(out))
+    assert out.read_text() == "old"
+
+
+@pytest.mark.parametrize("existing", [200_000, 10])
+def test_overwritten_output_matches_a_fresh_write(tmp_path, capsys, existing):
+    cfg = _write_config(tmp_path, _base_cat_config(tmp_path, wigner={"points": 5}))
+    fresh = tmp_path / "fresh.json"
+    assert main(["--config", cfg, "--out", str(fresh)]) == 0
+    out = tmp_path / "old.json"
+    out.write_bytes(np.random.default_rng(7).bytes(existing))
+    out.chmod(0o600)
+    inode = out.stat().st_ino
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert 10 < fresh.stat().st_size < 200_000
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode and stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+def test_output_to_dev_null(tmp_path, capsys):
+    if not os.path.exists(os.devnull):
+        pytest.skip(f"no {os.devnull}")
+    assert main(["--config", _quick_verify_config(tmp_path, os.devnull)]) == 0
+    assert capsys.readouterr().out == os.devnull + "\n"
+
+
+@pytest.mark.parametrize("scenario", ["feasibility", "sweep"])
+def test_output_is_never_opened_with_truncation(tmp_path, capsys, monkeypatch, scenario):
+    # replacing a file's contents through O_TRUNC is what the in-place write avoids
+    config = example_config(scenario)
+    if scenario == "sweep":
+        config["lambda_points"] = 3
+    out = tmp_path / "out"
+    out.write_text("x" * 50_000)
+    config["output"]["path"] = str(out)
+    cfg = _write_config(tmp_path, config)
+    flags, modes = [], []
+    real_os_open, real_open = os.open, io.open
+
+    def os_open_spy(path, flag, *args, **kwargs):
+        if Path(path) == out:
+            flags.append(flag)
+        return real_os_open(path, flag, *args, **kwargs)
+
+    def open_spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == out:
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open_spy)
+    monkeypatch.setattr(io, "open", open_spy)
+    monkeypatch.setattr(builtins, "open", open_spy)
+    assert main(["--config", cfg]) == 0
+    capsys.readouterr()
+    assert modes == [] and len(flags) == 1, (modes, flags)
+    assert not flags[0] & os.O_TRUNC and flags[0] & os.O_CREAT
+    assert out.stat().st_size < 50_000
 
 
 def test_print_example_round_trips(capsys):

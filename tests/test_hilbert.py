@@ -21,6 +21,8 @@ from squidcat.hilbert import (
     JointState,
     Propagator,
     SectorHamiltonian,
+    _bd0,
+    _poisson_pmfs,
     _poisson_terms,
     _tail_width,
     coherent_fock,
@@ -210,6 +212,27 @@ def test_poisson_tail_against_exact_decimal_sum(mu):
             assert error <= 2e-13, (mu, dim, float(error))
         checked += 1
     assert checked == smallest[0] - math.ceil(mu) >= 5
+
+
+def _reference_poisson_pmf(n, mu):
+    """P(X = n) for X ~ Poisson(mu), one mean at a time, by Loader's form."""
+    if n == 0:
+        return math.exp(-mu)
+    if mu == 0.0:
+        return 0.0
+    if n <= 15:
+        stirlerr = math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    else:
+        nn = float(n) * n
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+    return math.exp(-stirlerr - _bd0(n, mu)) / math.sqrt(2.0 * math.pi * n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 15, 16, 40, 200, 459])
+def test_poisson_pmfs_match_the_per_row_form_bit_for_bit(n):
+    # means near n (the series branch of bd0) and far below and above it
+    mus = [0.0, 1e-9, 0.3, 0.1 * n, 0.5 * n, 0.93 * n, 0.97 * n, n, 1.04 * n, 2.0 * n + 1.0]
+    assert _poisson_pmfs(n, mus) == [_reference_poisson_pmf(n, mu) for mu in mus]
 
 
 def _gammainc_search(alpha, tail_tol):
@@ -419,6 +442,65 @@ def test_eigensolves_per_propagator(monkeypatch, scenario, expected):
         monkeypatch.setattr(scipy.linalg, name, counted(name))
     Propagator(h)
     assert (calls["eigh_tridiagonal"], calls["eigh"]) == expected
+
+
+def _recorded_exponentials(monkeypatch, evolve, state, times):
+    """evolve(state, times) and every array np.exp returned during the call."""
+    tables, real_exp = [], np.exp
+
+    def recording(*args, **kwargs):
+        tables.append(real_exp(*args, **kwargs))
+        return tables[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", recording)
+        result = evolve(state, times)
+    return result, tables
+
+
+def _column_by_column(evals, times):
+    return np.hstack([np.exp(-1j * np.outer(evals, [t])) for t in times])
+
+
+@pytest.mark.parametrize("scenario", ["vacuum", "coherent"])
+def test_mirrored_chains_share_one_phase_table(monkeypatch, scenario):
+    # at the preparation flux the shift 2c is exactly 0, so the - chains have
+    # the + chains' eigenvalues bit for bit and their phases are formed once
+    h, psi0 = _sector_case(scenario, 40)
+    assert not h.coupling.any()
+    times = np.linspace(0.0, 3.0, 20)
+    blocks = h.blocks()
+    half = len(blocks) // 2
+    spectra = [eigh_tridiagonal(main, off)[0] for _, main, off in blocks[:half]]
+    spectra += [evals - 2.0 * h.coupling[0] for evals in spectra]
+    _, tables = _recorded_exponentials(monkeypatch, Propagator(h), psi0.amplitudes, times)
+    assert len(tables) == half and all(t.shape == (40, times.size) for t in tables)
+    for k, evals in enumerate(spectra):
+        assert np.array_equal(tables[k % half], _column_by_column(evals, times))
+
+
+def test_pulse_forms_one_phase_column_for_every_state(monkeypatch):
+    h, psi0 = _sector_case("pulse", 40)
+    evolve = Propagator(h)
+    columns = evolve(psi0.amplitudes, np.linspace(0.0, 3.0, 20))
+    duration = 0.7
+    once, tables = _recorded_exponentials(monkeypatch, evolve, columns, np.array([duration]))
+    assert np.array_equal(once, evolve(columns, np.full(20, duration)))
+    mains = [main for _, main, _ in h.blocks()]
+    assert len(tables) == len(mains) == 2
+    for table, main in zip(tables, mains):
+        assert np.array_equal(table, _column_by_column(main, [duration]))
+
+
+def test_unshared_spectra_get_one_phase_table_each(monkeypatch):
+    # the second order shares nothing: one table per block, as before
+    h, psi0 = _sector_case("squeeze", 40)
+    times = np.linspace(0.0, 3.0, 20)
+    _, tables = _recorded_exponentials(monkeypatch, Propagator(h), psi0.amplitudes, times)
+    blocks = h.blocks()
+    assert len(tables) == len(blocks) == 4
+    for table, (_, main, off) in zip(tables, blocks):
+        assert np.array_equal(table, _column_by_column(eigh_tridiagonal(main, off)[0], times))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
