@@ -5,8 +5,11 @@ feasibility) and writes a single output file at the configured path.  The
 path is checked before any state is computed: an empty path, an existing
 directory or a path under an existing file is a configuration error.  The
 file is written in place, without O_TRUNC, and cut to the payload's length
-if it is a regular file; nothing is synced, and a run that fails before the
-write leaves an existing output untouched.  All
+if it is a regular file.  A run that fails before the write leaves an
+existing output untouched.  Nothing is synced, and the write is not atomic:
+a process killed between the write and the cut leaves the new bytes
+followed by the old tail, and after a power loss or an OS crash the file
+may have the new length but hold some of the previous output's bytes.  All
 floating-point output is printed with 17 significant digits so emitted
 states reload bit-faithfully.  The JSON writer ``dumps17`` puts one item
 per line.  A float block, a row of floats or equal-length rows of them (a
@@ -16,14 +19,16 @@ item: ``-0`` stays ``-0`` and any NaN or infinity raises NonFiniteError
 (exit 3).  The cat scenario's Wigner maps, one per possible outcome, come
 from one ``wigner_maps`` call on one grid.
 
-Exit codes: 0 success, 2 configuration error (an unwritable output
-included), 3 numerical-contract failure.
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be written included), 3 numerical-contract failure.  Any other OSError from
+the write, such as a full disk or an I/O error, propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -517,10 +522,19 @@ def _run_feasibility(config: RunConfig) -> dict:
     return out
 
 
+# Errors that say the output path itself cannot be written: configuration
+# errors (exit 2).  Any other OSError (ENOSPC, EIO, EDQUOT, ...) propagates.
+_PATH_ERRNOS = frozenset({
+    errno.EACCES, errno.EEXIST, errno.EISDIR, errno.ELOOP, errno.ENAMETOOLONG,
+    errno.ENOENT, errno.ENOTDIR, errno.EPERM, errno.EROFS,
+})
+
+
 def _check_destination(path: str) -> Path:
     """The output path, refused with ConfigError before any state is computed
     when it is empty, names an existing directory, lies under an existing
-    path that is not a directory, or cannot be looked up."""
+    path that is not a directory, or cannot be looked up for one of
+    ``_PATH_ERRNOS``."""
     if not path:
         raise ConfigError("cannot write output '': the path is empty")
     out_path = Path(path)
@@ -531,6 +545,8 @@ def _check_destination(path: str) -> Path:
         if not parent.is_dir():
             raise ConfigError(f"cannot write output {path!r}: {str(parent)!r} is not a directory")
     except OSError as exc:
+        if exc.errno not in _PATH_ERRNOS:
+            raise
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
     return out_path
 
@@ -542,9 +558,12 @@ def _write_output(out_path: Path, text: str) -> None:
     when new, written from its start, and then cut to the payload's length
     if it is a regular file, so a FIFO or a device such as /dev/null takes
     the bytes unchanged.  Replacing an existing file's contents this way
-    skips the cost of truncating it first.  Nothing is synced: if the
-    process dies between the write and the cut, the file holds the new
-    bytes followed by the tail of the old ones.
+    skips the cost of truncating it first.  Nothing is synced, and the
+    write is not atomic: if the process dies between the write and the
+    cut, the file holds the new bytes followed by the tail of the old ones;
+    after a power loss or an OS crash it may have the new length but still
+    hold some of the old bytes, since a filesystem such as ext4 does not
+    order overwritten blocks before the journaled size change.
     """
     data = memoryview(text.encode("utf-8"))
     fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -563,8 +582,9 @@ def run(config: RunConfig) -> Path:
 
     An output path that cannot be written (see ``_check_destination``) is
     refused before any state is computed, and an OSError from the write
-    itself is a ConfigError; an existing output is left untouched by a run
-    that fails before the write.
+    itself with one of ``_PATH_ERRNOS`` is a ConfigError; any other
+    propagates.  An existing output is left untouched by a run that fails
+    before the write.
     """
     out_path = _check_destination(config.out_path)
     if config.scenario == "sweep":
@@ -586,6 +606,8 @@ def run(config: RunConfig) -> Path:
             out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_output(out_path, text)
     except OSError as exc:
+        if exc.errno not in _PATH_ERRNOS:
+            raise
         raise ConfigError(f"cannot write output {config.out_path!r}: {exc}") from exc
     return out_path
 

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import io
 import json
 import math
@@ -747,6 +748,21 @@ def test_read_only_output_is_a_config_error_and_stays(tmp_path, capsys, monkeypa
     assert main(["--config", _quick_verify_config(tmp_path, str(out))]) == 2
     _assert_one_line_config_error(capsys, str(out))
     assert out.read_text() == "old"
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO])
+def test_output_io_error_is_not_a_config_error(tmp_path, capsys, monkeypatch, code):
+    out = tmp_path / "out.json"
+    out.write_text("old")
+
+    def failing(fd, data):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "write", failing)
+    with pytest.raises(OSError) as info:
+        main(["--config", _quick_verify_config(tmp_path, str(out))])
+    assert info.value.errno == code
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("existing", [200_000, 10])
