@@ -315,7 +315,9 @@ def validate_config(data) -> RunConfig:
     for key in output:
         if key not in ("path", "format") and not key.startswith("_"):
             raise ConfigError(f"unknown output key {key!r}")
-    out_format = output["format"]
+    out_path, out_format = output["path"], output["format"]
+    if not isinstance(out_path, str):
+        raise ConfigError(f"key 'output' must have a string 'path', got {out_path!r}")
     expected_format = "csv" if scenario == "sweep" else "json"
     if out_format != expected_format:
         raise ConfigError(
@@ -332,7 +334,7 @@ def validate_config(data) -> RunConfig:
         scenario=scenario,
         device=device,
         args=args,
-        out_path=str(output["path"]),
+        out_path=out_path,
         out_format=out_format,
     )
 

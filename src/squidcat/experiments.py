@@ -197,25 +197,29 @@ def _numeric_map(
 ):
     """Brute-force evolution of one scenario over a whole grid: taus -> (2*dim x K) array.
 
-    The Hamiltonians do not depend on the grid time, so each one is
-    diagonalized once here, and the returned function makes one
-    ``Propagator`` call per Hamiltonian for the whole grid, on bare joint
-    amplitudes: the initial state to every grid time, then for ``pulse``
-    every evolved column through the same flux pulse, one duration for all
-    columns.  Column k is the state at the k-th time.
+    The Hamiltonians do not depend on the grid time, so the returned
+    function makes one ``Propagator`` call per Hamiltonian for the whole
+    grid, on bare joint amplitudes: the initial state to every grid time,
+    then for ``pulse`` every evolved column through the same flux pulse, one
+    duration for all columns.  Column k is the state at the k-th time.  Each
+    Hamiltonian is diagonalized once here, except the preparation of
+    ``pulse``: it is diagonalized in the call and dropped before the pulse
+    runs, and the pulse's chains are diagonal, so no eigenvector matrix is
+    alive while the pulse runs.
     """
     if scenario == "squeeze":
         evolve = Propagator(hamiltonian(params, coupling, "second", dim))
         psi0 = joint_state("g", coherent_fock(gamma, dim)).amplitudes
         return lambda taus: evolve(psi0, taus)
-    evolve = Propagator(hamiltonian(params, coupling, "first", dim))
+    prepare = hamiltonian(params, coupling, "first", dim)
     start = 0.0 if scenario == "vacuum" else alpha_prime
     psi0 = joint_state("g", coherent_fock(start, dim)).amplitudes
     if scenario != "pulse":
+        evolve = Propagator(prepare)
         return lambda taus: evolve(psi0, taus)
     pulse = Propagator(hamiltonian(replace(params, phi_c_ratio=1.0), coupling, "first", dim))
     duration = np.array([flux_pulse(params).duration])
-    return lambda taus: pulse(evolve(psi0, taus), duration)
+    return lambda taus: pulse(Propagator(prepare)(psi0, taus), duration)
 
 
 def _time_grid(tau_grid) -> np.ndarray:

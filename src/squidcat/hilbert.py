@@ -426,11 +426,13 @@ class Propagator:
     tridiagonal (d + c, e) in the + sector is (d - c, -e) in the - sector,
     and (d - c, -e) = S (d + c, e) S - 2c exactly, with S = diag((-1)^k)
     along the chain.  So only the + chains are diagonalized; each - chain
-    takes their eigenvalues minus 2c and their eigenvectors with alternate
-    rows negated.  At the preparation flux c is exactly 0, so a - chain has
-    its + chain's eigenvalues bit for bit, and the two share one phase
-    table.  Any other coupling (second order, cosine) has both sectors
-    diagonalized.
+    takes their eigenvalues minus 2c, and their eigenvectors V serve it as
+    S V through S applied to the vectors: a call negates alternate entries
+    of the - chain's rows before V^T and again after V, which is exact, so
+    no second matrix is held.  At the preparation flux c is exactly 0, so
+    a - chain has its + chain's eigenvalues bit for bit, and the two share
+    one phase table.  Any other coupling (second order, cosine) has both
+    sectors diagonalized.
 
     ``propagator(state, t)`` evolves one ``JointState`` to one time.  For
     a time grid it takes bare joint amplitudes and returns them, with no
@@ -459,23 +461,26 @@ class Propagator:
         half = len(blocks) // 2
         coupling = hamiltonian.coupling
         mirror = hamiltonian.band is not None and not (coupling != coupling[0]).any()
-        # Each distinct eigenvalue array once; a block names its phase table by index.
+        # Each distinct eigenvalue array once; a block is (rows, index of its phase
+        # table, eigenvectors, flipped), and a flipped one, a mirrored - chain,
+        # holds its + chain's eigenvectors.
         self._spectra = []
         self._blocks = []
         for k, (rows, main, off) in enumerate(blocks):
+            flipped = False
             if off is not None and not off.any():
                 evals, evecs = main, None
             elif mirror and k >= half:
-                _, table, evecs = self._blocks[k - half]
-                evecs = evecs * (-1.0) ** np.arange(evecs.shape[0])[:, None]
+                _, table, evecs, _ = self._blocks[k - half]
+                flipped = True
                 if coupling[0] == 0.0:  # the shift -2c is exactly zero: the + chain's table
-                    self._blocks.append((rows, table, evecs))
+                    self._blocks.append((rows, table, evecs, flipped))
                     continue
                 evals = self._spectra[table] - 2.0 * coupling[0]
             else:
                 evals, evecs = eigh(main) if off is None else eigh_tridiagonal(main, off)
             self._spectra.append(evals)
-            self._blocks.append((rows, len(self._spectra) - 1, evecs))
+            self._blocks.append((rows, len(self._spectra) - 1, evecs, flipped))
 
     def __call__(self, state, t):
         times = np.asarray(t, dtype=float)
@@ -509,18 +514,25 @@ class Propagator:
         or on K columns for one time."""
         n = self.dim // 2
         gauge = self._gauge[:, None]
-        v = (_SECTOR_BASIS.T @ columns.reshape(2, -1)).reshape(2, n, -1) * gauge.conj()
+        v = (_SECTOR_BASIS.T @ columns.reshape(2, -1)).reshape(2, n, -1)
+        v *= gauge.conj()
         v = v.reshape(self.dim, -1)  # + sector rows, then - sector rows
         tables = [np.exp(-1j * np.outer(evals, times)) for evals in self._spectra]
         out = np.empty((self.dim, max(times.size, v.shape[1])), dtype=complex)
-        for rows, table, evecs in self._blocks:
-            phases = tables[table]
+        for rows, table, evecs, flipped in self._blocks:
+            phases, x = tables[table], v[rows]
             if evecs is None:
-                out[rows] = phases * v[rows]
-            else:
-                out[rows] = _real_matmul(evecs, phases * _real_matmul(evecs.T, v[rows]))
-        out = _SECTOR_BASIS @ (out.reshape(2, n, -1) * gauge).reshape(2, -1)
-        return out.reshape(self.dim, -1)
+                out[rows] = phases * x
+                continue
+            if flipped:  # (S V)^T x = V^T (S x), term by term
+                np.negative(x[1::2], out=x[1::2])
+            out[rows] = _real_matmul(evecs, phases * _real_matmul(evecs.T, x))
+            if flipped:  # (S V) y = S (V y)
+                odd = out[rows][1::2]
+                np.negative(odd, out=odd)
+        sectors = out.reshape(2, n, -1)
+        sectors *= gauge
+        return (_SECTOR_BASIS @ out.reshape(2, -1)).reshape(self.dim, -1)
 
 
 def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:

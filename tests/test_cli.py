@@ -732,6 +732,19 @@ def test_unwritable_output_rejected_before_any_state(tmp_path, capsys, monkeypat
     assert calls == [] and not (tmp_path / "good.json").exists()
 
 
+@pytest.mark.parametrize("path", [None, 3, ["out.json"]], ids=["null", "number", "list"])
+def test_non_string_output_path_rejected_before_any_state(tmp_path, capsys, monkeypatch, path):
+    calls = _verify_spy(monkeypatch)
+    config = _quick_verify_config(tmp_path, path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", config]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err, captured.err
+    assert lines[0] == f"config error: key 'output' must have a string 'path', got {path!r}"
+    assert calls == [] and os.listdir(tmp_path) == ["config.json"]
+
+
 def test_read_only_output_is_a_config_error_and_stays(tmp_path, capsys, monkeypatch):
     out = tmp_path / "ro.json"
     out.write_text("old")

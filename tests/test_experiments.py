@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -372,6 +373,33 @@ def test_verify_rejects_propagated_states_off_their_norm(monkeypatch, strong_dev
         verify_analytic_numeric(
             strong_device, "vacuum", _grid(strong_device, points=4), coupling=strong_coupling
         )
+
+
+@pytest.mark.parametrize("scenario", ["coherent", "pulse"])
+def test_numeric_map_holds_one_eigenvector_matrix_at_a_time(strong_device, strong_coupling, scenario):
+    # eigh_tridiagonal alone peaks at 2.02 x 8N^2 bytes, because its stevd
+    # workspace is N^2 beside the N^2 eigenvectors it returns; a second N x N
+    # matrix alive at any point (a sign-flipped copy for the - chains, or the
+    # preparation's eigenvectors while the pulse runs) would pass 3 x 8N^2
+    from squidcat import experiments
+
+    dim, taus = 256, _grid(strong_device, points=20)
+    numeric = functools.partial(
+        experiments._numeric_map, strong_device, strong_coupling, scenario, dim, 1.0 + 0.5j, 0.0
+    )
+    numeric()(taus)  # loads scipy and fills every cache first
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        numeric()(taus)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2.4 * 8 * dim**2, peak / (8 * dim**2)
 
 
 def test_verify_rejects_unknown_scenario(strong_device):

@@ -419,6 +419,42 @@ def test_mirrored_sector_matches_its_own_eigensolve(stride):
             assert np.abs(column - _chain_reference(h, psi, t)).max() <= 1e-12
 
 
+def _held_arrays(obj):
+    """Every ndarray reachable from ``obj``'s attributes through lists and tuples."""
+    found, todo = [], list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.8])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_mirrored_chains_hold_their_plus_chains_eigenvectors(monkeypatch, stride, shift):
+    # the - chains take S V from the + chains' V as a sign flip in each call, so
+    # every matrix the propagator holds is an eigensolve's own output, not a copy
+    rng = np.random.default_rng(7 + stride)
+    dim = 31
+    h = SectorHamiltonian(
+        rng.normal(size=dim), np.full(dim, shift), 0.9, rng.normal(size=dim - stride), stride
+    )
+    solved, original = [], scipy.linalg.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        evals, evecs = original(*args, **kwargs)
+        solved.append(evecs)
+        return evals, evecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    held = [a for a in _held_arrays(Propagator(h)) if a.ndim == 2]
+    assert len(solved) == stride and len(held) == 2 * stride
+    for k, evecs in enumerate(solved):
+        assert sum(np.shares_memory(a, evecs) for a in held) == 2, k
+
+
 @pytest.mark.parametrize(
     "scenario,expected",
     [("vacuum", (1, 0)), ("pulse", (0, 0)), ("squeeze", (4, 0)), ("cosine", (0, 2))],
