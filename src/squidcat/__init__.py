@@ -19,7 +19,6 @@ from .analytic import (
     evolve_vacuum,
     flux_pi_pulse,
     materialize,
-    materialize_columns,
     materialize_label,
     materialize_labels,
     squeezed_evolution,
@@ -92,7 +91,6 @@ __all__ = [
     "hamiltonian",
     "joint_state",
     "materialize",
-    "materialize_columns",
     "materialize_label",
     "materialize_labels",
     "measure_qubit",

@@ -14,14 +14,14 @@ N-level blocks, never the dense 2N x 2N joint matrix.
 
 Wigner maps are summed from the Fock-basis Wigner functions by Clenshaw
 recurrence of the associated Laguerre polynomials (Johansson, Nation &
-Nori, Comput. Phys. Commun. 184, 1234 (2013)): one backward sweep evaluates
-every diagonal of rho, for every state of the call, at each distinct
-radius |2 beta|^2, leaving out trailing levels and each diagonal's highest
-entries while they sum below one rounding floor, and a Horner step in
-2 beta combines each state's diagonals at the points.  Both carry base-2
-exponents, so nothing overflows, and no state is displaced, so a map is
-exact at any grid extent, whatever the truncation (see ``wigner_maps``;
-``wigner`` is its one-state case).
+Nori, Comput. Phys. Commun. 184, 1234 (2013)): one backward sweep per state
+evaluates every diagonal of rho at each distinct radius |2 beta|^2, leaving
+out trailing levels and each diagonal's highest entries while they sum
+below one rounding floor, and a Horner step in 2 beta combines the
+diagonals at the points.  Both carry base-2 exponents, so nothing
+overflows, and no state is displaced, so a map is exact at any grid extent,
+whatever the truncation (see ``wigner_maps``; ``wigner`` is its one-state
+case).
 
 Coherent states are built as rows of one array, one per displacement, in
 one broadcast exp (``coherent_amplitudes``), and their truncation tails are
@@ -562,82 +562,64 @@ def fidelity(x: CavityState | JointState, y: CavityState | JointState) -> float:
     return float(abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2)
 
 
-def _laguerre_sweep(amps: list[np.ndarray], x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The Laguerre series of every diagonal of rho = |amp><amp|, for each amp, at every x.
+def _laguerre_sweep(amp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Laguerre series of every diagonal of rho = |amp><amp| at every x.
 
     ``x`` holds distinct finite radii |2 beta|^2 in ascending order.
 
     Order L's series is f_L(x) = sum over k of c_k (-1)^k L_k^L(x) /
     sqrt(binom(k + L, k)), with c_k = rho[k, k + L], doubled for L > 0.
     Clenshaw's backward recurrence for these normalized polynomials runs
-    over k once for all the states, updating the started orders of every
-    state as one (orders x radii) slice with real and imaginary parts side
-    by side.  No factorial is formed.
+    over k once, updating the started orders as one (orders x radii) slice
+    with real and imaginary parts side by side.  No factorial is formed.
 
-    Each state's entries left out sum to at most WIGNER_TRIM_TOL, in s + 1
-    equal shares (s = amp.size).  The trailing levels J.. are cut while all
-    their entries, which sum to b (2 |amp|_1 - b) with b = |amp[J:]|_1, fit
-    in one share, so no entry of them is ever formed.  Order L then starts
-    at the highest k whose entries |c_k'|, k' >= k, sum above one share.  An
-    order left with no entry is exactly 0.  Orders never interact, so the
-    orders of all the states are swept in order of descending start, which
-    keeps the started ones a prefix slice.
+    The entries left out sum to at most WIGNER_TRIM_TOL, in s + 1 equal
+    shares (s = amp.size).  The trailing levels J.. are cut while all their
+    entries, which sum to b (2 |amp|_1 - b) with b = |amp[J:]|_1, fit in one
+    share, so no entry of them is ever formed.  Order L then starts at the
+    highest k whose entries |c_k'|, k' >= k, sum above one share.  An order
+    left with no entry is exactly 0.  Orders never interact, so they are
+    swept in order of descending start, which keeps the started ones a
+    prefix slice.
 
     Each order keeps a base-2 exponent per radius.  Every ``period`` steps
-    since its state's first start, the state's orders at or above 1 in size
-    are scaled down by a power of two, which is exact.  Since |c_k| <= 1 and
-    one step grows max(1, |b|) at most by 2 + x + max(centre), ``period``
-    steps stay below 2^1000.  Every state keeps its own share, first start
-    and period, so its series are bit for bit those of a sweep of it alone.
-    Returns (mantissa, exponent) per state for its orders up to the highest
+    since the first start, the orders at or above 1 in size are scaled down
+    by a power of two, which is exact.  Since |c_k| <= 1 and one step grows
+    max(1, |b|) at most by 2 + x + max(centre), ``period`` steps stay below
+    2^1000.  Returns (mantissa, exponent) for the orders up to the highest
     one kept, with f_L(x) = mantissa * 2^exponent and max(|Re|, |Im|) of
     each mantissa in [1/2, 1); an order that is exactly zero gets the
     exponent -10^6.
     """
-    blocks, starts = [], []
-    for amp in amps:
-        share = WIGNER_TRIM_TOL / (amp.size + 1)
-        beyond = np.cumsum(np.abs(amp[::-1]))[::-1]  # beyond[j]: |amp_j'| summed over j' >= j
-        s = np.count_nonzero(beyond * (2.0 * beyond[0] - beyond) > share)
-        amp = amp[:s]
-        window = np.lib.stride_tricks.sliding_window_view(np.concatenate((amp.conj(), np.zeros(s))), s)
-        coeffs = amp[:, None] * window[:s]  # coeffs[k, L] = rho[k, k + L]
-        coeffs[:, 1:] *= 2.0  # rho[k + L, k] is the conjugate: take Re at the end
-        left = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]  # left[k, L]: |c_k'| summed over k' >= k
-        start = np.count_nonzero(left > share, axis=0) - 1  # -1: order left out
-        orders = np.flatnonzero(start >= 0)[-1] + 1
-        blocks.append(coeffs[:, :orders])
-        starts.append(start[:orders])
-    counts = [start.size for start in starts]
-    start = np.concatenate(starts)
+    share = WIGNER_TRIM_TOL / (amp.size + 1)
+    beyond = np.cumsum(np.abs(amp[::-1]))[::-1]  # beyond[j]: |amp_j'| summed over j' >= j
+    s = np.count_nonzero(beyond * (2.0 * beyond[0] - beyond) > share)
+    amp = amp[:s]
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate((amp.conj(), np.zeros(s))), s)
+    coeffs = amp[:, None] * window[:s]  # coeffs[k, L] = rho[k, k + L]
+    coeffs[:, 1:] *= 2.0  # rho[k + L, k] is the conjugate: take Re at the end
+    left = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]  # left[k, L]: |c_k'| summed over k' >= k
+    start = np.count_nonzero(left > share, axis=0) - 1  # -1: order left out
+    rows = np.flatnonzero(start >= 0)[-1] + 1
+    start = start[:rows]
     perm = np.argsort(-start, kind="stable")
-    first, rows, m = start[perm[0]], start.size, x.size
+    first, m = start[perm[0]], x.size
     active = np.cumsum(np.bincount(start[start >= 0])[::-1])[::-1]  # active[k]: starts >= k
-    owner = np.repeat(np.arange(len(amps)), counts)[perm]
-    order = np.concatenate([np.arange(count) for count in counts])[perm].astype(float)
-    stacked = np.zeros((first + 1, rows), dtype=complex)
-    for block, offset in zip(blocks, np.cumsum([0] + counts)):
-        block = block[: first + 1]
-        stacked[: block.shape[0], offset : offset + block.shape[1]] = block
-    coeffs = stacked.take(perm, axis=1).view(float).reshape(first + 1, rows, 2)
+    order = perm.astype(float)
+    coeffs = coeffs[: first + 1, :rows].take(perm, axis=1).view(float).reshape(first + 1, rows, 2)
     n = np.arange(1.0, first + 3.0)[:, None]  # the polynomial index k + 1 of step k
     scale = 1.0 / np.sqrt((order + n) * n)
     centre = (order + 2.0 * n[:-1] - 1.0) * scale[:-1]
     minus_lower = -np.sqrt(n[:-1] * (order + n[:-1])) * scale[1:]
-    rescales = {}  # step -> the states whose orders are scaled down after it
-    for state, own in enumerate(starts):
-        own_first = own.max()
-        own_centre = centre[: own_first + 1, owner == state].max()
-        period = max(1, int(1000.0 / math.log2(2.0 + x[-1] + own_centre)))
-        for step in range(own_first + 1 - period, 0, -period):
-            rescales.setdefault(step, []).append(state)
+    period = max(1, int(1000.0 / math.log2(2.0 + x[-1] + centre.max())))
+    rescales = range(first + 1 - period, 0, -period)  # the steps after which orders are scaled down
 
     b1 = np.zeros((rows, 2, m))  # b_(k+1), then b_k
     b2 = np.zeros((rows, 2, m))  # b_(k+2), overwritten by b_k
     work = np.empty((rows, 2, m))
     t = np.empty((rows, m))
     exponent = np.zeros((rows, m), dtype=int)
-    shrink = None  # 2^-exponent, once an order has been scaled down
+    shrink = None  # 2^-exponent, once the orders have been scaled down
     for step in range(first, -1, -1):
         a = active[step]
         coeff = coeffs[step, :a, :, None]
@@ -649,15 +631,12 @@ def _laguerre_sweep(amps: list[np.ndarray], x: np.ndarray) -> list[tuple[np.ndar
         new -= np.multiply(t[:a, None], b1[:a], out=work[:a])
         b1, b2 = b2, b1
         if step in rescales:
-            due = np.flatnonzero(np.isin(owner[:a], rescales[step]))
-            size = np.maximum(np.abs(b1[due]).max(axis=1), np.abs(b2[due]).max(axis=1))
+            size = np.maximum(np.abs(b1[:a]).max(axis=1), np.abs(b2[:a]).max(axis=1))
             shift = -np.maximum(np.frexp(size)[1], 0)
             for b in (b1, b2):
-                b[due] = np.ldexp(b[due], shift[:, None])
-            exponent[due] -= shift
-            if shrink is None:
-                shrink = np.ones((rows, m))
-            shrink[due] = np.ldexp(1.0, -exponent[due])
+                np.ldexp(b[:a], shift[:, None], out=b[:a])
+            exponent[:a] -= shift
+            shrink = np.ldexp(1.0, -exponent)
     del b2, work, t  # freed before the outputs are allocated
     inverse = np.argsort(perm)
     b1, exponent = b1[inverse], exponent[inverse]
@@ -668,8 +647,7 @@ def _laguerre_sweep(amps: list[np.ndarray], x: np.ndarray) -> list[tuple[np.ndar
     mantissa.imag = np.ldexp(b1[:, 1], -shift)
     exponent += shift
     exponent[size == 0.0] = -(10**6)
-    bounds = np.cumsum(counts)[:-1]
-    return list(zip(np.split(mantissa, bounds), np.split(exponent, bounds)))
+    return mantissa, exponent
 
 
 def wigner_maps(states, points) -> list[np.ndarray]:
@@ -681,22 +659,21 @@ def wigner_maps(states, points) -> list[np.ndarray]:
     Nori, Comput. Phys. Commun. 184, 1234 (2013)), summed in two steps:
 
     - the radii: the Laguerre series of every diagonal of rho depend only
-      on x, so one Clenshaw sweep evaluates all of them, for all the states
-      at once, at each distinct x (``_laguerre_sweep``).  It leaves out
-      trailing levels and the highest entries of each diagonal while the
-      entries left out, rho_mn and rho_nm counted apart, sum to at most
-      WIGNER_TRIM_TOL.  Each Fock cross term (2/pi) <n| D Pi D^dag |m> is at
-      most 2/pi, as D Pi D^dag is unitary, so this moves a map by at most
+      on x, so one Clenshaw sweep per state evaluates all of them at each
+      distinct x (``_laguerre_sweep``).  It leaves out trailing levels and
+      the highest entries of each diagonal while the entries left out,
+      rho_mn and rho_nm counted apart, sum to at most WIGNER_TRIM_TOL.
+      Each Fock cross term (2/pi) <n| D Pi D^dag |m> is at most 2/pi, as
+      D Pi D^dag is unitary, so this moves a map by at most
       (2/pi) WIGNER_TRIM_TOL;
-    - the points: each state's diagonals are combined Horner-style in
-      2 beta.
+    - the points: the diagonals are combined Horner-style in 2 beta.
 
-    The grid's radii, their index per point and exp(i arg beta) are formed
-    once per call.  Every sum carries base-2 exponents, and exp(-x/2) is
-    applied last, so no intermediate overflows, and only negligible ones
-    underflow.  No state is displaced, so each map is exact to rounding at
-    any grid extent and any truncation.  Orders of different states never
-    interact, so each map is bit for bit the one-state map of ``wigner``.
+    The grid's radii, their index per point, exp(i arg beta) and the Horner
+    buffers are formed once per call and shared by the states.  Every sum
+    carries base-2 exponents, and exp(-x/2) is applied last, so no
+    intermediate overflows, and only negligible ones underflow.  No state
+    is displaced, so each map is exact to rounding at any grid extent and
+    any truncation.  Each map is the one-state map of ``wigner``.
     Returns one flat map per state, in order; no states give [].
     Raises ValueError if |2 beta|^2 is not finite at some point.
     """
@@ -712,7 +689,8 @@ def wigner_maps(states, points) -> list[np.ndarray]:
     ratio = np.empty(beta.size)  # each order's Horner operands at the points
     term = np.empty(beta.size, dtype=complex)
     maps = []
-    for terms, exponent in _laguerre_sweep([state.amplitudes for state in states], x):
+    for state in states:
+        terms, exponent = _laguerre_sweep(state.amplitudes, x)
         s = terms.shape[0]  # f_L = terms 2^exponent
 
         # W = (2/pi) Re(acc_0) exp(-x/2), with acc_L = f_L + acc_(L+1) 2 beta / sqrt(L + 1)

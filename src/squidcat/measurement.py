@@ -19,6 +19,7 @@ import numpy as np
 from .analytic import (
     Branch,
     BranchDecomposition,
+    _label_to_dict,
     materialize,
     superposition_norm2,
 )
@@ -129,8 +130,6 @@ def parity_spectrum(state: CavityState) -> tuple[float, float]:
 
 
 def measurement_record_to_dict(record: MeasurementRecord) -> dict:
-    from .analytic import _label_to_dict  # local import to avoid a cycle at module load
-
     data: dict = {
         "outcome": record.outcome,
         "probability": record.probability,

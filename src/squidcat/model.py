@@ -60,7 +60,8 @@ class DeviceParams:
     angular frequency; by default it is derived as 2*pi*c/wavelength.
     ``z0`` is the qubit position along the cavity axis (default: cavity
     midpoint).  ``Q`` is the cavity quality factor, needed only for
-    lifetime estimates.  Every numeric field must be finite.
+    lifetime estimates; ``Q`` and ``omega`` must be positive when given.
+    Every numeric field must be finite.
     """
 
     E_J: float
@@ -93,6 +94,8 @@ class DeviceParams:
             )
         if self.Q is not None and self.Q <= 0:
             raise ValueError("Q must be positive when given")
+        if self.omega is not None and self.omega <= 0:
+            raise ValueError("omega must be positive when given")
         if self.E_J >= self.E_ch:
             warnings.warn(
                 f"charge regime expects E_J < E_ch, got E_J={self.E_J!r} >= E_ch={self.E_ch!r}",

@@ -26,7 +26,6 @@ from squidcat.analytic import (
     evolve_vacuum,
     flux_pi_pulse,
     materialize,
-    materialize_columns,
     materialize_label,
     materialize_labels,
     squeezed_evolution,
@@ -719,9 +718,9 @@ def _branch_loop(state, rows, leakages):
     return blocks.ravel(), tail
 
 
-def test_materialize_columns_are_the_branch_by_branch_states(strong_device, strong_coupling):
+def test_materialize_is_the_branch_by_branch_state(strong_device, strong_coupling):
     # complex coefficients on g/e (the pulse) and on +/- (by hand), over shared labels:
-    # each column is bit for bit the branch-by-branch sum, and materialize its one-column case
+    # each state is bit for bit the branch-by-branch sum, normalized, with its tail as leakage
     taus = np.linspace(0.0, 2.0, 5) / strong_device.omega_cavity
     states = [
         flux_pi_pulse(evolve_coherent(strong_device, strong_coupling, 1.0 + 0.5j, t), strong_device)
@@ -733,16 +732,14 @@ def test_materialize_columns_are_the_branch_by_branch_states(strong_device, stro
     vec, _ = _branch_loop(BranchDecomposition([Branch(*term) for term in terms]), rows, label_leakages)
     scale = 1.0 / np.linalg.norm(vec)
     states.append(BranchDecomposition([Branch(qubit, w * scale, label) for qubit, w, label in terms]))
-    columns, norm2, leakages = materialize_columns(states, 48)
-    assert columns.shape == (96, len(states))
-    for state, column, n2, leakage in zip(states, columns.T, norm2, leakages):
-        rows, label_leakages = materialize_labels(state.labels(), 48)
-        vec, tail = _branch_loop(state, rows, label_leakages)
-        assert np.array_equal(column, vec)
-        assert n2 == float(np.real(np.vdot(vec, vec)))
-        assert leakage == tail + abs(1.0 - n2)
-        psi = materialize(state, 48)
-        assert np.array_equal(psi.amplitudes, vec / math.sqrt(n2)) and psi.leakage == leakage
+    for state in states:
+        label_states = materialize_labels(state.labels(), 48)
+        vec, tail = _branch_loop(state, *label_states)
+        n2 = float(np.real(np.vdot(vec, vec)))
+        for psi in (materialize(state, 48), materialize(state, 48, label_states)):
+            assert psi.amplitudes.shape == (96,)
+            assert np.array_equal(psi.amplitudes, vec / math.sqrt(n2))
+            assert psi.leakage == tail + abs(1.0 - n2)
 
 
 def test_materialize_rejects_nan_weights():

@@ -444,6 +444,19 @@ def test_malformed_scenario_values_rejected_before_any_state(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("omega", [0, -1e12])
+@pytest.mark.parametrize("scenario", ["verify", "cat"])
+def test_non_positive_omega_is_one_config_error(tmp_path, capsys, scenario, omega):
+    config = example_config(scenario)
+    config["device"]["omega"] = omega
+    config["output"]["path"] = str(tmp_path / "out")
+    assert main(["--config", _write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "omega must be positive when given" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "scenario,overrides",
     [

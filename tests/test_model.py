@@ -105,6 +105,12 @@ def test_device_rejects_non_finite_fields(field, value):
         make_physical_device(**{field: value})
 
 
+@pytest.mark.parametrize("omega", [0.0, -0.0, -1e12])
+def test_device_rejects_non_positive_omega(omega):
+    with pytest.raises(ValueError, match="omega must be positive when given"):
+        make_physical_device(omega=omega)
+
+
 # ---------------------------------------------------------------- hamiltonian builders
 
 def _coupling_block(h, dim):

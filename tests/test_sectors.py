@@ -15,7 +15,7 @@ from squidcat.analytic import (
     evolve_vacuum,
     flux_pi_pulse,
     linear_sectors,
-    materialize_columns,
+    materialize,
     materialize_sectors,
     pulse_sectors,
     squeezed_evolution,
@@ -57,11 +57,13 @@ def _forms(target, params, coupling, taus):
 
 def _assert_same_columns(grid, per_time):
     dim = auto_fock_dim([label for d in per_time for label in d.labels()])[0]
-    columns, norm2, _ = materialize_sectors(grid, dim, auto_fock_dim(grid.distinct_labels[0], dim)[1])
-    reference, reference_norm2, _ = materialize_columns(per_time, dim)
+    columns, norm2, leakage = materialize_sectors(grid, dim, auto_fock_dim(grid.distinct_labels[0], dim)[1])
+    states = [materialize(d, dim) for d in per_time]
+    reference = np.column_stack([psi.amplitudes for psi in states])
     assert columns.shape == reference.shape == (2 * dim, len(per_time))
-    assert np.abs(columns - reference).max() <= 1e-15
-    assert np.abs(norm2 - reference_norm2).max() <= 1e-15
+    assert np.abs(columns / np.sqrt(norm2) - reference).max() <= 1e-15
+    # each leakage holds |1 - norm^2|, so this also compares the norms
+    assert np.abs(leakage - [psi.leakage for psi in states]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("target", TARGETS)
