@@ -20,6 +20,8 @@ weights.  The flux pulse acts on that form by turning every label and
 left-multiplying the weights by its qubit rotation (``pulse_sectors``).
 ``evolve_vacuum``, ``evolve_coherent`` and ``squeezed_evolution`` are the
 one-time views of it, a ``BranchDecomposition`` of weighted ``Branch``es.
+A decomposition is that form again at one time, with one label row per
+distinct label (``_label_form``): ``flux_pi_pulse`` pulses it by ``pulse_sectors``.
 
 ``materialize_labels`` is the one materialization path: it turns label
 arrays (or a list of labels, converted once) into an (L x N) array of Fock
@@ -28,9 +30,8 @@ unsqueezed rows in one broadcast exp and running Yuen's three-term Fock
 recurrence once for all the others.  ``materialize_label`` is its one-row
 case, ``auto_fock_dim`` (the truncation policy) calls it once per truncation
 tried.  ``materialize_sectors`` forms a sector form's K joint states as the
-columns of one array in one contraction of the weights and branch phases
-against the label rows; ``materialize`` sums one decomposition's branches
-into one joint state.  Both check every state's norm with one shared rule.
+columns of one array in one contraction that checks every state's norm
+(``_contract``); ``materialize`` runs it on a decomposition's label form.
 
 Neglected global phase factors are carried as metadata, never silently
 dropped; all state comparisons are phase-insensitive.
@@ -202,15 +203,18 @@ class SectorBranches:
     ``labels`` holds (2, K) arrays: row 0 the sigma_x = +1 sector's label at
     each time, row 1 the -1 sector's.  ``weights`` is the constant 2 x 2
     matrix of (g/e block x sector) weights, so the state at time k is
-    sum_bs weights[b, s] e^(i phase[s, k]) |b> (x) |label[s, k]>.
+    sum_bs weights[b, s] e^(i phase[s, k]) |b> (x) |label[s, k]>.  A
+    decomposition's label form (``_label_form``) has the same shape with one
+    row per distinct label, at K = 1; it is never given to
+    ``distinct_labels``, whose rule holds for two sectors only.
     """
 
     labels: LabelArrays
     weights: np.ndarray
 
     def branches(self) -> tuple[Branch, ...]:
-        """The nonzero branches of a one-time form, g block first and sector +1 first within it."""
-        labels = list(self.labels.take((slice(None), 0)))  # sector +1, sector -1
+        """The nonzero branches of a one-time form, g block first and label row order within it."""
+        labels = list(self.labels.take((slice(None), 0)))
         return tuple(
             Branch(qubit, complex(weight), label)
             for qubit, row in zip(("g", "e"), self.weights.tolist())
@@ -461,30 +465,30 @@ def pulse_sectors(state: SectorBranches, params: DeviceParams) -> SectorBranches
     return SectorBranches(_turn(state.labels, pulse.angle), pulse.rotation @ state.weights)
 
 
+def _label_form(state: BranchDecomposition) -> SectorBranches:
+    """A decomposition as a one-time form with one label row per entry of ``state.labels()``.
+
+    Column j of the weights sums weight times qubit amplitude
+    (``QUBIT_AMPLITUDES``) over the branches whose label is j, so +/-
+    branches land on the g/e blocks.
+    """
+    labels = state.labels()
+    weights = np.zeros((2, len(labels)), dtype=complex)
+    for branch in state.branches:
+        weights[:, labels.index(branch.label)] += branch.weight * QUBIT_AMPLITUDES[branch.qubit]
+    return SectorBranches(LabelArrays.of(labels).take((slice(None), None)), weights)
+
+
 def flux_pi_pulse(state: BranchDecomposition, params: DeviceParams) -> BranchDecomposition:
     """Apply the flux pulse that rotates the qubit about x by a Bloch angle pi/2.
 
-    The decomposition's g and e weights of each distinct label form one
-    (g/e x label) matrix, which the pulse acts on as on a sector form
-    (``pulse_sectors``): every label turns and the qubit rotation
-    left-multiplies the weights.  A label's branches come out g first, and
-    a weight that comes out zero has no branch.
+    The decomposition's (g/e x label) weights (``_label_form``) are pulsed
+    as a sector form (``pulse_sectors``): every label turns and the qubit
+    rotation left-multiplies the weights.  The branches come out g block
+    first, and a weight that comes out zero has no branch.
     """
-    if any(branch.qubit not in ("g", "e") for branch in state.branches):
-        raise ValueError("flux pulse requires a decomposition over g/e branches")
-    grouped: dict[CoherentLabel, list] = {}
-    for branch in state.branches:
-        grouped.setdefault(branch.label, [0.0, 0.0])["ge".index(branch.qubit)] += branch.weight
-    pulse = flux_pulse(params)
-    labels = _turn(LabelArrays.of(grouped), pulse.angle)
-    weights = pulse.rotation @ np.array(list(grouped.values()), dtype=complex).reshape(-1, 2).T
-    branches = tuple(
-        Branch(qubit, weight, label)
-        for label, column in zip(labels, weights.T.tolist())
-        for qubit, weight in zip(("g", "e"), column)
-        if weight != 0
-    )
-    return BranchDecomposition(branches, state.dropped_global_phase)
+    pulsed = pulse_sectors(_label_form(state), params)
+    return BranchDecomposition(pulsed.branches(), state.dropped_global_phase)
 
 
 def _sector_labels(omega: float, lam: complex, shift: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -727,6 +731,19 @@ def _checked_norms(states: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return norm2
 
 
+def _contract(state: SectorBranches, index: np.ndarray, fock_dim: int, label_states: tuple) -> tuple:
+    """``materialize_sectors`` with the row of each (label row, time) of ``state`` given by ``index``."""
+    rows, leakages = label_states
+    count = int(index.max(initial=-1)) + 1
+    if rows.shape != (count, fock_dim):
+        raise ValueError(f"label states of shape {rows.shape} do not fit {count} labels on {fock_dim} levels")
+    factors = state.weights[:, :, None] * np.exp(1j * state.labels.phase)  # (block, label row, time)
+    states = np.einsum("bsk,skn->kbn", factors, rows[index]).reshape(index.shape[1], -1)
+    tails = (np.abs(state.weights) ** 2).sum(axis=0) @ leakages[index]
+    norm2 = _checked_norms(states, tails)
+    return states.T, norm2, tails + np.abs(1.0 - norm2)
+
+
 def materialize_sectors(
     state: SectorBranches, fock_dim: int, label_states: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -742,17 +759,7 @@ def materialize_sectors(
     Returns the columns as built, their norm^2, and each column's leakage:
     its tail plus |1 - norm^2|.
     """
-    labels, index = state.distinct_labels
-    rows, leakages = label_states
-    if rows.shape != (len(labels), fock_dim):
-        raise ValueError(
-            f"label states of shape {rows.shape} do not fit {len(labels)} labels on {fock_dim} levels"
-        )
-    factors = state.weights[:, :, None] * np.exp(1j * state.labels.phase)  # (block, sector, time)
-    states = np.einsum("bsk,skn->kbn", factors, rows[index]).reshape(index.shape[1], -1)
-    tails = (np.abs(state.weights) ** 2).sum(axis=0) @ leakages[index]
-    norm2 = _checked_norms(states, tails)
-    return states.T, norm2, tails + np.abs(1.0 - norm2)
+    return _contract(state, state.distinct_labels[1], fock_dim, label_states)
 
 
 def materialize(
@@ -764,30 +771,17 @@ def materialize(
     ``auto_fock_dim``; with it, ``label_states`` may hold the (rows,
     leakages) of ``state.labels()`` already materialized there, such as
     those the policy returned, and otherwise they are materialized here.
-    Each branch, in order, adds its coefficient times its qubit amplitude
-    times its label's row to the qubit blocks it populates.  The sum is
-    checked as in ``materialize_sectors``, and its leakage is its tail plus
-    |1 - norm^2|.
+    The state is the one column of its label form (``_label_form``),
+    contracted and checked as in ``materialize_sectors``, and its leakage
+    is its tail plus |1 - norm^2|.
     """
     labels = state.labels()
     if fock_dim is None:
         fock_dim, label_states = auto_fock_dim(labels)
-    rows, leakages = label_states or materialize_labels(labels, fock_dim)
-    if rows.shape != (len(labels), fock_dim):
-        raise ValueError(
-            f"label states of shape {rows.shape} do not fit {len(labels)} labels on {fock_dim} levels"
-        )
-    index = {label: k for k, label in enumerate(labels)}
-    blocks = np.zeros((2, fock_dim), dtype=complex)
-    tail = 0.0
-    for branch in state.branches:
-        k = index[branch.label]
-        tail += abs(branch.weight) ** 2 * float(leakages[k])
-        for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
-            if amplitude:
-                block += (branch.coefficient * amplitude) * rows[k]
-    norm2 = float(_checked_norms(blocks.reshape(1, -1), np.array([tail]))[0])
-    return JointState(blocks.ravel() / math.sqrt(norm2), leakage=tail + abs(1.0 - norm2))
+    label_states = label_states or materialize_labels(labels, fock_dim)
+    index = np.arange(len(labels))[:, None]
+    columns, norm2, leakage = _contract(_label_form(state), index, fock_dim, label_states)
+    return JointState(columns[:, 0] / math.sqrt(norm2[0]), leakage=float(leakage[0]))
 
 
 def _label_to_dict(label: CoherentLabel) -> dict:

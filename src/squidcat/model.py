@@ -61,7 +61,7 @@ class DeviceParams:
     ``z0`` is the qubit position along the cavity axis (default: cavity
     midpoint).  ``Q`` is the cavity quality factor, needed only for
     lifetime estimates; ``Q`` and ``omega`` must be positive when given.
-    Every numeric field must be finite.
+    Every numeric field must be a finite number, not a bool.
     """
 
     E_J: float
@@ -78,8 +78,10 @@ class DeviceParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name != "cavity_kind" and value is not None and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+            if field.name == "cavity_kind" or value is None:
+                continue
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite and not a bool, got {value!r}")
         if self.E_J <= 0 or self.E_ch <= 0:
             raise ValueError("E_J and E_ch must be positive")
         if self.wavelength <= 0 or self.squid_area <= 0:

@@ -458,6 +458,22 @@ def test_non_positive_omega_is_one_config_error(tmp_path, capsys, scenario, omeg
 
 
 @pytest.mark.parametrize(
+    "scenario,key", [("feasibility", "Q"), ("verify", "omega"), ("cat", "E_J")]
+)
+def test_boolean_device_value_is_one_config_error(tmp_path, capsys, scenario, key):
+    config = example_config(scenario)
+    config["device"][key] = True
+    config["output"]["path"] = str(tmp_path / "out")
+    if scenario == "verify":
+        config["points"] = 3
+    assert main(["--config", _write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"{key} must be finite and not a bool" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "scenario,overrides",
     [
         ("squeeze", {"gamma": [1e5, 0.0]}),

@@ -105,6 +105,14 @@ def test_device_rejects_non_finite_fields(field, value):
         make_physical_device(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", ["E_J", "Q", "omega"])
+def test_device_rejects_bool_fields(field, value):
+    # a bool is an int to math.isfinite, so True would stand for 1
+    with pytest.raises(ValueError, match=f"{field} must be finite and not a bool"):
+        make_physical_device(**{field: value})
+
+
 @pytest.mark.parametrize("omega", [0.0, -0.0, -1e12])
 def test_device_rejects_non_positive_omega(omega):
     with pytest.raises(ValueError, match="omega must be positive when given"):
