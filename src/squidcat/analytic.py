@@ -26,12 +26,13 @@ distinct label (``_label_form``): ``flux_pi_pulse`` pulses it by ``pulse_sectors
 ``materialize_labels`` is the one materialization path: it turns label
 arrays (or a list of labels, converted once) into an (L x N) array of Fock
 amplitudes, checking every label's Poisson tail in one pass, building
-unsqueezed rows in one broadcast exp and running Yuen's three-term Fock
-recurrence once for all the others.  ``materialize_label`` is its one-row
-case, ``auto_fock_dim`` (the truncation policy) calls it once per truncation
-tried.  ``materialize_sectors`` forms a sector form's K joint states as the
-columns of one array in one contraction that checks every state's norm
-(``_contract``); ``materialize`` runs it on a decomposition's label form.
+unsqueezed rows by the two-term coherent recurrence in one cumulative
+product and running Yuen's three-term Fock recurrence once for all the
+others.  ``materialize_label`` is its one-row case, ``auto_fock_dim`` (the
+truncation policy) calls it once per truncation tried.  ``materialize_sectors``
+forms a sector form's K joint states as the columns of one array in one
+contraction that checks every state's norm (``_contract``); ``materialize``
+runs it on a decomposition's label form.
 
 Neglected global phase factors are carried as metadata, never silently
 dropped; all state comparisons are phase-insensitive.
@@ -636,7 +637,7 @@ def materialize_labels(labels, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
     Poisson tail of every label's coherent centre ``alpha`` is checked in
     one pass (``coherent_tails``), so a truncation too small for any label
     raises the TruncationError that label alone would raise.  Unsqueezed
-    rows come from one broadcast exp (``coherent_amplitudes``) and carry
+    rows come from one cumulative product (``coherent_amplitudes``) and carry
     their tail as leakage; squeezed or rotated rows come from one run of
     Yuen's recurrence for all of them (``_squeezed_rows``).
     """
@@ -686,7 +687,14 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
         labels = LabelArrays.of(dict.fromkeys(labels))
     dim = start
     if dim is None:
-        far = float(np.abs(labels.alpha).max(initial=0.0))
+        radii = np.abs(labels.alpha)
+        far = float(radii.max(initial=0.0))
+        if not math.isfinite(far):
+            bad = complex(labels.alpha[np.argmax(~np.isfinite(radii))])
+            raise TruncationError(
+                f"a label of displacement {bad!r} is not finite: no truncation holds it",
+                required_dim=None,
+            )
         # A coherent tail is about 1/2 at the mean photon number: past the cap, no sum is needed.
         if far * far >= MAX_FOCK_DIM:
             raise TruncationError(

@@ -50,7 +50,7 @@ from .analytic import (
     materialize,
     squeezed_evolution,
 )
-from .constants import MAX_FOCK_DIM, MAX_WIGNER_POINTS
+from .constants import MAX_CAVITY_PHASE, MAX_FOCK_DIM, MAX_WIGNER_POINTS
 from .errors import (
     ConfigError,
     DimensionError,
@@ -251,6 +251,8 @@ _VALUE_RULES = {
     "gamma": (_is_complex, "a finite number or [re, im] pair"),
     "target": (lambda v: v in VERIFY_SCENARIOS, f"one of {VERIFY_SCENARIOS}"),
 }
+# The scenario times the cavity evolves over, each bounded by MAX_CAVITY_PHASE.
+_SCENARIO_TIMES = {"tau", "tau1", "t", "tau_max"}
 
 
 def _parse_device(data, context: str) -> DeviceParams:
@@ -328,6 +330,13 @@ def validate_config(data) -> RunConfig:
     for key, value in args.items():
         if key in _VALUE_RULES and not _VALUE_RULES[key][0](value):
             raise ConfigError(f"key {key!r} must be {_VALUE_RULES[key][1]}, got {value!r}")
+    for key in _SCENARIO_TIMES & args.keys():
+        phase = device.omega_cavity * abs(args[key])
+        if not phase < MAX_CAVITY_PHASE:
+            raise ConfigError(
+                f"key {key!r} must keep omega |t| below 2^52 rad, where phases e^(-i omega t) "
+                f"are still resolved, got {args[key]!r} (omega |t| = {phase:.6g} rad)"
+            )
     if args.get("wigner") is not None:
         _validate_wigner_grid(args["wigner"])
     return RunConfig(

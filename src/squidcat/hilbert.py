@@ -23,11 +23,11 @@ overflows, and no state is displaced, so a map is exact at any grid extent,
 whatever the truncation (see ``wigner_maps``; ``wigner`` is its one-state
 case).
 
-Coherent states are built as rows of one array, one per displacement, in
-one broadcast exp (``coherent_amplitudes``), and their truncation tails are
-exact Poisson upper tails, checked for all of them in one pass and summed
-over positive terms from Loader's saddle-point form of the Poisson
-probability (``coherent_tails``); ``coherent_fock`` is the one-state case.
+Coherent states are rows of one array, one per displacement, built as one
+cumulative product of the steps alpha/sqrt(n) (``coherent_amplitudes``).
+Their truncation tails are exact Poisson upper tails, checked for all of them
+in one pass and summed over positive terms from Loader's saddle-point form of
+the Poisson probability (``coherent_tails``); ``coherent_fock`` is one state.
 ``top_level_weights`` takes the truncation check of many states in one
 reduction, and a ``Propagator`` call evolves one state to one time or bare
 joint amplitudes over a time grid, one column per grid time.  This module
@@ -72,7 +72,7 @@ __all__ = [
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_FACTORIALS = np.zeros(0)
+_FAR_MU = 1380.0  # |alpha|^2 past which exp(-|alpha|^2/2) nears the smallest normal double
 
 QUBIT_AMPLITUDES = {
     "g": np.array([1.0, 0.0], dtype=complex),
@@ -351,36 +351,35 @@ def coherent_tails(alphas, dim: int) -> np.ndarray:
     return tails
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0 .. n - 1, read from one table that grows on demand."""
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if table.size < n:
-        table = np.array([math.lgamma(k + 1.0) for k in range(max(n, 2 * table.size))])
-        table.setflags(write=False)
-        _LOG_FACTORIALS = table
-    return table[:n]
-
-
 def coherent_amplitudes(alphas, dim: int) -> np.ndarray:
-    """Coherent states on ``dim`` Fock levels, one row per displacement, in one broadcast exp.
+    """Coherent states on ``dim`` Fock levels, one row per displacement, in one cumulative product.
 
-    Row k holds exp(-|alpha_k|^2/2) alpha_k^n / sqrt(n!), renormalized after
-    truncation; its truncation is not checked here (see ``coherent_tails``).
-    Each row's scalars and norm are formed as for that state alone, so a
-    row is bit for bit the state ``coherent_fock`` builds.
+    Row k is c_n = c_(n-1) alpha_k/sqrt(n) from c_0 = exp(-|alpha_k|^2/2), so
+    no entry exceeds 1, renormalized after truncation; its truncation is not
+    checked here (see ``coherent_tails``).  Each row's steps and norm are
+    formed as for that state alone: bit for bit the state ``coherent_fock`` builds.
     """
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    radii = [abs(alpha) for alpha in alphas.tolist()]
-    centre = np.array([-radius**2 / 2.0 for radius in radii])[:, None]
-    slope = np.array([math.log(radius) if radius else 0.0 for radius in radii])[:, None]
-    ns = np.arange(dim)
-    logmag = centre + ns * slope - 0.5 * _log_factorials(dim)
-    rows = np.exp(logmag + 1j * (np.angle(alphas)[:, None] * ns))
-    vacuum = [k for k, radius in enumerate(radii) if not radius]
-    if vacuum:
-        rows[vacuum] = 0.0
-        rows[vacuum, 0] = 1.0
+    mus = alphas.real**2 + alphas.imag**2
+    rows = np.empty((alphas.size, dim), dtype=complex)
+    roots = np.sqrt(np.arange(1.0, dim))
+    np.divide(alphas.real[:, None], roots, out=rows.real[:, 1:])
+    np.divide(alphas.imag[:, None], roots, out=rows.imag[:, 1:])
+    rows[:, 0] = np.exp(-mus / 2.0)
+    # A row whose c_0 underflows starts from 1 (renormalizing drops the scale); each block of
+    # 480/log2|alpha| levels grows it below 2^480, then an exact power of two brings it below 1.
+    far = mus >= _FAR_MU
+    if far.any():
+        for k in np.flatnonzero(far):
+            row, block = rows[k], max(1, int(960.0 / math.log2(mus[k])))
+            row[0] = 1.0
+            for start in range(0, dim - 1, block):
+                part = row[start : start + block + 1]
+                np.cumprod(part, out=part)
+                row[: start + block + 1] *= math.ldexp(1.0, -max(0, math.frexp(abs(part[-1]))[1]))
+        rows[~far] = np.cumprod(rows[~far], axis=1)
+    else:
+        np.cumprod(rows, axis=1, out=rows)
     # each row's norm as np.linalg.norm takes it, two strided dot products; as
     # a stack of (1 x N) @ (N x 1) products, each runs as that dot in one call
     real, imag = rows.real, rows.imag
@@ -392,11 +391,11 @@ def coherent_amplitudes(alphas, dim: int) -> np.ndarray:
 def coherent_fock(alpha: complex, dim: int) -> CavityState:
     """Coherent state with displacement ``alpha`` on ``dim`` Fock levels.
 
-    The one-row case of ``coherent_amplitudes``: amplitudes
-    exp(-|alpha|^2/2) alpha^n / sqrt(n!) are renormalized after truncation
-    and the discarded weight is recorded as leakage.  Raises
-    TruncationError (with a dimension estimate) when the discarded weight
-    would exceed the 1e-10 contract.
+    The one-row case of ``coherent_amplitudes``: amplitudes c_n = c_(n-1)
+    alpha/sqrt(n) from c_0 = exp(-|alpha|^2/2), renormalized after truncation,
+    with the discarded weight recorded as leakage.  Raises TruncationError
+    (with a dimension estimate) when the discarded weight would exceed the
+    1e-10 contract.
     """
     if dim < 2:
         raise DimensionError(f"Fock truncation must be >= 2, got {dim}")

@@ -6,7 +6,7 @@ import pytest
 
 from squidcat.analytic import CoherentLabel, auto_fock_dim
 from squidcat.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
-from squidcat.hilbert import _log_factorials, required_fock_dim
+from squidcat.hilbert import required_fock_dim
 from squidcat.model import Coupling, DeviceParams
 
 
@@ -127,14 +127,19 @@ def start_over_every_centre(labels) -> int:
 
 
 def coherent_reference(alpha, dim):
-    """Coherent amplitudes on ``dim`` levels formed one state at a time, renormalized."""
-    if alpha == 0:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        return v
-    ns = np.arange(dim)
-    logmag = -abs(alpha) ** 2 / 2.0 + ns * math.log(abs(alpha)) - 0.5 * _log_factorials(dim)
-    v = np.exp(logmag + 1j * np.angle(alpha) * ns)
+    """Coherent amplitudes on ``dim`` levels formed one state at a time, renormalized.
+
+    The recurrence c_n = c_(n-1) alpha/sqrt(n) from c_0 = exp(-|alpha|^2/2),
+    step by step in Python complex arithmetic.
+    """
+    alpha = complex(alpha)
+    amp = complex(np.exp(-(alpha.real**2 + alpha.imag**2) / 2.0))
+    amps = [amp]
+    for n in range(1, dim):
+        root = math.sqrt(n)
+        amp *= complex(alpha.real / root, alpha.imag / root)
+        amps.append(amp)
+    v = np.array(amps)
     return v / np.linalg.norm(v)
 
 

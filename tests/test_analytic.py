@@ -663,6 +663,21 @@ def test_auto_fock_dim_start_past_the_cap_raises_before_any_state(monkeypatch, a
     assert info.value.required_dim is None
 
 
+@pytest.mark.parametrize(
+    "alpha", [complex(math.nan, 0.0), complex(1.0, math.inf), complex(math.nan, math.nan)]
+)
+def test_auto_fock_dim_names_a_non_finite_label(monkeypatch, alpha):
+    from squidcat import analytic
+
+    def never(*args):
+        raise AssertionError("a label state was built")
+
+    monkeypatch.setattr(analytic, "materialize_labels", never)
+    with pytest.raises(TruncationError, match="is not finite") as info:
+        auto_fock_dim([CoherentLabel(1.0), CoherentLabel(alpha)])
+    assert repr(alpha) in str(info.value) and info.value.required_dim is None
+
+
 def test_auto_fock_dim_explicit_start_is_not_raised():
     assert auto_fock_dim([CoherentLabel(1.0)], start=32)[0] == 32
     with pytest.raises(TruncationError):

@@ -458,6 +458,43 @@ def test_non_positive_omega_is_one_config_error(tmp_path, capsys, scenario, omeg
 
 
 @pytest.mark.parametrize(
+    "scenario,key,value",
+    [
+        ("cat", "tau", 1e300),
+        ("inject", "tau1", 1e300),
+        ("squeeze", "t", 1e300),
+        ("verify", "tau_max", 1e300),
+        ("verify", "tau_max", 1e295),
+    ],
+)
+def test_time_past_the_phase_bound_is_one_config_error(
+    tmp_path, capsys, monkeypatch, scenario, key, value
+):
+    from squidcat import cli
+
+    def never(config):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run", never)
+    assert main(["--config", _scenario_config(tmp_path, scenario, **{key: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: key {key!r} must keep omega |t|")
+    assert repr(value) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_phase_bound_is_two_to_the_52_radians(sign):
+    config = example_config("cat")
+    omega = validate_config(config).device.omega_cavity
+    bound = sign * 2.0**52 / omega
+    below = validate_config({**config, "tau": bound * (1.0 - 1e-12)})
+    assert below.args["tau"] == bound * (1.0 - 1e-12)
+    with pytest.raises(ConfigError, match="below 2\\^52 rad"):
+        validate_config({**config, "tau": bound * (1.0 + 1e-12)})
+
+
+@pytest.mark.parametrize(
     "scenario,key", [("feasibility", "Q"), ("verify", "omega"), ("cat", "E_J")]
 )
 def test_boolean_device_value_is_one_config_error(tmp_path, capsys, scenario, key):

@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import functools
 import math
@@ -25,6 +26,7 @@ from squidcat.hilbert import (
     _poisson_pmfs,
     _poisson_terms,
     _tail_width,
+    coherent_amplitudes,
     coherent_fock,
     fidelity,
     joint_state,
@@ -281,6 +283,43 @@ def test_coherent_fock_magnitudes_against_exact_decimals(alpha):
     error = np.abs(np.abs(coherent_fock(alpha, 512).amplitudes) - exact).max()
     reference_error = np.abs(np.abs(_gammaln_coherent(alpha, 512)) - exact).max()
     assert error <= max(1e-15, 2.0 * reference_error)
+
+
+def _decimal_coherent(alpha, dim):
+    """Coherent amplitudes on ``dim`` levels, renormalized: the recurrence
+    c_n = c_(n-1) alpha/sqrt(n) in 40-digit (re, im) decimals from the exact binary alpha."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        re, im = decimal.Decimal(alpha.real), decimal.Decimal(alpha.imag)
+        c_re, c_im = (-(re * re + im * im) / 2).exp(), decimal.Decimal(0)
+        amps = [(c_re, c_im)]
+        for n in range(1, dim):
+            root = decimal.Decimal(n).sqrt()
+            c_re, c_im = (c_re * re - c_im * im) / root, (c_re * im + c_im * re) / root
+            amps.append((c_re, c_im))
+        norm = sum(a * a + b * b for a, b in amps).sqrt()
+        return np.array([complex(float(a / norm), float(b / norm)) for a, b in amps])
+
+
+@pytest.mark.parametrize("dim", [64, 237, 459])
+@pytest.mark.parametrize("radius", [0.5, 8.0, 18.0])
+def test_coherent_amplitudes_against_exact_decimals(radius, dim):
+    # One rounding per step of the recurrence; a log-domain exponent
+    # -|alpha|^2/2 + n log|alpha| - log(n!)/2 would cancel terms of size ~1300
+    # at 459 levels and round at the 3e-14 level at |alpha| = 18.
+    alpha = radius * cmath.exp(0.7j)
+    error = np.abs(coherent_amplitudes([alpha], dim)[0] - _decimal_coherent(alpha, dim)).max()
+    assert error <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [40.0, 40.0 * cmath.exp(0.7j)])
+def test_far_coherent_row_against_exact_decimals(alpha):
+    # c_0 = e^(-800) underflows a double, so the row is carried rescaled by
+    # powers of two; the rows beside it take the one cumulative product
+    rows = coherent_amplitudes([0.5, alpha, 18.0j], 2000)
+    assert np.abs(rows[1] - _decimal_coherent(alpha, 2000)).max() <= 1e-15
+    assert np.array_equal(rows[1], coherent_fock(alpha, 2000).amplitudes)
+    assert np.array_equal(rows[2], coherent_fock(18.0j, 2000).amplitudes)
 
 
 # ---------------------------------------------------------------- propagation
