@@ -58,7 +58,14 @@ from .hilbert import (
     required_fock_dim,
     top_level_weights,
 )
-from .model import Coupling, DeviceParams, flux_pulse, require_setting, validity_margin
+from .model import (
+    Coupling,
+    DeviceParams,
+    _require_resolved_phase,
+    flux_pulse,
+    require_setting,
+    validity_margin,
+)
 
 __all__ = [
     "CoherentLabel",
@@ -337,8 +344,11 @@ def evolve_coherent(
     """Evolve an injected coherent state (x) qubit ground under the linear coupling.
 
     The one-time view of ``linear_sectors``, with the common phase
-    exp(i |kappa|^2 (w tau - sin w tau)) recorded as dropped.
+    exp(i |kappa|^2 (w tau - sin w tau)) recorded as dropped.  A time with
+    w |tau1| >= MAX_CAVITY_PHASE (2^52 rad), where that phase is no longer
+    resolved, raises ValueError.
     """
+    _require_resolved_phase(params, float(tau1), "time")
     state = linear_sectors(params, coupling, alpha_prime, [tau1])
     omega_tau = params.omega_cavity * float(tau1)
     return BranchDecomposition(state.branches(), _dropped_phase_record(_kappa(params, coupling), omega_tau))
@@ -567,8 +577,10 @@ def squeezed_evolution(
 ) -> BranchDecomposition:
     """Evolve a coherent state (x) qubit ground under the quadratic coupling.
 
-    The one-time view of ``squeezed_sectors``.
+    The one-time view of ``squeezed_sectors``.  A time with
+    w |t| >= MAX_CAVITY_PHASE (2^52 rad) raises ValueError.
     """
+    _require_resolved_phase(params, float(t), "time")
     return BranchDecomposition(squeezed_sectors(params, coupling, gamma, [t]).branches())
 
 

@@ -27,7 +27,14 @@ from .analytic import (
 )
 from .constants import HBAR, NORM_TOL, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
 from .hilbert import Propagator, coherent_fock, joint_state
-from .model import Coupling, DeviceParams, coupling_xi, flux_pulse, hamiltonian
+from .model import (
+    Coupling,
+    DeviceParams,
+    _require_resolved_phase,
+    coupling_xi,
+    flux_pulse,
+    hamiltonian,
+)
 
 __all__ = [
     "SweepRow",
@@ -222,8 +229,9 @@ def _numeric_map(
     return lambda taus: pulse(Propagator(prepare)(psi0, taus), duration)
 
 
-def _time_grid(tau_grid) -> np.ndarray:
-    """The grid times as one float array: nonempty and finite, else ValueError naming the first bad time."""
+def _time_grid(params: DeviceParams, tau_grid) -> np.ndarray:
+    """The grid times as one float array: nonempty, finite and with every cavity
+    phase omega |t| below MAX_CAVITY_PHASE, else ValueError naming a bad time."""
     taus = np.array([float(t) for t in tau_grid])
     if not taus.size:
         raise ValueError("tau_grid must be nonempty")
@@ -231,6 +239,8 @@ def _time_grid(tau_grid) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"tau_grid must be finite: tau_grid[{k}] = {float(taus[k])!r}")
+    k = int(np.argmax(np.abs(taus)))
+    _require_resolved_phase(params, float(taus[k]), f"tau_grid[{k}]")
     return taus
 
 
@@ -247,8 +257,10 @@ def verify_analytic_numeric(
     """Max infidelity between closed-form branches and brute-force propagation.
 
     Runs both paths at every grid time and returns max(1 - fidelity), with
-    one array per grid on each side.  The grid must be nonempty and finite
-    (else ValueError, before any state is computed).  The closed form is
+    one array per grid on each side.  The grid must be nonempty and finite,
+    with omega |t| below MAX_CAVITY_PHASE (2^52 rad) at every time, where
+    phases e^(-i omega t) are still resolved (else ValueError, before any
+    state is computed).  The closed form is
     computed once for the whole grid as a ``SectorBranches``: per sigma_x
     sector, label arrays over the grid, and one 2 x 2 weight matrix.  The
     truncation comes from ``auto_fock_dim``, starting at ``fock_dim`` if
@@ -263,7 +275,7 @@ def verify_analytic_numeric(
     column must hold its norm to NORM_TOL (else ValueError), and every
     fidelity is one column-wise overlap between the two.
     """
-    taus = _time_grid(tau_grid)
+    taus = _time_grid(params, tau_grid)
     c = coupling_xi(params) if coupling is None else coupling
     closed_form = _closed_forms(params, c, scenario, taus, alpha_prime, gamma)
     numeric = {}

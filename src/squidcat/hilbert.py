@@ -32,7 +32,9 @@ the Poisson probability (``coherent_tails``); ``coherent_fock`` is one state.
 reduction, and a ``Propagator`` call evolves one state to one time or bare
 joint amplitudes over a time grid, one column per grid time.  This module
 needs only numpy unless a ``Propagator`` diagonalizes a Hamiltonian, which
-imports ``scipy.linalg``.
+imports ``scipy.linalg``: each tridiagonal chain is one direct call to
+LAPACK's ``dstevd`` (``_chain_eigh``, which ``model.hamiltonian`` also uses
+for the cosine), and each dense block one ``scipy.linalg.eigh`` call.
 
 Everything here is a pure function of its inputs; the state and Hamiltonian
 types freeze their arrays after construction and are safe to share across
@@ -409,14 +411,40 @@ def joint_state(qubit: str, cavity: CavityState) -> JointState:
     return JointState(amplitudes, leakage=cavity.leakage)
 
 
+def _chain_eigh(main: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and the eigenvectors (as columns) of the real
+    symmetric tridiagonal matrix with diagonal ``main`` (two or more levels)
+    and off-diagonal ``off``.
+
+    One call to LAPACK's divide-and-conquer ``dstevd`` (Gu & Eisenstat, SIAM
+    J. Matrix Anal. Appl. 16, 172 (1995)), the driver that
+    ``scipy.linalg.eigh_tridiagonal`` runs by default, without that
+    wrapper's argument handling (19-30 % of a solve at 32-89 levels).  The
+    result is bit for bit the wrapper's with ``lapack_driver="stevd"``, and
+    its two checks are kept: a non-finite entry raises ValueError and a
+    failed solve raises LinAlgError.
+    """
+    # imported here so that only a diagonalization loads scipy
+    from scipy.linalg.lapack import dstevd
+
+    if not (np.isfinite(main).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    evals, evecs, info = dstevd(main, off)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    return evals, evecs
+
+
 class Propagator:
     """Repeated-use evolver exp(-i H t) with the eigendecomposition done once.
 
     It stores one basis change W = Q (x) G, with Q the sigma_x eigenvectors
     and G the Hamiltonian's diagonal gauge, and the real symmetric blocks of
     W^dag H W, each with its eigendecomposition: a tridiagonal chain by
-    ``scipy.linalg.eigh_tridiagonal`` (O(N^2) for N levels), a dense sector
-    by ``scipy.linalg.eigh`` (O(N^3)).  A chain whose band is all zeros (the
+    LAPACK's divide-and-conquer ``dstevd`` (``_chain_eigh``: 0.18 / 0.52 /
+    1.8 / 6.2 ms at N = 64 / 129 / 237 / 459 for a first-order chain at
+    |xi| E_J = 0.5 hbar omega, one BLAS thread on a 2-vCPU host), a dense
+    sector by ``scipy.linalg.eigh`` (O(N^3)).  A chain whose band is all zeros (the
     first order at the flux pulse, phi_c = 1) is diagonal: it gets no
     eigensolve, and its exp(-i H_block t) is a phase per level.
 
@@ -452,7 +480,7 @@ class Propagator:
 
     def __init__(self, hamiltonian: SectorHamiltonian):
         # Imported here so that only a diagonalization loads scipy
-        from scipy.linalg import eigh, eigh_tridiagonal
+        from scipy.linalg import eigh
 
         self.dim = hamiltonian.dim
         self._gauge = hamiltonian.gauge
@@ -477,7 +505,7 @@ class Propagator:
                     continue
                 evals = self._spectra[table] - 2.0 * coupling[0]
             else:
-                evals, evecs = eigh(main) if off is None else eigh_tridiagonal(main, off)
+                evals, evecs = eigh(main) if off is None else _chain_eigh(main, off)
             self._spectra.append(evals)
             self._blocks.append((rows, len(self._spectra) - 1, evecs, flipped))
 

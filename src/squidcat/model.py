@@ -26,6 +26,7 @@ from .constants import (
     ELEMENTARY_CHARGE,
     FLUX_QUANTUM,
     HBAR,
+    MAX_CAVITY_PHASE,
     SETTING_TOL,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
@@ -33,7 +34,7 @@ from .constants import (
     ev_to_rate,
 )
 from .errors import DimensionError
-from .hilbert import SectorHamiltonian
+from .hilbert import SectorHamiltonian, _chain_eigh
 
 __all__ = [
     "CAVITY_KINDS",
@@ -188,6 +189,16 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
             raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
 
 
+def _require_resolved_phase(params: DeviceParams, t: float, name: str) -> None:
+    """Raise ValueError naming the time ``name`` = t unless omega |t| < MAX_CAVITY_PHASE."""
+    phase = params.omega_cavity * abs(t)
+    if not phase < MAX_CAVITY_PHASE:
+        raise ValueError(
+            f"{name} = {t!r} must keep omega |t| below 2^52 rad, where phases e^(-i omega t) "
+            f"are still resolved (omega |t| = {phase:.6g} rad)"
+        )
+
+
 class FluxPulse(NamedTuple):
     """The flux pulse: its duration in s, the cavity's turn omega * duration, and the qubit gate."""
 
@@ -236,7 +247,8 @@ def hamiltonian(
     - first order: B is one band coupling n to n+-1, built in O(N);
     - second order: B is one band coupling n to n+-2, built in O(N);
     - cosine: the gauged argument pi phi_c + |xi| (a + adag) is real
-      tridiagonal, so ``eigh_tridiagonal`` gives it as V Lambda V^T and
+      tridiagonal, so one ``dstevd`` chain solve (``hilbert._chain_eigh``,
+      as for the Propagator's chains) gives it as V Lambda V^T and
       B = -E_J V cos(Lambda) V^T is one dense real symmetric block.
     """
     if order not in HAMILTONIAN_ORDERS:
@@ -254,10 +266,7 @@ def hamiltonian(
     cavity, phase = omega * levels, cmath.phase(coupling.xi)
 
     if order == "cosine":
-        # imported here so that only a diagonalization loads scipy
-        from scipy.linalg import eigh_tridiagonal
-
-        evals, evecs = eigh_tridiagonal(np.zeros(dim), xi_abs * np.sqrt(levels[1:]))
+        evals, evecs = _chain_eigh(np.zeros(dim), xi_abs * np.sqrt(levels[1:]))
         coupling_block = (evecs * (-ej * np.cos(flux_angle + evals))) @ evecs.T
         return SectorHamiltonian(cavity, coupling_block, phase)
     if order == "first":

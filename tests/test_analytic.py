@@ -172,6 +172,25 @@ def test_dropped_phase_record_value(strong_device, strong_coupling):
     assert float(match.group(1)) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda p, c, t: evolve_vacuum(p, c, t),
+        lambda p, c, t: evolve_coherent(p, c, 0.5, t),
+        lambda p, c, t: squeezed_evolution(dataclasses.replace(p, phi_c_ratio=0.0), c, 0.5, t),
+    ],
+    ids=["vacuum", "coherent", "squeezed"],
+)
+def test_closed_forms_refuse_a_time_past_the_phase_bound(strong_device, strong_coupling, closed_form):
+    # at omega = 1e10 rad/s the bound omega |t| < 2^52 rad is t = 4.5e5 s
+    bound = 2.0**52 / strong_device.omega_cavity
+    for t in (1e300, -1e300, bound * (1.0 + 1e-12), -bound * (1.0 + 1e-12)):
+        with pytest.raises(ValueError, match=rf"time = {re.escape(repr(t))} must keep omega \|t\| below 2\^52 rad"):
+            closed_form(strong_device, strong_coupling, t)
+    for t in (bound * (1.0 - 1e-12), -bound * (1.0 - 1e-12)):
+        assert closed_form(strong_device, strong_coupling, t).branches
+
+
 # ---------------------------------------------------------------- coherent injection
 
 def test_injection_without_field_matches_vacuum_branches(strong_device, strong_coupling):

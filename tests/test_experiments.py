@@ -409,6 +409,19 @@ def test_verify_rejects_unknown_scenario(strong_device):
         verify_analytic_numeric(strong_device, "vacuum", [])
 
 
+@pytest.mark.parametrize("scenario", ["vacuum", "squeeze"])
+@pytest.mark.parametrize("far", [1e295, -1e295, 2.0**52 / 1e10 * (1.0 + 1e-12)])
+def test_verify_refuses_a_time_past_the_phase_bound(monkeypatch, strong_coupling, scenario, far):
+    # omega = 1e10 rad/s; the grid is refused before any state is computed
+    from squidcat import experiments
+
+    device = make_strong_device(phi_c_ratio=0.0 if scenario == "squeeze" else 0.5)
+    monkeypatch.setattr(experiments, "_closed_forms", None)
+    grid = np.linspace(0.0, far, 3)
+    with pytest.raises(ValueError, match=r"tau_grid\[2\] = .* must keep omega \|t\| below 2\^52 rad"):
+        verify_analytic_numeric(device, scenario, grid, coupling=strong_coupling)
+
+
 def test_verify_truncation_error_for_tiny_explicit_dim(strong_device, strong_coupling):
     with pytest.raises(TruncationError):
         verify_analytic_numeric(

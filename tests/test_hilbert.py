@@ -23,6 +23,7 @@ from squidcat.hilbert import (
     Propagator,
     SectorHamiltonian,
     _bd0,
+    _chain_eigh,
     _poisson_pmfs,
     _poisson_terms,
     _tail_width,
@@ -480,14 +481,14 @@ def test_mirrored_chains_hold_their_plus_chains_eigenvectors(monkeypatch, stride
     h = SectorHamiltonian(
         rng.normal(size=dim), np.full(dim, shift), 0.9, rng.normal(size=dim - stride), stride
     )
-    solved, original = [], scipy.linalg.eigh_tridiagonal
+    solved, original = [], scipy.linalg.lapack.dstevd
 
     def recording(*args, **kwargs):
-        evals, evecs = original(*args, **kwargs)
+        evals, evecs, info = original(*args, **kwargs)
         solved.append(evecs)
-        return evals, evecs
+        return evals, evecs, info
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", recording)
     held = [a for a in _held_arrays(Propagator(h)) if a.ndim == 2]
     assert len(solved) == stride and len(held) == 2 * stride
     for k, evecs in enumerate(solved):
@@ -499,13 +500,13 @@ def test_mirrored_chains_hold_their_plus_chains_eigenvectors(monkeypatch, stride
     [("vacuum", (1, 0)), ("pulse", (0, 0)), ("squeeze", (4, 0)), ("cosine", (0, 2))],
 )
 def test_eigensolves_per_propagator(monkeypatch, scenario, expected):
-    # first order: one eigh_tridiagonal per mirrored chain pair, and none for the
-    # pulse's diagonal chains; otherwise one per block
+    # first order: one dstevd chain solve per mirrored chain pair, and none for
+    # the pulse's diagonal chains; otherwise one per block
     h, _ = _sector_case(scenario, 24)
-    calls = {"eigh_tridiagonal": 0, "eigh": 0}
+    calls = {"dstevd": 0, "eigh": 0}
 
-    def counted(name):
-        original = getattr(scipy.linalg, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -513,10 +514,53 @@ def test_eigensolves_per_propagator(monkeypatch, scenario, expected):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    for module, name in ((scipy.linalg.lapack, "dstevd"), (scipy.linalg, "eigh")):
+        monkeypatch.setattr(module, name, counted(module, name))
     Propagator(h)
-    assert (calls["eigh_tridiagonal"], calls["eigh"]) == expected
+    assert (calls["dstevd"], calls["eigh"]) == expected
+
+
+# the sizes whose chains are checked: every N up to 70, then odd and even sizes up to MAX_FOCK_DIM
+_CHAIN_SIZES = [*range(2, 71), 97, 128, 129, 200, 256, 377, 459, 512]
+
+
+@pytest.mark.parametrize("order,phi_c_ratio", [("first", 0.5), ("second", 0.0)])
+def test_chain_eigh_is_the_stevd_driver_bit_for_bit(order, phi_c_ratio):
+    # every chain of two or more levels the package builds at these settings;
+    # the driver is named, so the reference does not rest on scipy's default
+    device = make_strong_device(phi_c_ratio=phi_c_ratio)
+    coupling = Coupling.from_xi(0.1 * np.exp(0.6j))
+    solved = 0
+    for dim in _CHAIN_SIZES:
+        for _, main, off in hamiltonian(device, coupling, order, dim).blocks():
+            if not off.size:
+                continue
+            evals, evecs = _chain_eigh(main, off)
+            ref_evals, ref_evecs = eigh_tridiagonal(main, off, lapack_driver="stevd")
+            assert evals.tobytes() == ref_evals.tobytes(), (dim, main.size)
+            assert evecs.tobytes() == ref_evecs.tobytes(), (dim, main.size)
+            solved += 1
+    # two chains per size at first order; four at second, less the one-level
+    # chains at N = 2 (four) and N = 3 (two)
+    assert solved == (2 * len(_CHAIN_SIZES) if order == "first" else 4 * len(_CHAIN_SIZES) - 6)
+
+
+@pytest.mark.parametrize("where", ["main", "off"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chain_eigh_rejects_non_finite_entries(bad, where):
+    chain = {"main": np.arange(5.0), "off": np.ones(4)}
+    chain[where][2] = bad
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        _chain_eigh(chain["main"], chain["off"])
+
+
+def test_chain_eigh_raises_when_the_solve_fails(monkeypatch):
+    def failing(d, e):
+        return np.zeros(d.size), np.zeros((d.size, d.size)), 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        _chain_eigh(np.arange(5.0), np.ones(4))
 
 
 def _recorded_exponentials(monkeypatch, evolve, state, times):
