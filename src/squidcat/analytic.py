@@ -80,8 +80,6 @@ __all__ = [
     "evolve_coherent",
     "coherent_overlap",
     "superposition_norm2",
-    "cat_normalization",
-    "cat_state",
     "flux_pi_pulse",
     "squeezed_evolution",
     "linear_sectors",
@@ -93,7 +91,6 @@ __all__ = [
     "materialize",
     "auto_fock_dim",
     "branch_decomposition_to_dict",
-    "branch_decomposition_from_dict",
 ]
 
 _SERIES_SWITCH = 0.25
@@ -324,8 +321,11 @@ def linear_sectors(
     branch phases +-phi with phi = Im[kappa conj(alpha') (1 - e^(i w tau))];
     the common phase exp(i |kappa|^2 (w tau - sin w tau)) is left out.  The
     qubit ground state is (|+> + |->)/sqrt(2), so the weights are 1/2 on
-    both sectors in the g block and +-1/2 in the e block.
+    both sectors in the g block and +-1/2 in the e block.  A time with
+    w |tau| >= MAX_CAVITY_PHASE (2^52 rad), where the phases are no longer
+    resolved, raises ValueError naming the time of largest |tau|.
     """
+    _require_resolved_phase(params, times, "time")
     require_setting(params, 0.5, "preparation")
     kappa = _kappa(params, coupling)
     alpha_prime = complex(alpha_prime)
@@ -344,11 +344,8 @@ def evolve_coherent(
     """Evolve an injected coherent state (x) qubit ground under the linear coupling.
 
     The one-time view of ``linear_sectors``, with the common phase
-    exp(i |kappa|^2 (w tau - sin w tau)) recorded as dropped.  A time with
-    w |tau1| >= MAX_CAVITY_PHASE (2^52 rad), where that phase is no longer
-    resolved, raises ValueError.
+    exp(i |kappa|^2 (w tau - sin w tau)) recorded as dropped.
     """
-    _require_resolved_phase(params, float(tau1), "time")
     state = linear_sectors(params, coupling, alpha_prime, [tau1])
     omega_tau = params.omega_cavity * float(tau1)
     return BranchDecomposition(state.branches(), _dropped_phase_record(_kappa(params, coupling), omega_tau))
@@ -421,37 +418,6 @@ def superposition_norm2(terms) -> float:
             z = _log_overlap(xj, xk)
             total += (cj.conjugate() * ck * z * _expm1_over_z(z)).real
     return total
-
-
-def cat_normalization(alpha: complex, parity: str) -> float:
-    """Normalization constant 1/sqrt(2 +- 2 e^(-2|alpha|^2)) of a coherent-state cat.
-
-    The norm is the Gram sum of ``superposition_norm2``, which keeps the
-    odd norm's relative precision as |alpha| -> 0.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    norm2 = superposition_norm2(((1.0, alpha), (1.0 if parity == "even" else -1.0, -alpha)))
-    if norm2 == 0.0:
-        raise ValueError(f"odd cat at |alpha| = {abs(alpha)!r} is the null state")
-    return 1.0 / math.sqrt(norm2)
-
-
-def cat_state(alpha: complex, parity: str, fock_dim: int | None = None) -> CavityState:
-    """Normalized even or odd superposition of |alpha> and |-alpha>."""
-    const = cat_normalization(alpha, parity)
-    labels = (CoherentLabel(alpha), CoherentLabel(-alpha))
-    distinct = list(dict.fromkeys(labels))  # one label at alpha = 0
-    if fock_dim is None:
-        rows, leakages = auto_fock_dim(distinct)[1]
-    else:
-        rows, leakages = materialize_labels(distinct, fock_dim)
-    plus, minus = (distinct.index(label) for label in labels)
-    sign = 1.0 if parity == "even" else -1.0
-    v = const * (rows[plus] + sign * rows[minus])
-    norm = np.linalg.norm(v)
-    leakage = float(leakages[plus] + leakages[minus]) + abs(1.0 - norm**2)
-    return CavityState(v / norm, leakage=leakage)
 
 
 def _turn(labels: LabelArrays, angle: float) -> LabelArrays:
@@ -547,8 +513,10 @@ def squeezed_sectors(params: DeviceParams, coupling: Coupling, gamma: complex, t
     in a stable sector and grows without bound where |lam_s| >= |Omega_s|:
     a time at which a label is not finite (it overflows a double there)
     raises TruncationError, since no truncation holds that state.  The
-    weights are those of ``linear_sectors``.
+    weights are those of ``linear_sectors``, and a time past the phase
+    bound raises ValueError as there.
     """
+    _require_resolved_phase(params, times, "time")
     require_setting(params, 0.0, "squeezed evolution")
     gamma = complex(gamma)
     photons = abs(gamma) * abs(gamma)  # inf, where abs(gamma) ** 2 would raise OverflowError
@@ -577,10 +545,8 @@ def squeezed_evolution(
 ) -> BranchDecomposition:
     """Evolve a coherent state (x) qubit ground under the quadratic coupling.
 
-    The one-time view of ``squeezed_sectors``.  A time with
-    w |t| >= MAX_CAVITY_PHASE (2^52 rad) raises ValueError.
+    The one-time view of ``squeezed_sectors``.
     """
-    _require_resolved_phase(params, float(t), "time")
     return BranchDecomposition(squeezed_sectors(params, coupling, gamma, [t]).branches())
 
 
@@ -816,16 +782,6 @@ def _label_to_dict(label: CoherentLabel) -> dict:
     }
 
 
-def _label_from_dict(data: dict) -> CoherentLabel:
-    kind = data.get("kind")
-    if kind == "coherent":
-        return CoherentLabel(complex(*data["alpha"]), float(data["phase"]))
-    if kind == "squeezed":
-        squeeze, rotation = complex(*data["squeeze"]), float(data["rotation"])
-        return CoherentLabel(complex(*data["gamma"]), float(data["phase"]), squeeze, rotation)
-    raise ValueError(f"unknown label kind {kind!r}")
-
-
 def branch_decomposition_to_dict(state: BranchDecomposition) -> dict:
     return {
         "branches": [
@@ -838,15 +794,3 @@ def branch_decomposition_to_dict(state: BranchDecomposition) -> dict:
         ],
         "dropped_global_phase": state.dropped_global_phase,
     }
-
-
-def branch_decomposition_from_dict(data: dict) -> BranchDecomposition:
-    branches = tuple(
-        Branch(
-            qubit=item["qubit"],
-            weight=complex(*item["weight"]),
-            label=_label_from_dict(item["label"]),
-        )
-        for item in data["branches"]
-    )
-    return BranchDecomposition(branches, str(data.get("dropped_global_phase", "1")))

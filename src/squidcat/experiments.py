@@ -158,8 +158,8 @@ def feasibility_report(
     """Compare the operation time 1/|Omega| and cavity lifetime Q/omega with qubit times."""
     if params.Q is None:
         raise ValueError("feasibility report requires the cavity quality factor Q")
-    if min(T1, T2, tau_m) <= 0:
-        raise ValueError("T1, T2 and tau_m must be positive")
+    if not all(0.0 < t < math.inf for t in (T1, T2, tau_m)):
+        raise ValueError("T1, T2 and tau_m must be positive and finite")
     coupling = coupling_xi(params)
     omega_rabi = abs(coupling.xi) * params.ej_rate
     if omega_rabi == 0:

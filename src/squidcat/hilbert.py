@@ -61,7 +61,6 @@ __all__ = [
     "coherent_amplitudes",
     "required_fock_dim",
     "Propagator",
-    "propagate",
     "fidelity",
     "wigner",
     "wigner_maps",
@@ -567,15 +566,6 @@ def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     imaginary parts as one (n, 2K) product, which avoids copying m to complex."""
     pairs = np.ascontiguousarray(v).view(float)
     return (m @ pairs).view(complex)
-
-
-def propagate(hamiltonian: SectorHamiltonian, state: JointState, t: float) -> JointState:
-    """Evolve ``state`` by exp(-i H t).
-
-    ``hamiltonian`` must act on the joint space of ``state``.  For many
-    times under one Hamiltonian, build a Propagator instead.
-    """
-    return Propagator(hamiltonian)(state, t)
 
 
 def fidelity(x: CavityState | JointState, y: CavityState | JointState) -> float:

@@ -31,7 +31,6 @@ __all__ = [
     "AnalyticPost",
     "MeasurementRecord",
     "measure_qubit",
-    "parity_spectrum",
     "measurement_record_to_dict",
 ]
 
@@ -119,14 +118,6 @@ def measure_qubit(
     if isinstance(state, BranchDecomposition):
         return _measure_decomposition(state, outcome, joint)
     raise TypeError(f"cannot measure object of type {type(state).__name__}")
-
-
-def parity_spectrum(state: CavityState) -> tuple[float, float]:
-    """Population in even and odd Fock levels; the two weights sum to one."""
-    probs = np.abs(state.amplitudes) ** 2
-    even = float(probs[0::2].sum())
-    odd = float(probs[1::2].sum())
-    return even, odd
 
 
 def measurement_record_to_dict(record: MeasurementRecord) -> dict:

@@ -134,6 +134,8 @@ class Coupling:
     xi: complex
 
     def __post_init__(self):
+        if not (math.isfinite(self.eta_abs) and cmath.isfinite(self.xi)):
+            raise ValueError(f"eta_abs and xi must be finite, got {self.eta_abs!r} and {self.xi!r}")
         if self.eta_abs < 0:
             raise ValueError("eta_abs must be >= 0")
         expected = math.pi * self.eta_abs / FLUX_QUANTUM
@@ -189,8 +191,13 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
             raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
 
 
-def _require_resolved_phase(params: DeviceParams, t: float, name: str) -> None:
-    """Raise ValueError naming the time ``name`` = t unless omega |t| < MAX_CAVITY_PHASE."""
+def _require_resolved_phase(params: DeviceParams, times, name: str) -> None:
+    """Raise ValueError naming the time ``name`` = t unless omega |t| < MAX_CAVITY_PHASE,
+    with t the time of largest |t| (or the first NaN) in ``times``, a time or an array."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not times.size:
+        return
+    t = float(times[np.argmax(np.abs(times))])
     phase = params.omega_cavity * abs(t)
     if not phase < MAX_CAVITY_PHASE:
         raise ValueError(

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from squidcat.analytic import CoherentLabel, auto_fock_dim
+from squidcat.analytic import Branch, BranchDecomposition, CoherentLabel, auto_fock_dim
 from squidcat.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
-from squidcat.hilbert import required_fock_dim
+from squidcat.hilbert import CavityState, required_fock_dim
 from squidcat.model import Coupling, DeviceParams
 
 
@@ -141,6 +141,27 @@ def coherent_reference(alpha, dim):
         amps.append(amp)
     v = np.array(amps)
     return v / np.linalg.norm(v)
+
+
+def cat_reference(alpha, parity, dim):
+    """The normalized cat |alpha> + |-alpha> (even) or |alpha> - |-alpha> (odd) on ``dim``
+    levels, from the ``coherent_reference`` rows."""
+    sign = {"even": 1.0, "odd": -1.0}[parity]
+    v = coherent_reference(alpha, dim) + sign * coherent_reference(-alpha, dim)
+    return CavityState(v / np.linalg.norm(v))
+
+
+def decomposition_from_dict(data):
+    """The ``BranchDecomposition`` that ``analytic.branch_decomposition_to_dict`` wrote as ``data``."""
+
+    def label(item):
+        if item["kind"] == "coherent":
+            return CoherentLabel(complex(*item["alpha"]), item["phase"])
+        squeeze = complex(*item["squeeze"])
+        return CoherentLabel(complex(*item["gamma"]), item["phase"], squeeze, item["rotation"])
+
+    branches = [Branch(b["qubit"], complex(*b["weight"]), label(b["label"])) for b in data["branches"]]
+    return BranchDecomposition(branches, data["dropped_global_phase"])
 
 
 def yuen_reference(label, dim):

@@ -15,10 +15,7 @@ from squidcat.analytic import (
     BranchDecomposition,
     CoherentLabel,
     auto_fock_dim,
-    branch_decomposition_from_dict,
     branch_decomposition_to_dict,
-    cat_normalization,
-    cat_state,
     coherent_overlap,
     complex_rabi,
     disentangle,
@@ -39,13 +36,13 @@ from squidcat.hilbert import (
     fidelity,
     joint_state,
     min_quadrature_variance,
-    propagate,
     required_fock_dim,
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
 from conftest import (
     coherent_reference,
+    decomposition_from_dict,
     injected_pair_overlap,
     ladder,
     make_physical_device,
@@ -222,7 +219,7 @@ def test_injection_against_propagation_oracle(strong_device, strong_coupling):
     dim = 48
     analytic = materialize(evolve_coherent(strong_device, strong_coupling, 1.0, tau), dim)
     h = hamiltonian(strong_device, strong_coupling, "first", dim)
-    numeric = propagate(h, joint_state("g", coherent_fock(1.0, dim)), tau)
+    numeric = Propagator(h)(joint_state("g", coherent_fock(1.0, dim)), tau)
     assert fidelity(analytic, numeric) >= 1.0 - 1e-8
 
 
@@ -275,24 +272,28 @@ def test_injected_pair_overlap_random_identity():
 
 # ---------------------------------------------------------------- cat normalization
 
+def _cat_constant(alpha, sign):
+    """1/sqrt of the Gram sum of |alpha> + sign |-alpha>, as measurement forms every constant."""
+    return 1.0 / math.sqrt(superposition_norm2(((1.0, alpha), (sign, -alpha))))
+
+
 def test_cat_normalization_even_at_zero():
-    assert cat_normalization(0.0, "even") == pytest.approx(0.5, abs=1e-15)
-    state = cat_state(0.0, "even")
-    assert abs(state.amplitudes[0] - 1.0) <= 1e-12
+    assert _cat_constant(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+    rows = materialize_labels([CoherentLabel(0.0), CoherentLabel(-0.0)], 64)[0]
+    assert abs(_cat_constant(0.0, 1.0) * (rows[0] + rows[1])[0] - 1.0) <= 1e-12
 
 
 def test_cat_normalization_fock_sum_oracle():
-    for alpha, parity in ((2.0, "even"), (1.0, "odd")):
+    for alpha, sign in ((2.0, 1.0), (1.0, -1.0)):
         plus = coherent_fock(alpha, 64).amplitudes
         minus = coherent_fock(-alpha, 64).amplitudes
-        sign = 1.0 if parity == "even" else -1.0
         norm = np.linalg.norm(plus + sign * minus)
-        assert cat_normalization(alpha, parity) == pytest.approx(1.0 / norm, rel=1e-10)
+        assert _cat_constant(alpha, sign) == pytest.approx(1.0 / norm, rel=1e-10)
 
 
 def test_cat_normalization_odd_null_state():
-    with pytest.raises(ValueError):
-        cat_normalization(0.0, "odd")
+    # exactly zero, so measurement refuses the outcome as null
+    assert superposition_norm2(((1.0, 0.0), (-1.0, -0.0))) == 0.0
 
 
 def _odd_cat_norm2(radius):
@@ -310,7 +311,7 @@ _SMALL_RADII = [1e-9, 3e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
 def test_odd_cat_normalization_keeps_precision_at_small_alpha(radius):
     alpha = radius * cmath.exp(0.4j)
     exact = 1.0 / math.sqrt(_odd_cat_norm2(abs(alpha)))
-    assert abs(cat_normalization(alpha, "odd") - exact) <= 1e-14 * exact
+    assert abs(_cat_constant(alpha, -1.0) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("radius", _SMALL_RADII)
@@ -335,29 +336,10 @@ def test_superposition_norm_matches_the_gram_sum():
         assert abs(superposition_norm2(zip(coeffs, alphas)) - gram) <= 1e-13 * gram
 
 
-def test_cat_state_builds_each_label_once(monkeypatch):
-    from squidcat import analytic
-
-    calls = []
-    original = analytic.materialize_labels
-
-    def counting(labels, dim):
-        calls.extend(label.alpha for label in labels)
-        return original(labels, dim)
-
-    monkeypatch.setattr(analytic, "materialize_labels", counting)
-    state = cat_state(2.0, "even")
-    assert sorted(calls, key=lambda alpha: alpha.real) == [-2.0, 2.0]
-    explicit = cat_state(2.0, "even", fock_dim=state.amplitudes.size)
-    assert np.array_equal(state.amplitudes, explicit.amplitudes)
-    assert state.leakage == explicit.leakage
-
-
 def test_cat_parity_structure():
-    even = cat_state(1.7, "even")
-    odd = cat_state(1.7, "odd")
-    assert np.abs(even.amplitudes[1::2]).max() < 1e-10
-    assert np.abs(odd.amplitudes[0::2]).max() < 1e-10
+    plus, minus = materialize_labels([CoherentLabel(1.7), CoherentLabel(-1.7)], 64)[0]
+    assert np.abs((plus + minus)[1::2]).max() < 1e-10
+    assert np.abs((plus - minus)[0::2]).max() < 1e-10
 
 
 # ---------------------------------------------------------------- flux pulse
@@ -437,7 +419,7 @@ def test_flux_pulse_against_propagation_oracle(strong_device, strong_coupling):
     pulse_device = dataclasses.replace(strong_device, phi_c_ratio=1.0)
     h_pulse = hamiltonian(pulse_device, strong_coupling, "first", dim)
     t_pulse = math.pi / (4.0 * strong_device.ej_rate)
-    numeric = propagate(h_pulse, materialize(before, dim), t_pulse)
+    numeric = Propagator(h_pulse)(materialize(before, dim), t_pulse)
     assert fidelity(materialize(after, dim), numeric) >= 1.0 - 1e-8
 
 
@@ -455,7 +437,7 @@ def test_flux_pulse_on_squeezed_branches_against_propagation(xi):
         before = squeezed_evolution(device, coupling, 0.8 + 0.3j, omega_t / device.omega_cavity)
         after = flux_pi_pulse(before, device)
         assert all(label.squeezed for label in after.labels())
-        numeric = propagate(h_pulse, materialize(before, dim), t_pulse)
+        numeric = Propagator(h_pulse)(materialize(before, dim), t_pulse)
         overlap = np.vdot(materialize(after, dim).amplitudes, numeric.amplitudes)
         assert abs(overlap - 1.0) <= 1e-12
 
@@ -636,7 +618,7 @@ def test_squeezed_evolution_against_propagation_oracle():
     for omega_t in (0.8 * math.pi, 2.7 * math.pi):
         t = omega_t / params.omega_cavity
         analytic = materialize(squeezed_evolution(params, c, 1.0, t), dim)
-        numeric = propagate(h, joint_state("g", coherent_fock(1.0, dim)), t)
+        numeric = Propagator(h)(joint_state("g", coherent_fock(1.0, dim)), t)
         assert fidelity(analytic, numeric) >= 1.0 - 1e-8
 
 
@@ -806,7 +788,7 @@ def test_branch_decomposition_dict_round_trip(strong_device, strong_coupling):
         ),
     ):
         data = branch_decomposition_to_dict(state)
-        assert branch_decomposition_from_dict(data) == state
+        assert decomposition_from_dict(data) == state
 
 
 def test_post_pulse_squeezed_decomposition_json_round_trip(strong_device):
@@ -815,7 +797,7 @@ def test_post_pulse_squeezed_decomposition_json_round_trip(strong_device):
     state = flux_pi_pulse(squeezed_evolution(device, coupling, 0.8 + 0.3j, 1.1 / device.omega_cavity), device)
     data = json.loads(json.dumps(branch_decomposition_to_dict(state)))
     assert {branch["label"]["kind"] for branch in data["branches"]} == {"squeezed"}
-    assert branch_decomposition_from_dict(data) == state
+    assert decomposition_from_dict(data) == state
     # at t = 0 the labels are unsqueezed and unrotated, so they are written as coherent
     start = branch_decomposition_to_dict(squeezed_evolution(device, coupling, 0.8 + 0.3j, 0.0))
     assert {branch["label"]["kind"] for branch in start["branches"]} == {"coherent"}

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import squidcat
-from squidcat.analytic import branch_decomposition_from_dict, branch_decomposition_to_dict
+from squidcat.analytic import branch_decomposition_to_dict
 from squidcat.cli import (
     SCENARIOS,
     dumps17,
@@ -35,7 +35,7 @@ from squidcat.errors import (
 from squidcat.hilbert import CavityState
 from squidcat.model import coupling_xi
 
-from conftest import cat_wigner, make_strong_device
+from conftest import cat_wigner, decomposition_from_dict, make_strong_device
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -129,7 +129,7 @@ def test_cat_output_round_trip(tmp_path):
     out = run(load_config(path))
     data = json.loads(out.read_text())
 
-    decomposition = branch_decomposition_from_dict(data["branches"])
+    decomposition = decomposition_from_dict(data["branches"])
     assert branch_decomposition_to_dict(decomposition) == data["branches"]
 
     amplitudes = [

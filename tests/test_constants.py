@@ -1,5 +1,10 @@
 import ast
+import importlib
+import pkgutil
+import types
 from pathlib import Path
+
+import pytest
 
 import squidcat
 
@@ -18,6 +23,28 @@ def _module_constants(path: Path):
         for target in targets:
             if isinstance(target, ast.Name):
                 yield target.id
+
+
+MODULES = [info.name for info in pkgutil.iter_modules(squidcat.__path__) if not info.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_is_a_module_attribute(name):
+    module = importlib.import_module(f"squidcat.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [entry for entry in exported if not hasattr(module, entry)] == []
+    assert len(exported) == len(set(exported))
+
+
+def test_the_package_root_reexports_nothing():
+    importlib.import_module("squidcat.cli")  # binds the submodules on the package
+    assert not hasattr(squidcat, "__all__")
+    reexported = [
+        name
+        for name, value in vars(squidcat).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert reexported == []
 
 
 def test_every_threshold_is_assigned_once_in_constants():

@@ -145,6 +145,13 @@ def test_feasibility_requires_quality_factor():
         feasibility_report(params, T1=1e-6, T2=5e-9, tau_m=4e-9)
 
 
+@pytest.mark.parametrize("times", [(math.nan, 5e-9, 4e-9), (1e-6, math.inf, 4e-9), (1e-6, 5e-9, math.nan)])
+def test_feasibility_refuses_non_finite_times(times):
+    params = make_physical_device(lam=1e-3, Q=3e8)
+    with pytest.raises(ValueError, match="T1, T2 and tau_m must be positive and finite"):
+        feasibility_report(params, *times)
+
+
 # ---------------------------------------------------------------- verification harness
 
 def _grid(params, points=8, span=4.0 * math.pi):

@@ -11,7 +11,6 @@ from scipy.special import gammainc, gammaln
 
 from squidcat.analytic import (
     CoherentLabel,
-    cat_state,
     evolve_vacuum,
     materialize,
     materialize_label,
@@ -32,7 +31,6 @@ from squidcat.hilbert import (
     fidelity,
     joint_state,
     min_quadrature_variance,
-    propagate,
     quadrature_covariance,
     required_fock_dim,
     top_level_weight,
@@ -41,7 +39,7 @@ from squidcat.hilbert import (
 )
 from squidcat.model import Coupling, coupling_xi, hamiltonian
 
-from conftest import cat_wigner, coherent_wigner, ladder, make_strong_device
+from conftest import cat_reference, cat_wigner, coherent_wigner, ladder, make_strong_device
 
 
 # ---------------------------------------------------------------- ladder matrices
@@ -328,7 +326,7 @@ def test_far_coherent_row_against_exact_decimals(alpha):
 def test_propagate_zero_hamiltonian_is_identity():
     h = SectorHamiltonian(np.zeros(16), np.zeros((16, 16)), 0.0)
     psi = joint_state("g", coherent_fock(0.7, 16))
-    out = propagate(h, psi, 3.7)
+    out = Propagator(h)(psi, 3.7)
     assert np.allclose(out.amplitudes, psi.amplitudes)
 
 
@@ -336,7 +334,7 @@ def test_propagate_vacuum_is_free_field_eigenstate():
     dim = 12
     h = SectorHamiltonian(2.5 * np.arange(dim), np.zeros(dim), 0.0, np.zeros(dim - 1))
     psi = joint_state("g", coherent_fock(0.0, dim))
-    out = propagate(h, psi, 1.3)
+    out = Propagator(h)(psi, 1.3)
     assert fidelity(out, psi) >= 1.0 - 1e-12
 
 
@@ -350,7 +348,7 @@ def test_propagate_matches_analytic_cat_evolution():
     dim = 48
     h = hamiltonian(params, coupling, "first", dim)
     psi0 = joint_state("g", coherent_fock(0.0, dim))
-    numeric = propagate(h, psi0, tau)
+    numeric = Propagator(h)(psi0, tau)
     analytic = materialize(evolve_vacuum(params, coupling, tau), dim)
     assert fidelity(analytic, numeric) >= 1.0 - 1e-8
 
@@ -359,7 +357,7 @@ def test_propagate_dimension_mismatch():
     h = SectorHamiltonian(np.arange(4.0), np.ones(4), 0.0, np.ones(3))
     psi = joint_state("g", coherent_fock(0.0, 8))
     with pytest.raises(DimensionError):
-        propagate(h, psi, 1.0)
+        Propagator(h)(psi, 1.0)
 
 
 def _sector_case(scenario, dim):
@@ -673,8 +671,9 @@ def test_propagate_unitarity_and_composition():
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi = JointState(amp / np.linalg.norm(amp))
         t1, t2 = rng.uniform(0.0, 2.0, size=2)
-        stepped = propagate(h, propagate(h, psi, t1), t2)
-        direct = propagate(h, psi, t1 + t2)
+        evolve = Propagator(h)
+        stepped = evolve(evolve(psi, t1), t2)
+        direct = evolve(psi, t1 + t2)
         assert abs(np.linalg.norm(stepped.amplitudes) - 1.0) <= 1e-10
         assert fidelity(stepped, direct) >= 1.0 - 1e-9
 
@@ -709,14 +708,14 @@ def test_wigner_vacuum_origin():
 
 
 def test_wigner_cat_parity_at_origin():
-    even = cat_state(2.0, "even")
-    odd = cat_state(1.0, "odd")
+    even = cat_reference(2.0, "even", 64)
+    odd = cat_reference(1.0, "odd", 64)
     assert abs(wigner(even, [0.0])[0] - 2.0 / math.pi) <= 1e-10
     assert abs(wigner(odd, [0.0])[0] + 2.0 / math.pi) <= 1e-10
 
 
 def test_wigner_bounded_everywhere():
-    state = cat_state(1.5, "even", fock_dim=64)
+    state = cat_reference(1.5, "even", 64)
     axis = np.linspace(-3.0, 3.0, 11)
     pts = (axis[:, None] + 1j * axis[None, :]).ravel()
     values = wigner(state, pts)
@@ -728,7 +727,7 @@ def test_wigner_bounded_everywhere():
     [
         lambda: coherent_fock(0.0, 96),
         lambda: coherent_fock(1.0, 96),
-        lambda: cat_state(1.2, "even", fock_dim=96),
+        lambda: cat_reference(1.2, "even", 96),
     ],
 )
 def test_wigner_grid_normalization(state_fn):
@@ -756,7 +755,7 @@ def test_wigner_coherent_closed_form_on_cli_grid(alpha):
 
 @pytest.mark.parametrize("kind, sign", [("even", 1.0), ("odd", -1.0)])
 def test_wigner_cat_closed_form_on_cli_grid(kind, sign):
-    state = cat_state(_DIAGONAL_ALPHA, kind, fock_dim=64)
+    state = cat_reference(_DIAGONAL_ALPHA, kind, 64)
     values = wigner(state, _GRID)
     assert np.abs(values - cat_wigner(_DIAGONAL_ALPHA, sign, _GRID)).max() <= 1e-12
 
@@ -828,7 +827,7 @@ def _decaying_amplitudes(seed, dim=64, mean=4.0):
 @pytest.mark.parametrize(
     "amp_fn, flat",
     [
-        (lambda: cat_state(_DIAGONAL_ALPHA, "odd", fock_dim=64).amplitudes, False),
+        (lambda: cat_reference(_DIAGONAL_ALPHA, "odd", 64).amplitudes, False),
         (lambda: _decaying_amplitudes(4), False),
         (lambda: _random_amplitudes(5), True),  # every entry is far above the floor
     ],
@@ -873,8 +872,8 @@ def _trailing_zero_levels():
 
 
 _MAP_STATES = {
-    "even-cat": lambda: cat_state(_DIAGONAL_ALPHA, "even", fock_dim=64),
-    "odd-cat": lambda: cat_state(_DIAGONAL_ALPHA, "odd", fock_dim=64),
+    "even-cat": lambda: cat_reference(_DIAGONAL_ALPHA, "even", 64),
+    "odd-cat": lambda: cat_reference(_DIAGONAL_ALPHA, "odd", 64),
     "squeezed": lambda: materialize_label(
         CoherentLabel(0.8 - 0.3j, squeeze=0.6 * np.exp(0.4j), rotation=0.9), 96
     ),

@@ -8,25 +8,22 @@ from squidcat.analytic import (
     Branch,
     BranchDecomposition,
     CoherentLabel,
-    cat_state,
     coherent_overlap,
     complex_rabi,
     evolve_vacuum,
     flux_pi_pulse,
     materialize,
     materialize_label,
+    materialize_labels,
     squeezed_evolution,
+    superposition_norm2,
 )
 from squidcat.errors import NullOutcomeError
 from squidcat.hilbert import JointState, coherent_fock, fidelity, joint_state
-from squidcat.measurement import (
-    measure_qubit,
-    measurement_record_to_dict,
-    parity_spectrum,
-)
+from squidcat.measurement import measure_qubit, measurement_record_to_dict
 from squidcat.model import Coupling
 
-from conftest import make_strong_device
+from conftest import cat_reference, make_strong_device
 
 
 def _cat_run(strong_device, strong_coupling, omega_tau=math.pi):
@@ -52,8 +49,8 @@ def test_completeness_and_post_states(strong_device, strong_coupling):
     assert abs(rec_g.probability + rec_e.probability - 1.0) <= 1e-12
 
     dim = rec_g.post_state.fock_dim
-    even = cat_state(alpha, "even", dim)
-    odd = cat_state(alpha, "odd", dim)
+    even = cat_reference(alpha, "even", dim)
+    odd = cat_reference(alpha, "odd", dim)
     assert fidelity(rec_g.post_state, even) >= 1.0 - 1e-10
     assert fidelity(rec_e.post_state, odd) >= 1.0 - 1e-10
 
@@ -212,12 +209,20 @@ def test_analytic_post_matches_even_cat_constant(strong_device, strong_coupling)
 
 # ---------------------------------------------------------------- parity
 
+def _parity_weights(amplitudes):
+    """Population in the even and in the odd Fock levels."""
+    return float(np.sum(np.abs(amplitudes[0::2]) ** 2)), float(np.sum(np.abs(amplitudes[1::2]) ** 2))
+
+
 def test_parity_spectrum_vacuum():
-    assert parity_spectrum(coherent_fock(0.0, 16)) == (1.0, 0.0)
+    assert _parity_weights(coherent_fock(0.0, 16).amplitudes) == (1.0, 0.0)
 
 
 def test_parity_spectrum_even_cat():
-    even, odd = parity_spectrum(cat_state(1.3, "even"))
+    # the Gram-sum constant normalizes the materialized cat, all of it in the even levels
+    rows = materialize_labels([CoherentLabel(1.3), CoherentLabel(-1.3)], 64)[0]
+    cat = (rows[0] + rows[1]) / math.sqrt(superposition_norm2(((1.0, 1.3), (1.0, -1.3))))
+    even, odd = _parity_weights(cat)
     assert even >= 1.0 - 1e-10
     assert abs(even + odd - 1.0) <= 1e-12
 
@@ -227,7 +232,7 @@ def test_parity_spectrum_coherent_closed_form(alpha):
     # Poisson parity sums: even/odd weights are e^(-mu) cosh(mu), e^(-mu) sinh(mu)
     # with mu = |alpha|^2.
     state = coherent_fock(alpha, 64)
-    even, odd = parity_spectrum(state)
+    even, odd = _parity_weights(state.amplitudes)
     mu = alpha**2
     assert even == pytest.approx(math.exp(-mu) * math.cosh(mu), abs=1e-12)
     assert odd == pytest.approx(math.exp(-mu) * math.sinh(mu), abs=1e-12)
@@ -236,8 +241,8 @@ def test_parity_spectrum_coherent_closed_form(alpha):
 
 def test_cat_parity_from_measurement(strong_device, strong_coupling):
     state, _ = _cat_run(strong_device, strong_coupling, omega_tau=1.1)
-    even_weight, _ = parity_spectrum(measure_qubit(state, "g").post_state)
-    _, odd_weight = parity_spectrum(measure_qubit(state, "e").post_state)
+    even_weight, _ = _parity_weights(measure_qubit(state, "g").post_state.amplitudes)
+    _, odd_weight = _parity_weights(measure_qubit(state, "e").post_state.amplitudes)
     assert even_weight >= 1.0 - 1e-10
     assert odd_weight >= 1.0 - 1e-10
 

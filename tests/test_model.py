@@ -60,6 +60,20 @@ def test_coupling_invariant_links_eta_and_xi():
         Coupling(eta_abs=1e-20, xi=1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Coupling.from_xi(float("nan")),
+        lambda: Coupling(eta_abs=math.inf, xi=math.inf),
+        lambda: Coupling(eta_abs=0.0, xi=complex(0.0, math.nan)),
+    ],
+    ids=["nan-xi", "inf", "nan-imag-xi"],
+)
+def test_coupling_refuses_non_finite_values(make):
+    with pytest.raises(ValueError, match="eta_abs and xi must be finite"):
+        make()
+
+
 # ---------------------------------------------------------------- validity margin
 
 def test_validity_margin_values():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ def test_squeezed_label_past_the_float_range_is_a_truncation_error():
         verify_analytic_numeric(
             params, "squeeze", [0.0, 1000.0 * period], coupling=Coupling.from_xi(0.2), gamma=1.0
         )
+
+
+def test_sector_forms_refuse_a_time_past_the_phase_bound():
+    # at omega = 1e10 rad/s the bound omega |t| < 2^52 rad is t = 4.5e5 s; the largest |t| is named
+    coupling = Coupling.from_xi(0.01)
+    for times, named in (([1e20], "1e+20"), ([0.0, -1e20, 1e19], "-1e+20")):
+        message = rf"time = {re.escape(named)} must keep omega \|t\| below 2\^52 rad"
+        with pytest.raises(ValueError, match=message):
+            linear_sectors(_device("coherent"), coupling, ALPHA_PRIME, times)
+        with pytest.raises(ValueError, match=message):
+            squeezed_sectors(_device("squeeze"), coupling, GAMMA, times)
 
 
 def test_label_arrays_round_trip_the_labels():
