@@ -53,6 +53,7 @@ from .hilbert import (
     QUBIT_AMPLITUDES,
     CavityState,
     JointState,
+    _require_resolved_phase,
     coherent_amplitudes,
     coherent_tails,
     required_fock_dim,
@@ -61,7 +62,7 @@ from .hilbert import (
 from .model import (
     Coupling,
     DeviceParams,
-    _require_resolved_phase,
+    _cosine_terms,
     flux_pulse,
     require_setting,
     validity_margin,
@@ -75,7 +76,6 @@ __all__ = [
     "SectorBranches",
     "DisentangledFactors",
     "disentangle",
-    "complex_rabi",
     "evolve_vacuum",
     "evolve_coherent",
     "coherent_overlap",
@@ -295,14 +295,9 @@ def disentangle(theta: complex, beta1: complex, beta2: complex, beta3: complex) 
     return DisentangledFactors(f1=beta3 * growth, f2=z, f3=beta1 * growth, f4=f4)
 
 
-def complex_rabi(params: DeviceParams, coupling: Coupling) -> complex:
-    """Complex qubit-field drive rate xi^* E_J / hbar in rad/s."""
-    return np.conj(coupling.xi) * params.ej_rate
-
-
 def _kappa(params: DeviceParams, coupling: Coupling) -> complex:
-    """Displacement scale of the drive: complex rabi over cavity frequency."""
-    return complex_rabi(params, coupling) / params.omega_cavity
+    """Displacement scale of the drive: the complex rate xi^* E_J / hbar over the cavity frequency."""
+    return np.conj(coupling.xi) * params.ej_rate / params.omega_cavity
 
 
 def _dropped_phase_record(kappa: complex, omega_tau: float) -> str:
@@ -325,7 +320,7 @@ def linear_sectors(
     w |tau| >= MAX_CAVITY_PHASE (2^52 rad), where the phases are no longer
     resolved, raises ValueError naming the time of largest |tau|.
     """
-    _require_resolved_phase(params, times, "time")
+    _require_resolved_phase(params.omega_cavity, times, "time")
     require_setting(params, 0.5, "preparation")
     kappa = _kappa(params, coupling)
     alpha_prime = complex(alpha_prime)
@@ -504,9 +499,11 @@ def squeezed_sectors(params: DeviceParams, coupling: Coupling, gamma: complex, t
 
     Requires n_g = 1/2 and phi_c_ratio = 0.  The sigma_x = s sector
     (s = +-1) is the squeezing oscillator
-    H_s = Omega_s n + (lam_s a^2 + lam_s^* adag^2)/2 + c_s with
-    Omega_s = omega - s |xi|^2 E_J/hbar, lam_s = -s xi^2 E_J/hbar and
-    c_s = -s E_J (1 + |xi|^2/2)/hbar.  Each sector's branch is its exact
+    H_s = Omega_s n + (lam_s a^2 + lam_s^* adag^2)/2 + c_s of the second
+    order B = b0 + b2 X^2 (``model._cosine_terms``), with
+    Omega_s = omega + 2 s b2, lam_s = 2 s b2 e^(2i arg xi) and c_s = s (b0 + b2):
+    at phi_c = 0, Omega_s = omega + s |xi|^2 E_J/hbar, lam_s = s xi^2 E_J/hbar
+    and c_s = -s E_J (1 - |xi|^2/2)/hbar.  Each sector's branch is its exact
     squeezed coherent state (``_sector_labels``) at any coupling and time;
     its squeeze degree is asinh|lam_s sin(w_s t)/w_s| with
     w_s = sqrt(Omega_s^2 - |lam_s|^2), which stays below asinh(|lam_s|/w_s)
@@ -516,20 +513,17 @@ def squeezed_sectors(params: DeviceParams, coupling: Coupling, gamma: complex, t
     weights are those of ``linear_sectors``, and a time past the phase
     bound raises ValueError as there.
     """
-    _require_resolved_phase(params, times, "time")
+    _require_resolved_phase(params.omega_cavity, times, "time")
     require_setting(params, 0.0, "squeezed evolution")
     gamma = complex(gamma)
     photons = abs(gamma) * abs(gamma)  # inf, where abs(gamma) ** 2 would raise OverflowError
     validity_margin(coupling, math.ceil(photons) if math.isfinite(photons) else photons)
 
     t = np.asarray(times, dtype=float)
+    b0, _, b2 = _cosine_terms(params, coupling)
+    spin = cmath.exp(2j * cmath.phase(coupling.xi))
     omega = params.omega_cavity
-    ej = params.ej_rate
-    xi = coupling.xi
-    xi2 = abs(xi) ** 2
-    sectors = [
-        _sector_labels(omega - s * xi2 * ej, -s * xi**2 * ej, -s * ej * (1.0 + xi2 / 2.0), t) for s in (1, -1)
-    ]
+    sectors = [_sector_labels(omega + 2 * s * b2, 2 * s * b2 * spin, s * (b0 + b2), t) for s in (1, -1)]
     phase, squeeze, rotation = (np.stack(field) for field in zip(*sectors))
     unbounded = ~(np.isfinite(squeeze) & np.isfinite(phase)).all(axis=0)
     if unbounded.any():

@@ -26,11 +26,10 @@ from .analytic import (
     squeezed_sectors,
 )
 from .constants import HBAR, NORM_TOL, SPEED_OF_LIGHT, ELEMENTARY_CHARGE
-from .hilbert import Propagator, coherent_fock, joint_state
+from .hilbert import Propagator, _require_resolved_phase, coherent_fock, joint_state
 from .model import (
     Coupling,
     DeviceParams,
-    _require_resolved_phase,
     coupling_xi,
     flux_pulse,
     hamiltonian,
@@ -240,7 +239,7 @@ def _time_grid(params: DeviceParams, tau_grid) -> np.ndarray:
         k = int(np.argmax(bad))
         raise ValueError(f"tau_grid must be finite: tau_grid[{k}] = {float(taus[k])!r}")
     k = int(np.argmax(np.abs(taus)))
-    _require_resolved_phase(params, float(taus[k]), f"tau_grid[{k}]")
+    _require_resolved_phase(params.omega_cavity, float(taus[k]), f"tau_grid[{k}]")
     return taus
 
 

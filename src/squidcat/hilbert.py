@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL, WIGNER_TRIM_TOL
+from .constants import MAX_CAVITY_PHASE, MAX_FOCK_DIM, NORM_TOL, TRUNCATION_TOL, WIGNER_TRIM_TOL
 from .errors import DimensionError, TruncationError
 
 __all__ = [
@@ -434,6 +434,21 @@ def _chain_eigh(main: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return evals, evecs
 
 
+def _require_resolved_phase(omega: float, times, name: str) -> None:
+    """Raise ValueError naming the time ``name`` = t unless omega |t| < MAX_CAVITY_PHASE,
+    with t the time of largest |t| (or the first NaN) in ``times``, a time or an array."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not times.size:
+        return
+    t = float(times[np.argmax(np.abs(times))])
+    phase = omega * abs(t)
+    if not phase < MAX_CAVITY_PHASE:
+        raise ValueError(
+            f"{name} = {t!r} must keep omega |t| below 2^52 rad, where phases e^(-i omega t) "
+            f"are still resolved (omega |t| = {phase:.6g} rad)"
+        )
+
+
 class Propagator:
     """Repeated-use evolver exp(-i H t) with the eigendecomposition done once.
 
@@ -474,7 +489,9 @@ class Propagator:
     contract and composes exactly over time.  A non-finite time, a time
     grid given with a ``JointState`` or a scalar time with bare amplitudes,
     or more than one time for a different number of columns, raises
-    ValueError; a state of the wrong size raises DimensionError.
+    ValueError, as does a time with omega |t| >= MAX_CAVITY_PHASE (2^52 rad,
+    omega the cavity's ``cavity[1]``), where no phase e^(-i omega t) is
+    resolved; a state of the wrong size raises DimensionError.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -482,6 +499,7 @@ class Propagator:
         from scipy.linalg import eigh
 
         self.dim = hamiltonian.dim
+        self._omega = float(hamiltonian.cavity[1])
         self._gauge = hamiltonian.gauge
         blocks = hamiltonian.blocks()
         half = len(blocks) // 2
@@ -513,6 +531,7 @@ class Propagator:
         bad = times[~np.isfinite(times)]
         if bad.size:
             raise ValueError(f"propagation time must be finite, got {float(bad[0])!r}")
+        _require_resolved_phase(self._omega, times, "time")
         if isinstance(state, JointState):
             if times.ndim:
                 raise ValueError(f"a JointState is evolved to one time, got shape {times.shape}")

@@ -3,10 +3,11 @@
 Measuring the qubit in the charge basis projects the cavity onto the
 corresponding block; post-selecting on the ground (excited) outcome of a
 cat-generating evolution leaves the even (odd) superposition.  For a branch
-decomposition the record also carries the post-selected label combination,
-whose constant always comes from the closed-form Gram sum of its labels
-(``analytic.superposition_norm2``), squeezed labels included.  Readout is
-modeled as ideal and instantaneous.
+decomposition the record also carries the post-selected label combination:
+the outcome's block of the decomposition's label form (``analytic._label_form``),
+one term per distinct label with a nonzero weight.  Its constant always comes
+from the closed-form Gram sum of its labels (``analytic.superposition_norm2``),
+squeezed labels included.  Readout is modeled as ideal and instantaneous.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import numpy as np
 from .analytic import (
     Branch,
     BranchDecomposition,
+    _label_form,
     _label_to_dict,
     materialize,
     superposition_norm2,
 )
 from .constants import ZERO_PROBABILITY_THRESHOLD
 from .errors import NullOutcomeError
-from .hilbert import QUBIT_AMPLITUDES, CavityState, JointState
+from .hilbert import CavityState, JointState
 
 __all__ = [
     "AnalyticPost",
@@ -69,22 +71,12 @@ def _measure_joint(state: JointState, outcome: str) -> MeasurementRecord:
     return MeasurementRecord(outcome=outcome, probability=probability, post_state=post)
 
 
-def _collapse_branches(state: BranchDecomposition, outcome: str) -> list[Branch]:
-    index = ("g", "e").index(outcome)
-    collected: list[Branch] = []
-    for branch in state.branches:
-        factor = float(QUBIT_AMPLITUDES[branch.qubit][index].real)  # the basis amplitudes are real
-        if factor:
-            collected.append(Branch(outcome, branch.weight * factor, branch.label))
-    return collected
-
-
 def _measure_decomposition(
     state: BranchDecomposition, outcome: str, joint: JointState | None
 ) -> MeasurementRecord:
     record = _measure_joint(materialize(state) if joint is None else joint, outcome)
 
-    collected = _collapse_branches(state, outcome)
+    collected = [branch for branch in _label_form(state).branches() if branch.qubit == outcome]
     # Gram-matrix norm of the label combination, exact in closed form.
     norm2 = superposition_norm2((b.coefficient, b.label) for b in collected)
     if norm2 < ZERO_PROBABILITY_THRESHOLD:

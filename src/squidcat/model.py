@@ -26,7 +26,6 @@ from .constants import (
     ELEMENTARY_CHARGE,
     FLUX_QUANTUM,
     HBAR,
-    MAX_CAVITY_PHASE,
     SETTING_TOL,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
@@ -191,21 +190,6 @@ def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> N
             raise ValueError(f"{context} requires {name} = {wanted!r}, got {value!r}")
 
 
-def _require_resolved_phase(params: DeviceParams, times, name: str) -> None:
-    """Raise ValueError naming the time ``name`` = t unless omega |t| < MAX_CAVITY_PHASE,
-    with t the time of largest |t| (or the first NaN) in ``times``, a time or an array."""
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if not times.size:
-        return
-    t = float(times[np.argmax(np.abs(times))])
-    phase = params.omega_cavity * abs(t)
-    if not phase < MAX_CAVITY_PHASE:
-        raise ValueError(
-            f"{name} = {t!r} must keep omega |t| below 2^52 rad, where phases e^(-i omega t) "
-            f"are still resolved (omega |t| = {phase:.6g} rad)"
-        )
-
-
 class FluxPulse(NamedTuple):
     """The flux pulse: its duration in s, the cavity's turn omega * duration, and the qubit gate."""
 
@@ -239,6 +223,14 @@ def _flux_sin_cos(phi_c_ratio: float) -> tuple[float, float]:
     return math.sin(angle), math.cos(angle)
 
 
+def _cosine_terms(params: DeviceParams, coupling: Coupling) -> tuple[float, float, float]:
+    """(b0, b1, b2) in rad/s with B = -E_J cos(pi phi_c + |xi| X) = b0 + b1 X + b2 X^2 + O(|xi|^3),
+    X = a + adag in the gauge: b0 = -E_J cos, b1 = E_J |xi| sin, b2 = E_J |xi|^2 cos / 2."""
+    sin_phi, cos_phi = _flux_sin_cos(params.phi_c_ratio)
+    ej, xi_abs = params.ej_rate, abs(coupling.xi)
+    return -ej * cos_phi, ej * sin_phi * xi_abs, ej * xi_abs**2 * cos_phi / 2.0
+
+
 def hamiltonian(
     params: DeviceParams, coupling: Coupling, order: str, dim: int
 ) -> SectorHamiltonian:
@@ -249,10 +241,13 @@ def hamiltonian(
     order='first' the linear field coupling, and order='second' the
     quadratic (squeezing) terms, at phi_c_ratio = 0.  Each is defined at
     n_g = 1/2, where it commutes with sigma_x, and is returned as a
-    ``SectorHamiltonian`` gauged real by G = diag(e^(-i n arg xi)):
+    ``SectorHamiltonian`` gauged real by G = diag(e^(-i n arg xi)).  The
+    expansions take b0, b1 and b2 from the cosine's own Taylor series
+    (``_cosine_terms``), with X = a + adag in the gauge:
 
-    - first order: B is one band coupling n to n+-1, built in O(N);
-    - second order: B is one band coupling n to n+-2, built in O(N);
+    - first order: B = b0 + b1 X, one band coupling n to n+-1, built in O(N);
+    - second order: B = b0 + b2 X^2 = b0 + b2 (2n + 1 + a^2 + adag^2), one
+      band coupling n to n+-2, built in O(N);
     - cosine: the gauged argument pi phi_c + |xi| (a + adag) is real
       tridiagonal, so one ``dstevd`` chain solve (``hilbert._chain_eigh``,
       as for the Propagator's chains) gives it as V Lambda V^T and
@@ -265,27 +260,15 @@ def hamiltonian(
     # every order needs n_g = 1/2; only the second order also fixes the flux
     require_setting(params, 0.0 if order == "second" else params.phi_c_ratio, f"order={order!r}")
 
-    omega = params.omega_cavity
-    ej = params.ej_rate
-    xi_abs = abs(coupling.xi)
-    flux_angle = math.pi * params.phi_c_ratio
     levels = np.arange(dim, dtype=float)
-    cavity, phase = omega * levels, cmath.phase(coupling.xi)
+    cavity, phase = params.omega_cavity * levels, cmath.phase(coupling.xi)
 
     if order == "cosine":
-        evals, evecs = _chain_eigh(np.zeros(dim), xi_abs * np.sqrt(levels[1:]))
-        coupling_block = (evecs * (-ej * np.cos(flux_angle + evals))) @ evecs.T
-        return SectorHamiltonian(cavity, coupling_block, phase)
+        evals, evecs = _chain_eigh(np.zeros(dim), abs(coupling.xi) * np.sqrt(levels[1:]))
+        cosine = np.cos(math.pi * params.phi_c_ratio + evals)
+        return SectorHamiltonian(cavity, (evecs * (-params.ej_rate * cosine)) @ evecs.T, phase)
+    b0, b1, b2 = _cosine_terms(params, coupling)
     if order == "first":
-        # B = -E_J cos(phi) + E_J sin(phi) |xi| (a + adag)
-        sin_phi, cos_phi = _flux_sin_cos(params.phi_c_ratio)
-        diagonal = np.full(dim, -ej * cos_phi)
-        band = ej * sin_phi * xi_abs * np.sqrt(levels[1:])
-        stride = 1
-    else:
-        # B = -E_J (|xi|^2 n + 1 + |xi|^2/2 + |xi|^2 (a^2 + adag^2)/2)
-        xi2 = xi_abs**2
-        diagonal = -ej * xi2 * levels - ej * (1.0 + xi2 / 2.0)
-        band = -ej * (xi2 / 2.0) * np.sqrt(levels[2:] * levels[1:-1])
-        stride = 2
-    return SectorHamiltonian(cavity, diagonal, phase, band, stride)
+        return SectorHamiltonian(cavity, np.full(dim, b0), phase, b1 * np.sqrt(levels[1:]), 1)
+    band = b2 * np.sqrt(levels[2:] * levels[1:-1])
+    return SectorHamiltonian(cavity, b0 + b2 * (2.0 * levels + 1.0), phase, band, 2)

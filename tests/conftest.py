@@ -68,13 +68,15 @@ def injected_pair_overlap(kappa, alpha_prime, omega_tau):
 def squeeze_degrees(params, coupling, t):
     """Exact squeeze degrees asinh(|lam sin(w t)|/w) of the sigma_x = +1 and -1 branches.
 
-    The sector s has Omega_s = omega - s |xi|^2 E_J, |lam| = |xi|^2 E_J and
+    At phi_c = 0 the cosine -E_J cos(|xi| X), X = a + adag, expands to
+    -E_J + E_J |xi|^2 X^2/2 with X^2 = a^2 + adag^2 + 2n + 1, so the sector s
+    has Omega_s = omega + s |xi|^2 E_J, |lam| = |xi|^2 E_J and
     w_s = sqrt(Omega_s^2 - |lam|^2); both sectors must be stable.
     """
     lam = params.ej_rate * abs(coupling.xi) ** 2
     degrees = []
     for s in (1, -1):
-        w = np.sqrt((params.omega_cavity - s * lam) ** 2 - lam**2)
+        w = np.sqrt((params.omega_cavity + s * lam) ** 2 - lam**2)
         degrees.append(np.arcsinh(lam * abs(np.sin(w * t)) / w))
     return degrees
 

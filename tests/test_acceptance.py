@@ -13,11 +13,14 @@ import pytest
 from scipy.linalg import expm
 
 from squidcat.analytic import (
+    auto_fock_dim,
     disentangle,
     evolve_vacuum,
     materialize,
     materialize_label,
+    materialize_sectors,
     squeezed_evolution,
+    squeezed_sectors,
 )
 from squidcat.constants import ELEMENTARY_CHARGE, HBAR
 from squidcat.experiments import (
@@ -26,7 +29,7 @@ from squidcat.experiments import (
     rabi_frequency,
     verify_analytic_numeric,
 )
-from squidcat.hilbert import min_quadrature_variance
+from squidcat.hilbert import Propagator, coherent_fock, joint_state, min_quadrature_variance
 from squidcat.measurement import measure_qubit
 from squidcat.model import Coupling, DeviceParams, coupling_xi, hamiltonian
 
@@ -179,13 +182,9 @@ def test_criterion_06_cat_structure():
     )
 
 
-def test_criterion_07_squeezing_law():
-    # synthetic coupling strong enough that |xi|^2 E_J t reaches 0.5 quickly,
-    # but still below the expansion-warning threshold; the exact degree stays
-    # below |lam|/w, as the cavity rotation undoes the squeezing each period
-    xi_abs = 0.05
-    ej_rate = 1e9
-    params = DeviceParams(
+def _squeeze_device(ej_rate=1e9):
+    """Criterion 07's device: omega = 1e10 rad/s at phi_c = 0, E_J = ``ej_rate`` hbar."""
+    return DeviceParams(
         E_J=ej_rate * HBAR / ELEMENTARY_CHARGE,
         E_ch=4.0 * ej_rate * HBAR / ELEMENTARY_CHARGE,
         n_g=0.5,
@@ -193,6 +192,15 @@ def test_criterion_07_squeezing_law():
         wavelength=0.01,
         omega=1e10,
     )
+
+
+def test_criterion_07_squeezing_law():
+    # synthetic coupling strong enough that |xi|^2 E_J t reaches 0.5 quickly,
+    # but still below the expansion-warning threshold; the exact degree stays
+    # below |lam|/w, as the cavity rotation undoes the squeezing each period
+    xi_abs = 0.05
+    ej_rate = 1e9
+    params = _squeeze_device(ej_rate)
     coupling = Coupling.from_xi(xi_abs)
     worst = worst_infidelity = 0.0
     for r in (0.05, 0.1, 0.2, 0.5):
@@ -276,3 +284,53 @@ def test_criterion_10_expansion_order_consistency():
     slope = float(np.polyfit(np.log(xis), np.log(deviations), 1)[0])
     ok = abs(slope - 2.0) <= 0.2
     _report(10, ok, f"log-log slope = {slope:.4f}")
+
+
+def _infidelity(x, y):
+    """1 - |<x|y>|^2 of two unit columns as |d|^2 - |d|^4/4, with d = x - e^(i arg<y|x>) y
+    the phase-aligned difference, which resolves it far below the rounding of 1 - |<x|y>|^2."""
+    overlap = np.vdot(y, x)
+    d = x - y * (overlap / abs(overlap))
+    d2 = np.vdot(d, d).real
+    return d2 - d2 * d2 / 4.0
+
+
+def _second_order_against_cosine(params, coupling, t):
+    """1 - F of the closed form and of the second-order Propagator against the cosine's,
+    from vacuum (x) g at time ``t``."""
+    form = squeezed_sectors(params, coupling, 0.0, [t])
+    dim, label_states = auto_fock_dim(form.distinct_labels[0])
+    closed, norm2, _ = materialize_sectors(form, dim, label_states)
+    psi0 = joint_state("g", coherent_fock(0.0, dim)).amplitudes
+    cosine, second = (
+        Propagator(hamiltonian(params, coupling, order, dim))(psi0, np.array([t]))[:, 0]
+        for order in ("cosine", "second")
+    )
+    return _infidelity(closed[:, 0] / math.sqrt(norm2[0]), cosine), _infidelity(second, cosine)
+
+
+def test_criterion_10_second_order_matches_the_cosine():
+    # On criterion 07's device the squeezed closed form and the second-order
+    # Propagator both match the full cosine to its fourth-order remainder.
+    xi_abs, ej_rate = 0.05, 1e9
+    coupling = Coupling.from_xi(xi_abs)
+    worst = 0.0
+    for r in (0.05, 0.1, 0.2, 0.5):
+        t = r / (xi_abs**2 * ej_rate)
+        worst = max(worst, *_second_order_against_cosine(_squeeze_device(ej_rate), coupling, t))
+    # At fixed E_J |xi|^2 t the remainder falls as |xi|^4, 1e4 per decade of |xi|,
+    # over eight decades; below |xi| ~ 5e-4 it meets the cosine's rounding, E_J eps.
+    strength, t = xi_abs**2 * ej_rate, 0.5 / (xi_abs**2 * ej_rate)
+    xis = (0.08, 0.008, 0.0008)
+    remainders = [
+        _second_order_against_cosine(_squeeze_device(strength / x**2), Coupling.from_xi(x), t)[0]
+        for x in xis
+    ]
+    ratios = [big / small for big, small in zip(remainders, remainders[1:])]
+    ok = worst <= 1e-7 and all(5e3 <= ratio <= 2e4 for ratio in ratios)
+    _report(
+        10,
+        ok,
+        f"worst 1 - F against the cosine = {worst:.2e}; remainder at |xi| = {xis}: "
+        + ", ".join(f"{value:.2e}" for value in remainders),
+    )

@@ -17,7 +17,6 @@ from squidcat.analytic import (
     auto_fock_dim,
     branch_decomposition_to_dict,
     coherent_overlap,
-    complex_rabi,
     disentangle,
     evolve_coherent,
     evolve_vacuum,
@@ -137,7 +136,7 @@ def test_evolve_vacuum_zero_time_is_vacuum(strong_device, strong_coupling):
 def test_evolve_vacuum_half_period_displacement(strong_device, strong_coupling):
     tau = math.pi / strong_device.omega_cavity
     state = evolve_vacuum(strong_device, strong_coupling, tau)
-    kappa = complex_rabi(strong_device, strong_coupling) / strong_device.omega_cavity
+    kappa = np.conj(strong_coupling.xi) * strong_device.ej_rate / strong_device.omega_cavity
     alphas = sorted({b.label.alpha for b in state.branches}, key=lambda z: z.real)
     assert abs(alphas[0] - (-2.0) * kappa) <= 1e-12
     assert abs(alphas[1] - 2.0 * kappa) <= 1e-12
@@ -163,7 +162,7 @@ def test_dropped_phase_record_value(strong_device, strong_coupling):
     state = evolve_vacuum(strong_device, strong_coupling, tau)
     match = re.fullmatch(r"exp\(1j\*(.+)\)", state.dropped_global_phase)
     assert match is not None
-    kappa = complex_rabi(strong_device, strong_coupling) / strong_device.omega_cavity
+    kappa = np.conj(strong_coupling.xi) * strong_device.ej_rate / strong_device.omega_cavity
     omega_tau = strong_device.omega_cavity * tau
     expected = abs(kappa) ** 2 * (omega_tau - math.sin(omega_tau))
     assert float(match.group(1)) == pytest.approx(expected, rel=1e-15)
@@ -362,7 +361,7 @@ def test_flux_pulse_shifts_branch_phase(strong_device, strong_coupling):
     after = flux_pi_pulse(before, strong_device)
 
     omega = strong_device.omega_cavity
-    kappa = complex_rabi(strong_device, strong_coupling) / omega
+    kappa = np.conj(strong_coupling.xi) * strong_device.ej_rate / omega
     rot_tau = cmath.exp(-1j * omega * tau)
     alpha_plus = alpha_prime * rot_tau + kappa * (rot_tau - 1.0)
     alpha_minus = alpha_prime * rot_tau - kappa * (rot_tau - 1.0)

@@ -630,6 +630,19 @@ def test_propagator_rejects_non_finite_times(bad):
         evolve(psi0.amplitudes, np.array([0.0, 1e-12, bad]))
 
 
+def test_propagator_rejects_a_time_past_the_phase_bound():
+    # on the strong device omega = 1e10 rad/s, so omega |t| < 2^52 rad is |t| < 4.5e5 s
+    params = make_strong_device()
+    evolve = Propagator(hamiltonian(params, Coupling.from_xi(0.01), "first", 16))
+    psi0 = joint_state("g", coherent_fock(0.0, 16))
+    with pytest.raises(ValueError, match=r"time = 1e\+20 must keep omega \|t\| below 2\^52 rad"):
+        evolve(psi0, 1e20)
+    with pytest.raises(ValueError, match=r"time = -1e\+300 must keep omega \|t\| below 2\^52 rad"):
+        evolve(psi0.amplitudes, np.array([0.0, 1e20, -1e300]))
+    bound = 2.0**52 / params.omega_cavity
+    assert evolve(psi0.amplitudes, np.array([0.0, -0.5 * bound])).shape == (32, 2)
+
+
 def test_propagator_rejects_mismatched_states_and_times():
     h, psi0 = _sector_case("vacuum", 8)
     evolve = Propagator(h)

@@ -9,7 +9,6 @@ from squidcat.analytic import (
     BranchDecomposition,
     CoherentLabel,
     coherent_overlap,
-    complex_rabi,
     evolve_vacuum,
     flux_pi_pulse,
     materialize,
@@ -80,6 +79,19 @@ def test_zero_time_measurement(strong_device, strong_coupling):
     assert fidelity(record.post_state, coherent_fock(0.0, record.post_state.fock_dim)) >= 1.0 - 1e-12
     with pytest.raises(NullOutcomeError):
         measure_qubit(state, "e")
+
+
+@pytest.mark.parametrize("evolve", ["vacuum", "squeeze"])
+def test_zero_time_post_selection_is_one_term(strong_coupling, evolve):
+    # at t = 0 both sectors carry the input label, so the g block holds it once, with weight 1
+    if evolve == "vacuum":
+        state = evolve_vacuum(make_strong_device(), strong_coupling, 0.0)
+    else:
+        state = squeezed_evolution(make_strong_device(phi_c_ratio=0.0), strong_coupling, 1.0 - 0.5j, 0.0)
+    post = measure_qubit(state, "g").analytic_post
+    (term,) = post.branches
+    assert (term.qubit, term.weight, term.label) == ("g", 1.0, state.branches[0].label)
+    assert post.constant == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_coherent_per_outcome_state():

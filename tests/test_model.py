@@ -199,9 +199,10 @@ def _kron_hamiltonian(params, coupling, order, dim):
     if order == "first":
         b = -ej * math.cos(phi) * np.eye(dim) + ej * math.sin(phi) * (xi * a + np.conj(xi) * adag)
     else:
-        xi2 = abs(xi) ** 2
-        quad = (xi**2 / 2.0) * (a @ a) + (np.conj(xi) ** 2 / 2.0) * (adag @ adag)
-        b = -ej * (xi2 * (adag @ a) + (1.0 + xi2 / 2.0) * np.eye(dim) + quad)
+        # -E_J cos(xi a + xi^* adag) to second order: -E_J + E_J (xi a + xi^* adag)^2 / 2
+        square = xi**2 * (a @ a) + np.conj(xi) ** 2 * (adag @ adag)
+        square += abs(xi) ** 2 * (2.0 * adag @ a + np.eye(dim))
+        b = -ej * np.eye(dim) + (ej / 2.0) * square
     return h + np.kron(_SIGMA_X, b)
 
 
