@@ -65,7 +65,6 @@ from .model import (
     _cosine_terms,
     flux_pulse,
     require_setting,
-    validity_margin,
 )
 
 __all__ = [
@@ -516,9 +515,6 @@ def squeezed_sectors(params: DeviceParams, coupling: Coupling, gamma: complex, t
     _require_resolved_phase(params.omega_cavity, times, "time")
     require_setting(params, 0.0, "squeezed evolution")
     gamma = complex(gamma)
-    photons = abs(gamma) * abs(gamma)  # inf, where abs(gamma) ** 2 would raise OverflowError
-    validity_margin(coupling, math.ceil(photons) if math.isfinite(photons) else photons)
-
     t = np.asarray(times, dtype=float)
     b0, _, b2 = _cosine_terms(params, coupling)
     spin = cmath.exp(2j * cmath.phase(coupling.xi))
@@ -643,10 +639,17 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
     MAX_FOCK_DIM (512) until the top four Fock levels of every checked state
     hold less than TRUNCATION_TOL (1e-10) of the population.  At each
     truncation tried, the distinct labels are materialized in one
-    ``materialize_labels`` call, and ``propagated(dim)``, if given, returns
-    further joint states (such as brute-force propagated ones) that must
-    pass the same check, as the columns of one 2*dim x K array; the top
+    ``materialize_labels`` call, and ``propagated(dim, edge)``, if given,
+    returns further joint states (such as brute-force propagated ones) that
+    must pass the same check, as the columns of one 2*dim x K array; the top
     weights of the label rows and of those columns are each one reduction.
+
+    ``edge`` is the lowest level the hook needs to propagate, below which
+    every label row holds less than LABEL_TAIL_TOL, minus four
+    (``_window_edge``).  Above level 0 every column must also hold less
+    than TRUNCATION_TOL in its four levels from the edge, both qubit blocks
+    counted (``_edge_weights``).  If any column does not, the same
+    truncation is propagated again from level 0 before any doubling.
     ``labels`` is a 1-D ``LabelArrays``, every entry of which is judged,
     or an iterable of ``CoherentLabel``s, whose distinct labels are
     converted to one once.  Returns the truncation and the label states
@@ -682,9 +685,13 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
         )
     while True:
         label_states = materialize_labels(labels, dim)
-        worst = top_level_weights(label_states[0].T).max(initial=0.0)
+        rows = label_states[0]
+        worst = top_level_weights(rows.T).max(initial=0.0)
         if propagated is not None:
-            columns = np.reshape(propagated(dim), (2 * dim, -1))
+            edge = _window_edge(rows)
+            columns = np.reshape(propagated(dim, edge), (2 * dim, -1))
+            if edge and _edge_weights(columns, edge).max(initial=0.0) >= TRUNCATION_TOL:
+                columns = np.reshape(propagated(dim, 0), (2 * dim, -1))
             worst = max(worst, top_level_weights(columns, 2).max(initial=0.0))
         if worst < TRUNCATION_TOL:
             return dim, label_states
@@ -694,6 +701,27 @@ def auto_fock_dim(labels, start: int | None = None, *, propagated=None) -> tuple
                 required_dim=None,
             )
         dim = min(2 * dim, MAX_FOCK_DIM)
+
+
+def _window_edge(rows: np.ndarray) -> int:
+    """The lowest level of the propagation window for label ``rows`` (L x N), 0 for no rows.
+
+    It is four below the first level at which the largest weight any row
+    holds at each level, summed from level 0, reaches LABEL_TAIL_TOL.  That
+    sum bounds each row's own sum from level 0, so every row holds less
+    than LABEL_TAIL_TOL below the level; it costs a third of those sums.
+    """
+    if not rows.size:
+        return 0
+    bound = np.cumsum((rows.real**2 + rows.imag**2).max(axis=0))  # bound[n]: levels <= n
+    return max(0, int(np.count_nonzero(bound < LABEL_TAIL_TOL)) - 4)
+
+
+def _edge_weights(columns: np.ndarray, edge: int) -> np.ndarray:
+    """Population of the four levels from ``edge`` of each joint column (2N x K), both
+    qubit blocks counted."""
+    band = columns.reshape(2, columns.shape[0] // 2, -1)[:, edge : edge + 4]
+    return (band.real**2 + band.imag**2).sum(axis=(0, 1))
 
 
 def _checked_norms(states: np.ndarray, tails: np.ndarray) -> np.ndarray:

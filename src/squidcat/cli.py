@@ -50,7 +50,7 @@ from .analytic import (
     materialize,
     squeezed_evolution,
 )
-from .constants import MAX_CAVITY_PHASE, MAX_FOCK_DIM, MAX_WIGNER_POINTS
+from .constants import MAX_FOCK_DIM, MAX_WIGNER_POINTS
 from .errors import (
     ConfigError,
     DimensionError,
@@ -67,7 +67,7 @@ from .experiments import (
     sweep_rows_to_csv,
     verify_analytic_numeric,
 )
-from .hilbert import CavityState, min_quadrature_variance, wigner_maps
+from .hilbert import CavityState, _require_resolved_phase, min_quadrature_variance, wigner_maps
 from .measurement import MeasurementRecord, measure_qubit, measurement_record_to_dict
 from .model import CAVITY_KINDS, DeviceParams, coupling_xi
 
@@ -331,12 +331,10 @@ def validate_config(data) -> RunConfig:
         if key in _VALUE_RULES and not _VALUE_RULES[key][0](value):
             raise ConfigError(f"key {key!r} must be {_VALUE_RULES[key][1]}, got {value!r}")
     for key in _SCENARIO_TIMES & args.keys():
-        phase = device.omega_cavity * abs(args[key])
-        if not phase < MAX_CAVITY_PHASE:
-            raise ConfigError(
-                f"key {key!r} must keep omega |t| below 2^52 rad, where phases e^(-i omega t) "
-                f"are still resolved, got {args[key]!r} (omega |t| = {phase:.6g} rad)"
-            )
+        try:
+            _require_resolved_phase(device.omega_cavity, args[key], f"key {key!r}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if args.get("wigner") is not None:
         _validate_wigner_grid(args["wigner"])
     return RunConfig(

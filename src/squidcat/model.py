@@ -29,7 +29,6 @@ from .constants import (
     SETTING_TOL,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
-    VALIDITY_WARN_LEVEL,
     ev_to_rate,
 )
 from .errors import DimensionError
@@ -41,7 +40,6 @@ __all__ = [
     "DeviceParams",
     "Coupling",
     "coupling_xi",
-    "validity_margin",
     "require_setting",
     "FluxPulse",
     "flux_pulse",
@@ -166,20 +164,6 @@ def coupling_xi(params: DeviceParams, phase: float = 0.0) -> Coupling:
     ) * mode
     xi_abs = math.pi * eta / FLUX_QUANTUM
     return Coupling(eta_abs=eta, xi=xi_abs * complex(math.cos(phase), math.sin(phase)))
-
-
-def validity_margin(coupling: Coupling, n_max: int) -> float:
-    """Expansion margin |xi| sqrt(n_max + 1) = pi*|eta|*sqrt(n_max+1)/Phi0; warns when >= 0.1."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    value = abs(coupling.xi) * math.sqrt(n_max + 1.0)
-    if value >= VALIDITY_WARN_LEVEL:
-        warnings.warn(
-            f"expansion margin {value:.3g} >= {VALIDITY_WARN_LEVEL}; "
-            "the truncated expansion is unreliable at this photon number",
-            stacklevel=2,
-        )
-    return value
 
 
 def require_setting(params: DeviceParams, phi_c_ratio: float, context: str) -> None:

@@ -115,7 +115,7 @@ def policy_start(labels) -> int:
     """The first truncation ``auto_fock_dim`` tries for ``labels``, seen by its hook."""
     tried = []
 
-    def propagated(dim):
+    def propagated(dim, edge):
         tried.append(dim)
         return []
 

@@ -7,7 +7,6 @@ import os
 import stat
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -529,9 +528,7 @@ def test_fields_past_the_maximum_truncation_exit_3(
         raise AssertionError("a label state was built")
 
     monkeypatch.setattr(analytic, "materialize_labels", never)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the expansion-margin warning of a strong field
-        assert main(["--config", _scenario_config(tmp_path, scenario, **overrides)]) == 3
+    assert main(["--config", _scenario_config(tmp_path, scenario, **overrides)]) == 3
     err = capsys.readouterr().err
     assert "numerical contract failure" in err and "maximum truncation 512" in err
     assert not (tmp_path / "out").exists()
@@ -539,9 +536,7 @@ def test_fields_past_the_maximum_truncation_exit_3(
 
 def test_far_label_at_an_explicit_truncation_exits_3(tmp_path, capsys):
     overrides = {"target": "coherent", "alpha_prime": [1e200, 0.0], "fock_dim": 64}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the expansion-margin warning of a strong field
-        assert main(["--config", _scenario_config(tmp_path, "verify", **overrides)]) == 3
+    assert main(["--config", _scenario_config(tmp_path, "verify", **overrides)]) == 3
     err = capsys.readouterr().err
     assert "numerical contract failure" in err and "mean photon number inf" in err
     assert not (tmp_path / "out").exists()

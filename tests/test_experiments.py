@@ -195,7 +195,6 @@ def test_verify_squeeze_benchmark_inputs(xi, gamma):
     assert infidelity <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:expansion margin")
 @pytest.mark.parametrize("xi", [1e-3, 3e-2])
 @pytest.mark.parametrize("size", [1.0, 6.0])
 def test_verify_squeeze_exact_at_strong_coupling(xi, size):
@@ -218,7 +217,6 @@ def test_verify_squeeze_branch_phase_over_twenty_periods():
     assert infidelity <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:expansion margin")
 def test_verify_squeeze_unstable_sector_raises():
     # at xi = 0.1 the sigma_x = +1 sector has |lam| = Omega (w = 0), so its
     # squeezing grows without bound and leaves 512 levels within two periods
@@ -246,6 +244,70 @@ def test_verify_materializes_each_distinct_label_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 11  # t = 0 gives one label, later times two
 
 
+def _windowed_verify(monkeypatch, scenario, alpha_prime, coupling, fock_dim=None, window=True, grid=None):
+    """verify's figure and the (truncation, edge) of each brute-force propagation it ran.
+
+    Without ``window`` every ``Propagator`` propagates all levels, from level 0,
+    whatever edge the policy passes.
+    """
+    from squidcat import experiments
+
+    params, calls = make_strong_device(), []
+    original = experiments._numeric_map
+
+    def recording(*args):
+        calls.append((args[3], args[6]))
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "_numeric_map", recording)
+    if not window:
+        monkeypatch.setattr(experiments, "Propagator", lambda hamiltonian, edge=0: Propagator(hamiltonian))
+    grid = _grid(params, points=21) if grid is None else grid
+    figure = verify_analytic_numeric(params, scenario, grid, fock_dim, coupling=coupling, alpha_prime=alpha_prime)
+    monkeypatch.undo()
+    return figure, calls
+
+
+@pytest.mark.parametrize("scenario", ["coherent", "pulse"])
+def test_verify_propagates_far_states_in_their_window(monkeypatch, strong_coupling, scenario):
+    # kappa = 0.5: every branch stays within 1 of |alpha'| = 12, far from the vacuum
+    alpha_prime = 12.0 * np.exp(0.3j)
+    figure, calls = _windowed_verify(monkeypatch, scenario, alpha_prime, strong_coupling)
+    full, full_calls = _windowed_verify(monkeypatch, scenario, alpha_prime, strong_coupling, window=False)
+    (dim, edge), = calls
+    assert edge > 0 and full_calls == calls
+    assert figure <= 1e-8 and abs(figure - full) <= 1e-12
+
+
+def test_verify_of_a_branch_through_the_vacuum_propagates_from_level_0(monkeypatch):
+    # kappa = 3 and alpha' = 2 kappa: the - branch 3 e^(-i w t) + 3 is the vacuum at w t = pi,
+    # a grid time, while the + branch reaches |alpha| = 12
+    coupling = Coupling.from_xi(0.06)
+    figure, calls = _windowed_verify(monkeypatch, "coherent", 6.0, coupling)
+    assert [edge for _, edge in calls] == [0]
+    assert figure == _windowed_verify(monkeypatch, "coherent", 6.0, coupling, window=False)[0]
+
+
+# One grid time, w t = pi, at 400 levels, where the labels of alpha' = r i have
+# |alpha|^2 = r^2 + 4 kappa^2.  kappa = 3, r = 12: the input holds about 1e-8 below the
+# labels' edge, and the policy's edge check sees it reach the edge levels.  kappa = 2,
+# r = 10: the input's weight below the edge is lost without reaching them, and the
+# propagated states come out short of their norm.  kappa = 1, r = 10: the branches dip to
+# |alpha|^2 = 82 between the grid times and come back, which only the closed form sees.
+@pytest.mark.parametrize("kappa,alpha_prime", [(3.0, 12.0j), (2.0, 10.0j), (1.0, 10.0j)])
+def test_verify_propagates_from_level_0_a_state_that_leaves_its_window(monkeypatch, kappa, alpha_prime):
+    coupling, grid = Coupling.from_xi(kappa / 50.0), [math.pi / make_strong_device().omega_cavity]
+    figure, calls = _windowed_verify(monkeypatch, "coherent", alpha_prime, coupling, 400, grid=grid)
+    full, _ = _windowed_verify(monkeypatch, "coherent", alpha_prime, coupling, 400, window=False, grid=grid)
+    assert [dim for dim, _ in calls] == [400, 400] and calls[0][1] > 0 and calls[1][1] == 0
+    assert figure == full and figure <= 1e-8
+
+
+def test_verify_at_an_explicit_truncation_keeps_it_with_a_window(monkeypatch, strong_coupling):
+    figure, calls = _windowed_verify(monkeypatch, "coherent", 12.0j, strong_coupling, fock_dim=300)
+    assert [dim for dim, _ in calls] == [300] and calls[0][1] > 0 and figure <= 1e-8
+
+
 # each start is one doubling short of the truncation the policy settles on
 @pytest.mark.parametrize(
     "scenario,start", [("vacuum", 16), ("coherent", 20), ("pulse", 20), ("squeeze", 12)]
@@ -255,9 +317,9 @@ def test_verify_makes_one_propagator_call_per_propagator(monkeypatch, scenario, 
     counts = {"built": 0, "calls": 0}
     setup, apply = Propagator.__init__, Propagator.__call__
 
-    def counting_setup(self, *args):
+    def counting_setup(self, *args, **kwargs):
         counts["built"] += 1
-        setup(self, *args)
+        setup(self, *args, **kwargs)
 
     def counting_apply(self, *args):
         counts["calls"] += 1
@@ -425,7 +487,7 @@ def test_verify_refuses_a_time_past_the_phase_bound(monkeypatch, strong_coupling
     device = make_strong_device(phi_c_ratio=0.0 if scenario == "squeeze" else 0.5)
     monkeypatch.setattr(experiments, "_closed_forms", None)
     grid = np.linspace(0.0, far, 3)
-    with pytest.raises(ValueError, match=r"tau_grid\[2\] = .* must keep omega \|t\| below 2\^52 rad"):
+    with pytest.raises(ValueError, match=r"tau_grid\[2\] must keep omega \|t\| below 2\^52 rad, .*, got "):
         verify_analytic_numeric(device, scenario, grid, coupling=strong_coupling)
 
 

@@ -195,7 +195,6 @@ def test_analytic_post_odd_constant_at_a_small_cat():
     assert abs(record.analytic_post.constant - exact) <= 1e-14 * exact
 
 
-@pytest.mark.filterwarnings("ignore:expansion margin")
 @pytest.mark.parametrize("xi", [0.02, 0.09])
 def test_analytic_post_constant_of_squeezed_branches(xi):
     # the Gram constant against the numeric probability of a state materialized

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from squidcat.model import (
     coupling_xi,
     flux_pulse,
     hamiltonian,
-    validity_margin,
 )
 
 from conftest import ladder, make_physical_device, make_strong_device
@@ -72,21 +70,6 @@ def test_coupling_invariant_links_eta_and_xi():
 def test_coupling_refuses_non_finite_values(make):
     with pytest.raises(ValueError, match="eta_abs and xi must be finite"):
         make()
-
-
-# ---------------------------------------------------------------- validity margin
-
-def test_validity_margin_values():
-    c = Coupling.from_xi(7.38e-5)
-    assert validity_margin(c, 0) == pytest.approx(7.38e-5, rel=1e-12)
-    assert validity_margin(c, 3) == pytest.approx(1.476e-4, rel=1e-12)
-    assert validity_margin(Coupling.from_xi(0.0), 100) == 0.0
-
-
-def test_validity_margin_warns_when_large():
-    c = Coupling.from_xi(0.2)
-    with pytest.warns(UserWarning):
-        validity_margin(c, 0)
 
 
 # ---------------------------------------------------------------- device params

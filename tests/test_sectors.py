@@ -95,7 +95,6 @@ def test_vacuum_sectors_coincide_at_tau_zero_and_share_one_row():
     assert sorted(index.ravel().tolist()) == [0, 0, 1, 2, 3, 4]
 
 
-@pytest.mark.filterwarnings("ignore:expansion margin")
 @pytest.mark.parametrize("omega_over_lam", [2.0, 1.5], ids=["critical", "unstable"])
 def test_grid_columns_match_past_the_stable_range(omega_over_lam):
     # omega = 2|lam| puts the +1 sector at w = 0, 1.5|lam| past it
@@ -109,7 +108,6 @@ def test_grid_columns_match_past_the_stable_range(omega_over_lam):
     _assert_same_columns(grid, per_time)
 
 
-@pytest.mark.filterwarnings("ignore:expansion margin")
 def test_squeezed_label_past_the_float_range_is_a_truncation_error():
     # the unstable +1 sector's squeezing grows as e^(|w| t) and overflows within 1000 periods
     params = _device("squeeze")
@@ -126,7 +124,7 @@ def test_sector_forms_refuse_a_time_past_the_phase_bound():
     # at omega = 1e10 rad/s the bound omega |t| < 2^52 rad is t = 4.5e5 s; the largest |t| is named
     coupling = Coupling.from_xi(0.01)
     for times, named in (([1e20], "1e+20"), ([0.0, -1e20, 1e19], "-1e+20")):
-        message = rf"time = {re.escape(named)} must keep omega \|t\| below 2\^52 rad"
+        message = rf"time must keep omega \|t\| below 2\^52 rad, .*, got {re.escape(named)} "
         with pytest.raises(ValueError, match=message):
             linear_sectors(_device("coherent"), coupling, ALPHA_PRIME, times)
         with pytest.raises(ValueError, match=message):
