@@ -16,12 +16,11 @@ Each closed form is computed once for a whole time grid, in the sigma_x-sector
 form the physics has (``SectorBranches``): for each of the two sectors, arrays
 of the label's alpha, phase, squeeze and rotation over the K times
 (``LabelArrays``), and one constant 2 x 2 matrix of (g/e block x sector)
-weights.  The flux pulse acts on that form by turning every label and
-left-multiplying the weights by its qubit rotation (``pulse_sectors``).
-``evolve_vacuum``, ``evolve_coherent`` and ``squeezed_evolution`` are the
-one-time views of it, a ``BranchDecomposition`` of weighted ``Branch``es.
-A decomposition is that form again at one time, with one label row per
-distinct label (``_label_form``): ``flux_pi_pulse`` pulses it by ``pulse_sectors``.
+weights.  It is the package's one closed-form state type, at K times or at
+one: ``evolve_vacuum``, ``evolve_coherent`` and ``squeezed_evolution`` are
+the sector forms at the single time [t].  The flux pulse acts on that form by
+turning every label and left-multiplying the weights by its qubit rotation
+(``pulse_sectors``, also named ``flux_pi_pulse``).
 
 ``materialize_labels`` is the one materialization path: it turns label
 arrays (or a list of labels, converted once) into an (L x N) array of Fock
@@ -31,11 +30,12 @@ product and running Yuen's three-term Fock recurrence once for all the
 others.  ``materialize_label`` is its one-row case, ``auto_fock_dim`` (the
 truncation policy) calls it once per truncation tried.  ``materialize_sectors``
 forms a sector form's K joint states as the columns of one array in one
-contraction that checks every state's norm (``_contract``); ``materialize``
-runs it on a decomposition's label form.
+contraction that checks every state's norm; ``materialize`` is its
+normalized one-time case.
 
-Neglected global phase factors are carried as metadata, never silently
-dropped; all state comparisons are phase-insensitive.
+Neglected global phase factors are carried as metadata
+(``SectorBranches.dropped_phase``), never silently dropped; all state
+comparisons are phase-insensitive.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import numpy as np
 from .constants import BRANCH_NORM_TOL, DEFAULT_FOCK_DIM, LABEL_TAIL_TOL, MAX_FOCK_DIM, TRUNCATION_TOL
 from .errors import DimensionError, NormalizationError, TruncationError
 from .hilbert import (
-    QUBIT_AMPLITUDES,
     CavityState,
     JointState,
     _require_resolved_phase,
@@ -71,7 +70,6 @@ __all__ = [
     "CoherentLabel",
     "LabelArrays",
     "Branch",
-    "BranchDecomposition",
     "SectorBranches",
     "DisentangledFactors",
     "disentangle",
@@ -162,15 +160,15 @@ class LabelArrays:
 
 @dataclass(frozen=True)
 class Branch:
-    """One term of an entangled decomposition: qubit basis state, weight, cavity label."""
+    """One term of an entangled state: charge basis state ('g' or 'e'), weight, cavity label."""
 
     qubit: str
     weight: complex
     label: CoherentLabel
 
     def __post_init__(self):
-        if self.qubit not in QUBIT_AMPLITUDES:
-            raise ValueError(f"qubit must be one of {sorted(QUBIT_AMPLITUDES)}, got {self.qubit!r}")
+        if self.qubit not in ("g", "e"):
+            raise ValueError(f"qubit must be 'g' or 'e', got {self.qubit!r}")
 
     @property
     def coefficient(self) -> complex:
@@ -179,46 +177,29 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class BranchDecomposition:
-    """Entangled qubit-cavity state as a list of weighted analytic branches.
-
-    ``dropped_global_phase`` is a textual record of the overall phase factor
-    omitted from the branch weights.
-    """
-
-    branches: tuple[Branch, ...]
-    dropped_global_phase: str = "1"
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-
-    def labels(self) -> list[CoherentLabel]:
-        seen = []
-        for branch in self.branches:
-            if branch.label not in seen:
-                seen.append(branch.label)
-        return seen
-
-
-@dataclass(frozen=True)
 class SectorBranches:
     """Closed-form joint states at K times in sigma_x-sector form.
 
-    ``labels`` holds (2, K) arrays: row 0 the sigma_x = +1 sector's label at
+    ``sectors`` holds (2, K) arrays: row 0 the sigma_x = +1 sector's label at
     each time, row 1 the -1 sector's.  ``weights`` is the constant 2 x 2
     matrix of (g/e block x sector) weights, so the state at time k is
-    sum_bs weights[b, s] e^(i phase[s, k]) |b> (x) |label[s, k]>.  A
-    decomposition's label form (``_label_form``) has the same shape with one
-    row per distinct label, at K = 1; it is never given to
-    ``distinct_labels``, whose rule holds for two sectors only.
+    sum_bs weights[b, s] e^(i phase[s, k]) |b> (x) |label[s, k]>.
+    ``dropped_phase`` holds the angle of the common phase factor
+    exp(i angle) left out of the weights at each time, or is None where no
+    factor is left out.
     """
 
-    labels: LabelArrays
+    sectors: LabelArrays
     weights: np.ndarray
+    dropped_phase: np.ndarray | None = None
+
+    def labels(self) -> list[CoherentLabel]:
+        """The distinct labels of a one-time form, phase included, in sector order."""
+        return list(dict.fromkeys(self.sectors.take((slice(None), 0))))
 
     def branches(self) -> tuple[Branch, ...]:
-        """The nonzero branches of a one-time form, g block first and label row order within it."""
-        labels = list(self.labels.take((slice(None), 0)))
+        """The nonzero branches of a one-time form, g block first and sector order within it."""
+        labels = list(self.sectors.take((slice(None), 0)))
         return tuple(
             Branch(qubit, complex(weight), label)
             for qubit, row in zip(("g", "e"), self.weights.tolist())
@@ -233,8 +214,9 @@ class SectorBranches:
         Every +1 sector label gets a row, in time order, then every -1 sector
         label that differs from the +1 one at its time; where the two give
         the same Fock row (the input state, at t = 0) the -1 label reuses it.
+        The branch phases are not compared: they are applied in the contraction.
         """
-        labels = self.labels
+        labels = self.sectors
         same = (
             (labels.alpha[0] == labels.alpha[1])
             & (labels.squeeze[0] == labels.squeeze[1])
@@ -299,11 +281,6 @@ def _kappa(params: DeviceParams, coupling: Coupling) -> complex:
     return np.conj(coupling.xi) * params.ej_rate / params.omega_cavity
 
 
-def _dropped_phase_record(kappa: complex, omega_tau: float) -> str:
-    angle = abs(kappa) ** 2 * (omega_tau - math.sin(omega_tau))
-    return f"exp(1j*{angle:.17g})"
-
-
 def linear_sectors(
     params: DeviceParams, coupling: Coupling, alpha_prime: complex, times
 ) -> SectorBranches:
@@ -313,8 +290,9 @@ def linear_sectors(
     tau the two sigma_x sectors displace the field to
     alpha_pm = alpha' e^(-i w tau) +- kappa (e^(-i w tau) - 1) and pick up
     branch phases +-phi with phi = Im[kappa conj(alpha') (1 - e^(i w tau))];
-    the common phase exp(i |kappa|^2 (w tau - sin w tau)) is left out.  The
-    qubit ground state is (|+> + |->)/sqrt(2), so the weights are 1/2 on
+    the common phase exp(i |kappa|^2 (w tau - sin w tau)) is left out, and
+    its angle at each time is the form's ``dropped_phase``.  The qubit
+    ground state is (|+> + |->)/sqrt(2), so the weights are 1/2 on
     both sectors in the g block and +-1/2 in the e block.  A time with
     w |tau| >= MAX_CAVITY_PHASE (2^52 rad), where the phases are no longer
     resolved, raises ValueError naming the time of largest |tau|.
@@ -329,23 +307,21 @@ def linear_sectors(
     phi = (kappa * alpha_prime.conjugate() * (1.0 - np.exp(1j * omega_tau))).imag
     alpha = alpha_prime * rot + _SECTOR_SIGNS * drive
     unsqueezed = np.zeros(alpha.shape, dtype=complex), np.zeros(alpha.shape)
-    return SectorBranches(LabelArrays(alpha, _SECTOR_SIGNS * phi, *unsqueezed), _PREPARED)
+    dropped = abs(kappa) ** 2 * np.array([wt - math.sin(wt) for wt in omega_tau.tolist()])
+    return SectorBranches(LabelArrays(alpha, _SECTOR_SIGNS * phi, *unsqueezed), _PREPARED, dropped)
 
 
 def evolve_coherent(
     params: DeviceParams, coupling: Coupling, alpha_prime: complex, tau1: float
-) -> BranchDecomposition:
+) -> SectorBranches:
     """Evolve an injected coherent state (x) qubit ground under the linear coupling.
 
-    The one-time view of ``linear_sectors``, with the common phase
-    exp(i |kappa|^2 (w tau - sin w tau)) recorded as dropped.
+    ``linear_sectors`` at the single time ``tau1``.
     """
-    state = linear_sectors(params, coupling, alpha_prime, [tau1])
-    omega_tau = params.omega_cavity * float(tau1)
-    return BranchDecomposition(state.branches(), _dropped_phase_record(_kappa(params, coupling), omega_tau))
+    return linear_sectors(params, coupling, alpha_prime, [tau1])
 
 
-def evolve_vacuum(params: DeviceParams, coupling: Coupling, tau: float) -> BranchDecomposition:
+def evolve_vacuum(params: DeviceParams, coupling: Coupling, tau: float) -> SectorBranches:
     """Evolve vacuum (x) qubit ground under the linear coupling.
 
     Special case of ``evolve_coherent`` with no injected field: an even/odd
@@ -433,33 +409,11 @@ def pulse_sectors(state: SectorBranches, params: DeviceParams) -> SectorBranches
     cavity labels pair with them.
     """
     pulse = flux_pulse(params)
-    return SectorBranches(_turn(state.labels, pulse.angle), pulse.rotation @ state.weights)
+    turned = _turn(state.sectors, pulse.angle)
+    return SectorBranches(turned, pulse.rotation @ state.weights, state.dropped_phase)
 
 
-def _label_form(state: BranchDecomposition) -> SectorBranches:
-    """A decomposition as a one-time form with one label row per entry of ``state.labels()``.
-
-    Column j of the weights sums weight times qubit amplitude
-    (``QUBIT_AMPLITUDES``) over the branches whose label is j, so +/-
-    branches land on the g/e blocks.
-    """
-    labels = state.labels()
-    weights = np.zeros((2, len(labels)), dtype=complex)
-    for branch in state.branches:
-        weights[:, labels.index(branch.label)] += branch.weight * QUBIT_AMPLITUDES[branch.qubit]
-    return SectorBranches(LabelArrays.of(labels).take((slice(None), None)), weights)
-
-
-def flux_pi_pulse(state: BranchDecomposition, params: DeviceParams) -> BranchDecomposition:
-    """Apply the flux pulse that rotates the qubit about x by a Bloch angle pi/2.
-
-    The decomposition's (g/e x label) weights (``_label_form``) are pulsed
-    as a sector form (``pulse_sectors``): every label turns and the qubit
-    rotation left-multiplies the weights.  The branches come out g block
-    first, and a weight that comes out zero has no branch.
-    """
-    pulsed = pulse_sectors(_label_form(state), params)
-    return BranchDecomposition(pulsed.branches(), state.dropped_global_phase)
+flux_pi_pulse = pulse_sectors  # the pulse that rotates the qubit about x by a Bloch angle pi/2
 
 
 def _sector_labels(omega: float, lam: complex, shift: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -532,12 +486,12 @@ def squeezed_sectors(params: DeviceParams, coupling: Coupling, gamma: complex, t
 
 def squeezed_evolution(
     params: DeviceParams, coupling: Coupling, gamma: complex, t: float
-) -> BranchDecomposition:
+) -> SectorBranches:
     """Evolve a coherent state (x) qubit ground under the quadratic coupling.
 
-    The one-time view of ``squeezed_sectors``.
+    ``squeezed_sectors`` at the single time ``t``.
     """
-    return BranchDecomposition(squeezed_sectors(params, coupling, gamma, [t]).branches())
+    return squeezed_sectors(params, coupling, gamma, [t])
 
 
 def _squeezed_rows(labels: LabelArrays, fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -739,19 +693,6 @@ def _checked_norms(states: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return norm2
 
 
-def _contract(state: SectorBranches, index: np.ndarray, fock_dim: int, label_states: tuple) -> tuple:
-    """``materialize_sectors`` with the row of each (label row, time) of ``state`` given by ``index``."""
-    rows, leakages = label_states
-    count = int(index.max(initial=-1)) + 1
-    if rows.shape != (count, fock_dim):
-        raise ValueError(f"label states of shape {rows.shape} do not fit {count} labels on {fock_dim} levels")
-    factors = state.weights[:, :, None] * np.exp(1j * state.labels.phase)  # (block, label row, time)
-    states = np.einsum("bsk,skn->kbn", factors, rows[index]).reshape(index.shape[1], -1)
-    tails = (np.abs(state.weights) ** 2).sum(axis=0) @ leakages[index]
-    norm2 = _checked_norms(states, tails)
-    return states.T, norm2, tails + np.abs(1.0 - norm2)
-
-
 def materialize_sectors(
     state: SectorBranches, fock_dim: int, label_states: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -767,28 +708,35 @@ def materialize_sectors(
     Returns the columns as built, their norm^2, and each column's leakage:
     its tail plus |1 - norm^2|.
     """
-    return _contract(state, state.distinct_labels[1], fock_dim, label_states)
+    rows, leakages = label_states
+    index = state.distinct_labels[1]
+    count = int(index.max(initial=-1)) + 1
+    if rows.shape != (count, fock_dim):
+        raise ValueError(f"label states of shape {rows.shape} do not fit {count} labels on {fock_dim} levels")
+    factors = state.weights[:, :, None] * np.exp(1j * state.sectors.phase)  # (block, sector, time)
+    states = np.einsum("bsk,skn->kbn", factors, rows[index]).reshape(index.shape[1], -1)
+    tails = (np.abs(state.weights) ** 2).sum(axis=0) @ leakages[index]
+    norm2 = _checked_norms(states, tails)
+    return states.T, norm2, tails + np.abs(1.0 - norm2)
 
 
 def materialize(
-    state: BranchDecomposition, fock_dim: int | None = None, label_states: tuple | None = None
+    state: SectorBranches, fock_dim: int | None = None, label_states: tuple | None = None
 ) -> JointState:
-    """Expand a branch decomposition into a joint Fock-space state, normalized.
+    """Expand a one-time sector form into a joint Fock-space state, normalized.
 
     Without ``fock_dim`` the truncation and the label states come from
     ``auto_fock_dim``; with it, ``label_states`` may hold the (rows,
-    leakages) of ``state.labels()`` already materialized there, such as
-    those the policy returned, and otherwise they are materialized here.
-    The state is the one column of its label form (``_label_form``),
-    contracted and checked as in ``materialize_sectors``, and its leakage
-    is its tail plus |1 - norm^2|.
+    leakages) of ``state.distinct_labels`` already materialized there, such
+    as those the policy returned, and otherwise they are materialized here.
+    The state is the one column of ``materialize_sectors``, checked there,
+    and its leakage is its tail plus |1 - norm^2|.
     """
-    labels = state.labels()
+    labels = state.distinct_labels[0]
     if fock_dim is None:
         fock_dim, label_states = auto_fock_dim(labels)
     label_states = label_states or materialize_labels(labels, fock_dim)
-    index = np.arange(len(labels))[:, None]
-    columns, norm2, leakage = _contract(_label_form(state), index, fock_dim, label_states)
+    columns, norm2, leakage = materialize_sectors(state, fock_dim, label_states)
     return JointState(columns[:, 0] / math.sqrt(norm2[0]), leakage=float(leakage[0]))
 
 
@@ -804,7 +752,9 @@ def _label_to_dict(label: CoherentLabel) -> dict:
     }
 
 
-def branch_decomposition_to_dict(state: BranchDecomposition) -> dict:
+def branch_decomposition_to_dict(state: SectorBranches) -> dict:
+    """A one-time sector form's nonzero branches, and the phase factor left out of their weights."""
+    dropped = "1" if state.dropped_phase is None else f"exp(1j*{state.dropped_phase[0]:.17g})"
     return {
         "branches": [
             {
@@ -812,7 +762,7 @@ def branch_decomposition_to_dict(state: BranchDecomposition) -> dict:
                 "weight": [branch.weight.real, branch.weight.imag],
                 "label": _label_to_dict(branch.label),
             }
-            for branch in state.branches
+            for branch in state.branches()
         ],
-        "dropped_global_phase": state.dropped_global_phase,
+        "dropped_global_phase": dropped,
     }

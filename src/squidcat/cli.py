@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
-    BranchDecomposition,
+    SectorBranches,
     auto_fock_dim,
     branch_decomposition_to_dict,
     evolve_coherent,
@@ -368,19 +368,20 @@ def _validate_wigner_grid(grid) -> None:
 
 
 def _measure_both(
-    decomposition: BranchDecomposition, fitted: tuple[int, tuple] | None = None
+    state: SectorBranches, fitted: tuple[int, tuple] | None = None
 ) -> list[MeasurementRecord | None]:
     """Records of the outcomes g and e, None for an outcome that cannot occur.
 
-    The decomposition is materialized once, at the policy truncation and
-    with the label states of ``fitted`` (``auto_fock_dim`` of its labels)
-    when given, and both outcomes are measured from that state.
+    The one-time form is materialized once, at the policy truncation and
+    with the label states of ``fitted`` (``auto_fock_dim`` of its
+    ``distinct_labels``) when given, and both outcomes are measured from
+    that state.
     """
-    joint = materialize(decomposition, *(fitted or ()))
+    joint = materialize(state, *(fitted or ()))
     records = []
     for outcome in ("g", "e"):
         try:
-            records.append(measure_qubit(decomposition, outcome, joint=joint))
+            records.append(measure_qubit(state, outcome, joint=joint))
         except NullOutcomeError:
             records.append(None)
     return records
@@ -422,12 +423,12 @@ def _run_cat(config: RunConfig) -> dict:
     params = config.device
     coupling = coupling_xi(params)
     tau = float(config.args["tau"])
-    decomposition = evolve_vacuum(params, coupling, tau)
-    records = _measure_both(decomposition)
+    state = evolve_vacuum(params, coupling, tau)
+    records = _measure_both(state)
     return {
         "scenario": "cat",
         "tau": tau,
-        "branches": branch_decomposition_to_dict(decomposition),
+        "branches": branch_decomposition_to_dict(state),
         "measurements": _record_dicts(records),
         "wigner": _wigner_section(records, config.args),
     }
@@ -455,9 +456,9 @@ def _run_squeeze(config: RunConfig) -> dict:
     coupling = coupling_xi(params)
     gamma = _as_complex(config.args["gamma"])
     t = float(config.args["t"])
-    decomposition = squeezed_evolution(params, coupling, gamma, t)
+    state = squeezed_evolution(params, coupling, gamma, t)
     fock_dim = config.args.get("fock_dim")
-    labels = decomposition.labels()
+    labels, index = state.distinct_labels
     fitted = auto_fock_dim(labels, fock_dim)
     dim, (rows, _) = fitted
     if fock_dim is not None and dim != fock_dim:
@@ -466,7 +467,8 @@ def _run_squeeze(config: RunConfig) -> dict:
             required_dim=dim,
         )
     variances = []
-    for label, row in zip(labels, rows):
+    # one entry per distinct label, phase included: labels() lists the + sector's first
+    for label, row in zip(state.labels(), rows[index[:, 0]]):
         r = abs(label.squeeze)
         variances.append(
             {
@@ -480,9 +482,9 @@ def _run_squeeze(config: RunConfig) -> dict:
         "scenario": "squeeze",
         "t": t,
         "gamma": [gamma.real, gamma.imag],
-        "branches": branch_decomposition_to_dict(decomposition),
+        "branches": branch_decomposition_to_dict(state),
         "variances": variances,
-        "measurements": _record_dicts(_measure_both(decomposition, fitted)),
+        "measurements": _record_dicts(_measure_both(state, fitted)),
     }
 
 

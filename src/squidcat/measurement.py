@@ -2,12 +2,13 @@
 
 Measuring the qubit in the charge basis projects the cavity onto the
 corresponding block; post-selecting on the ground (excited) outcome of a
-cat-generating evolution leaves the even (odd) superposition.  For a branch
-decomposition the record also carries the post-selected label combination:
-the outcome's block of the decomposition's label form (``analytic._label_form``),
-one term per distinct label with a nonzero weight.  Its constant always comes
-from the closed-form Gram sum of its labels (``analytic.superposition_norm2``),
-squeezed labels included.  Readout is modeled as ideal and instantaneous.
+cat-generating evolution leaves the even (odd) superposition.  For a one-time
+sector form (``analytic.SectorBranches``) the record also carries the
+post-selected label combination: the outcome's block of the weights, with the
+weights of equal labels summed, one term per distinct label (phase included)
+with a nonzero weight.  Its constant always comes from the closed-form Gram
+sum of its labels (``analytic.superposition_norm2``), squeezed labels
+included.  Readout is modeled as ideal and instantaneous.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .analytic import (
     Branch,
-    BranchDecomposition,
-    _label_form,
+    SectorBranches,
     _label_to_dict,
     materialize,
     superposition_norm2,
@@ -71,12 +71,18 @@ def _measure_joint(state: JointState, outcome: str) -> MeasurementRecord:
     return MeasurementRecord(outcome=outcome, probability=probability, post_state=post)
 
 
-def _measure_decomposition(
-    state: BranchDecomposition, outcome: str, joint: JointState | None
+def _measure_sectors(
+    state: SectorBranches, outcome: str, joint: JointState | None
 ) -> MeasurementRecord:
     record = _measure_joint(materialize(state) if joint is None else joint, outcome)
 
-    collected = [branch for branch in _label_form(state).branches() if branch.qubit == outcome]
+    # Equal labels are merged on the whole label: two sectors that share a Fock row
+    # (``distinct_labels``) but not a phase stay two terms.
+    merged = {}
+    block = state.weights[("g", "e").index(outcome)].tolist()
+    for weight, label in zip(block, state.sectors.take((slice(None), 0))):
+        merged[label] = merged.get(label, 0j) + weight
+    collected = [Branch(outcome, weight, label) for label, weight in merged.items() if weight != 0]
     # Gram-matrix norm of the label combination, exact in closed form.
     norm2 = superposition_norm2((b.coefficient, b.label) for b in collected)
     if norm2 < ZERO_PROBABILITY_THRESHOLD:
@@ -93,13 +99,13 @@ def _measure_decomposition(
 
 
 def measure_qubit(
-    state: JointState | BranchDecomposition, outcome: str, *, joint: JointState | None = None
+    state: JointState | SectorBranches, outcome: str, *, joint: JointState | None = None
 ) -> MeasurementRecord:
     """Project the qubit onto ``outcome`` ('g' or 'e') and renormalize the cavity.
 
-    For branch decompositions, the record additionally carries the
+    For a one-time sector form, the record additionally carries the
     post-selected label combination with its closed-form normalization;
-    ``joint`` may hold the decomposition already materialized, which is then
+    ``joint`` may hold the form already materialized, which is then
     measured instead of materializing it again.  Outcomes below the 1e-14
     probability threshold raise NullOutcomeError.
     """
@@ -107,8 +113,8 @@ def measure_qubit(
         raise ValueError(f"outcome must be 'g' or 'e', got {outcome!r}")
     if isinstance(state, JointState):
         return _measure_joint(state, outcome)
-    if isinstance(state, BranchDecomposition):
-        return _measure_decomposition(state, outcome, joint)
+    if isinstance(state, SectorBranches):
+        return _measure_sectors(state, outcome, joint)
     raise TypeError(f"cannot measure object of type {type(state).__name__}")
 
 

@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from squidcat.analytic import Branch, BranchDecomposition, CoherentLabel, auto_fock_dim
+from squidcat.analytic import CoherentLabel, LabelArrays, SectorBranches, auto_fock_dim
 from squidcat.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
 from squidcat.hilbert import CavityState, required_fock_dim
 from squidcat.model import Coupling, DeviceParams
@@ -153,8 +154,14 @@ def cat_reference(alpha, parity, dim):
     return CavityState(v / np.linalg.norm(v))
 
 
-def decomposition_from_dict(data):
-    """The ``BranchDecomposition`` that ``analytic.branch_decomposition_to_dict`` wrote as ``data``."""
+def one_time(weights, labels):
+    """The one-time sector form sum_bs weights[b][s] e^(i phase_s) |b> (x) |labels[s]>, b = g, e."""
+    return SectorBranches(LabelArrays.of(labels).take((slice(None), None)), np.array(weights, dtype=complex))
+
+
+def sectors_from_dict(data):
+    """The one-time sector form that ``analytic.branch_decomposition_to_dict`` wrote as ``data``,
+    whose four branches are the g and then the e block of its two sectors."""
 
     def label(item):
         if item["kind"] == "coherent":
@@ -162,8 +169,14 @@ def decomposition_from_dict(data):
         squeeze = complex(*item["squeeze"])
         return CoherentLabel(complex(*item["gamma"]), item["phase"], squeeze, item["rotation"])
 
-    branches = [Branch(b["qubit"], complex(*b["weight"]), label(b["label"])) for b in data["branches"]]
-    return BranchDecomposition(branches, data["dropped_global_phase"])
+    branches = data["branches"]
+    assert [b["qubit"] for b in branches] == ["g", "g", "e", "e"], branches
+    labels = [label(b["label"]) for b in branches]
+    assert labels[2:] == labels[:2], labels
+    weights = np.reshape([complex(*b["weight"]) for b in branches], (2, 2))
+    match = re.fullmatch(r"exp\(1j\*(.+)\)", data["dropped_global_phase"])
+    dropped = None if data["dropped_global_phase"] == "1" else np.array([float(match.group(1))])
+    return SectorBranches(one_time(weights, labels[:2]).sectors, weights, dropped)
 
 
 def yuen_reference(label, dim):

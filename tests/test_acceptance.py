@@ -158,7 +158,7 @@ def test_criterion_06_cat_structure():
     coupling = Coupling.from_xi(0.01)
     tau = math.pi / params.omega_cavity
     state = evolve_vacuum(params, coupling, tau)
-    alpha = state.branches[0].label.alpha
+    alpha = state.branches()[0].label.alpha
 
     rec_g = measure_qubit(state, "g")
     rec_e = measure_qubit(state, "e")

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 
 from squidcat.analytic import (
     Branch,
-    BranchDecomposition,
     CoherentLabel,
     auto_fock_dim,
     branch_decomposition_to_dict,
@@ -41,12 +40,13 @@ from squidcat.model import Coupling, coupling_xi, hamiltonian
 
 from conftest import (
     coherent_reference,
-    decomposition_from_dict,
     injected_pair_overlap,
     ladder,
     make_physical_device,
     make_strong_device,
+    one_time,
     policy_start,
+    sectors_from_dict,
     squeeze_degrees,
     start_over_every_centre,
     yuen_reference,
@@ -127,7 +127,7 @@ def test_disentangle_product_form_matches_matrix_exponential():
 
 def test_evolve_vacuum_zero_time_is_vacuum(strong_device, strong_coupling):
     state = evolve_vacuum(strong_device, strong_coupling, 0.0)
-    for branch in state.branches:
+    for branch in state.branches():
         assert branch.label.alpha == 0.0
     psi = materialize(state, 16)
     assert fidelity(psi, joint_state("g", coherent_fock(0.0, 16))) >= 1.0 - 1e-12
@@ -137,7 +137,7 @@ def test_evolve_vacuum_half_period_displacement(strong_device, strong_coupling):
     tau = math.pi / strong_device.omega_cavity
     state = evolve_vacuum(strong_device, strong_coupling, tau)
     kappa = np.conj(strong_coupling.xi) * strong_device.ej_rate / strong_device.omega_cavity
-    alphas = sorted({b.label.alpha for b in state.branches}, key=lambda z: z.real)
+    alphas = sorted({b.label.alpha for b in state.branches()}, key=lambda z: z.real)
     assert abs(alphas[0] - (-2.0) * kappa) <= 1e-12
     assert abs(alphas[1] - 2.0 * kappa) <= 1e-12
 
@@ -145,7 +145,7 @@ def test_evolve_vacuum_half_period_displacement(strong_device, strong_coupling):
 def test_evolve_vacuum_full_period_disentangles(strong_device, strong_coupling):
     tau = 2.0 * math.pi / strong_device.omega_cavity
     state = evolve_vacuum(strong_device, strong_coupling, tau)
-    assert all(abs(b.label.alpha) <= 1e-12 for b in state.branches)
+    assert all(abs(b.label.alpha) <= 1e-12 for b in state.branches())
     psi = materialize(state, 16)
     assert fidelity(psi, joint_state("g", coherent_fock(0.0, 16))) >= 1.0 - 1e-10
 
@@ -160,7 +160,7 @@ def test_evolve_vacuum_requires_preparation_setting(strong_coupling):
 def test_dropped_phase_record_value(strong_device, strong_coupling):
     tau = 0.7 * math.pi / strong_device.omega_cavity
     state = evolve_vacuum(strong_device, strong_coupling, tau)
-    match = re.fullmatch(r"exp\(1j\*(.+)\)", state.dropped_global_phase)
+    match = re.fullmatch(r"exp\(1j\*(.+)\)", branch_decomposition_to_dict(state)["dropped_global_phase"])
     assert match is not None
     kappa = np.conj(strong_coupling.xi) * strong_device.ej_rate / strong_device.omega_cavity
     omega_tau = strong_device.omega_cavity * tau
@@ -184,7 +184,7 @@ def test_closed_forms_refuse_a_time_past_the_phase_bound(strong_device, strong_c
         with pytest.raises(ValueError, match=rf"time must keep omega \|t\| below 2\^52 rad, .*, got {re.escape(repr(t))} "):
             closed_form(strong_device, strong_coupling, t)
     for t in (bound * (1.0 - 1e-12), -bound * (1.0 - 1e-12)):
-        assert closed_form(strong_device, strong_coupling, t).branches
+        assert closed_form(strong_device, strong_coupling, t).branches()
 
 
 # ---------------------------------------------------------------- coherent injection
@@ -193,8 +193,8 @@ def test_injection_without_field_matches_vacuum_branches(strong_device, strong_c
     tau = 1.3 / strong_device.omega_cavity
     vac = evolve_vacuum(strong_device, strong_coupling, tau)
     inj = evolve_coherent(strong_device, strong_coupling, 0.0, tau)
-    assert len(vac.branches) == len(inj.branches)
-    for bv, bi in zip(vac.branches, inj.branches):
+    assert len(vac.branches()) == len(inj.branches())
+    for bv, bi in zip(vac.branches(), inj.branches()):
         assert bv.qubit == bi.qubit
         assert abs(bv.weight - bi.weight) <= 1e-12
         assert abs(bv.label.alpha - bi.label.alpha) <= 1e-12
@@ -205,7 +205,7 @@ def test_injection_full_period_returns_product_state(strong_device, strong_coupl
     alpha_prime = 1.1 - 0.3j
     tau = 2.0 * math.pi / strong_device.omega_cavity
     state = evolve_coherent(strong_device, strong_coupling, alpha_prime, tau)
-    for branch in state.branches:
+    for branch in state.branches():
         assert abs(branch.label.alpha - alpha_prime) <= 1e-10
         assert abs(branch.label.phase) <= 1e-10
     psi = materialize(state)
@@ -346,7 +346,7 @@ def test_cat_parity_structure():
 def _effective_coefficients(state):
     """Map (qubit, alpha) -> weight * exp(i*phase) summed over branches."""
     out = {}
-    for branch in state.branches:
+    for branch in state.branches():
         key = (branch.qubit, complex(round(branch.label.alpha.real, 9), round(branch.label.alpha.imag, 9)))
         out[key] = out.get(key, 0.0) + branch.coefficient
     return out
@@ -393,16 +393,9 @@ def test_flux_pulse_twice_swaps_charge_branches(strong_device, strong_coupling):
 
     t_pulse = math.pi / (4.0 * strong_device.ej_rate)
     rot = cmath.exp(-2j * strong_device.omega_cavity * t_pulse)
-    swapped = BranchDecomposition(
-        tuple(
-            Branch(
-                "e" if b.qubit == "g" else "g",
-                b.weight,
-                CoherentLabel(b.label.alpha * rot, b.label.phase),
-            )
-            for b in before.branches
-        ),
-        before.dropped_global_phase,
+    swapped = one_time(
+        before.weights[::-1],
+        [CoherentLabel(label.alpha * rot, label.phase) for label in before.sectors.take((slice(None), 0))],
     )
     assert fidelity(materialize(double, 48), materialize(swapped, 48)) >= 1.0 - 1e-12
 
@@ -441,17 +434,17 @@ def test_flux_pulse_on_squeezed_branches_against_propagation(xi):
 
 
 def test_flux_pulse_input_validation(strong_device):
-    # a +/- branch is its g and e amplitudes: it pulses exactly as those two branches
-    label = CoherentLabel(0.3 - 0.1j, 0.2)
-    half = QUBIT_AMPLITUDES["+"][0]
-    plus = BranchDecomposition((Branch("+", 1.0, label),))
-    both = BranchDecomposition((Branch("g", half, label), Branch("e", half, label)))
-    assert flux_pi_pulse(plus, strong_device) == flux_pi_pulse(both, strong_device)
     # a squeezed label is accepted: only its rotation moves, by omega t_pulse
     label = CoherentLabel(0.3, 0.2, squeeze=0.1j, rotation=0.4)
-    after = flux_pi_pulse(BranchDecomposition((Branch("g", 1.0, label),)), strong_device)
+    after = flux_pi_pulse(one_time([[1.0, 0.0], [0.0, 0.0]], [label, label]), strong_device)
     angle = strong_device.omega_cavity * math.pi / (4.0 * strong_device.ej_rate)
-    assert {branch.label for branch in after.branches} == {dataclasses.replace(label, rotation=0.4 + angle)}
+    assert {branch.label for branch in after.branches()} == {dataclasses.replace(label, rotation=0.4 + angle)}
+
+
+@pytest.mark.parametrize("qubit", ["+", "-", "x"])
+def test_branch_is_a_charge_state(qubit):
+    with pytest.raises(ValueError, match="qubit must be 'g' or 'e'"):
+        Branch(qubit, 1.0, CoherentLabel(0.3))
 
 
 # ---------------------------------------------------------------- squeezed evolution
@@ -460,7 +453,7 @@ def test_squeezed_evolution_zero_time(physical_device):
     params = make_physical_device(phi_c_ratio=0.0)
     c = coupling_xi(params)
     state = squeezed_evolution(params, c, 0.5, 0.0)
-    for branch in state.branches:
+    for branch in state.branches():
         assert branch.label.squeeze == 0.0
         assert branch.label.phase == 0.0
     psi = materialize(state, 24)
@@ -783,15 +776,14 @@ def test_auto_fock_dim_start_is_the_max_over_every_centre():
 
 def test_materialize_rejects_inconsistent_weights():
     label = CoherentLabel(0.3)
-    bad = BranchDecomposition((Branch("g", 1.0, label), Branch("e", 1.0, label)))
+    bad = one_time([[1.0, 0.0], [1.0, 0.0]], [label, label])
     with pytest.raises(NormalizationError):
         materialize(bad, 16)
 
 
 def test_materialize_rejects_label_states_of_other_labels():
     plus, minus = CoherentLabel(0.4), CoherentLabel(-0.4)
-    half = 1.0 / math.sqrt(2.0)
-    state = BranchDecomposition((Branch("+", half, plus), Branch("-", half, minus)))
+    state = one_time([[0.5, 0.5], [0.5, -0.5]], [plus, minus])
     rows, leakages = materialize_labels(state.labels() + [CoherentLabel(0.1)], 16)
     with pytest.raises(ValueError, match="do not fit 2 labels on 16 levels"):
         materialize(state, 16, (rows, leakages))
@@ -800,11 +792,12 @@ def test_materialize_rejects_label_states_of_other_labels():
 
 
 def _branch_loop(state, rows, leakages):
-    """A decomposition's joint vector and tail, one branch at a time, as a reference."""
-    index = {label: k for k, label in enumerate(state.labels())}
+    """A one-time form's joint vector and tail, one branch at a time, as a reference;
+    ``rows`` are those of its ``distinct_labels``."""
+    index = dict(zip(state.sectors.take((slice(None), 0)), state.distinct_labels[1][:, 0].tolist()))
     blocks = np.zeros((2, rows.shape[1]), dtype=complex)
     tail = 0.0
-    for branch in state.branches:
+    for branch in state.branches():
         k = index[branch.label]
         tail += abs(branch.weight) ** 2 * float(leakages[k])
         for block, amplitude in zip(blocks, QUBIT_AMPLITUDES[branch.qubit]):
@@ -814,7 +807,7 @@ def _branch_loop(state, rows, leakages):
 
 
 def test_materialize_is_the_branch_by_branch_state(strong_device, strong_coupling):
-    # complex coefficients on g/e (the pulse) and on +/- (by hand), over shared labels:
+    # complex g/e weights from the pulse and by hand, both sectors in both blocks:
     # each state is the branch-by-branch sum, normalized, with its tail as leakage, to rounding
     taus = np.linspace(0.0, 2.0, 5) / strong_device.omega_cavity
     states = [
@@ -822,13 +815,15 @@ def test_materialize_is_the_branch_by_branch_state(strong_device, strong_couplin
         for t in taus
     ]
     plus, minus = CoherentLabel(0.4 + 0.1j, 0.3), CoherentLabel(-0.4 - 0.1j, -0.3)
-    terms = [("+", 0.6 + 0.2j, plus), ("-", 0.6 - 0.5j, minus), ("+", -0.1, minus)]
+    # (|g> + |e>)/sqrt(2) times 0.6 + 0.2j on plus, and (|g> - |e>)/sqrt(2) times 0.6 - 0.5j
+    # plus (|g> + |e>)/sqrt(2) times -0.1 on minus
+    half = QUBIT_AMPLITUDES["+"][0]
+    weights = half * np.array([[0.6 + 0.2j, 0.5 - 0.5j], [0.6 + 0.2j, -0.7 + 0.5j]])
     rows, label_leakages = materialize_labels([plus, minus], 48)
-    vec, _ = _branch_loop(BranchDecomposition([Branch(*term) for term in terms]), rows, label_leakages)
-    scale = 1.0 / np.linalg.norm(vec)
-    states.append(BranchDecomposition([Branch(qubit, w * scale, label) for qubit, w, label in terms]))
+    vec, _ = _branch_loop(one_time(weights, [plus, minus]), rows, label_leakages)
+    states.append(one_time(weights / np.linalg.norm(vec), [plus, minus]))
     for state in states:
-        label_states = materialize_labels(state.labels(), 48)
+        label_states = materialize_labels(state.distinct_labels[0], 48)
         vec, tail = _branch_loop(state, *label_states)
         n2 = float(np.real(np.vdot(vec, vec)))
         for psi in (materialize(state, 48), materialize(state, 48, label_states)):
@@ -839,7 +834,7 @@ def test_materialize_is_the_branch_by_branch_state(strong_device, strong_couplin
 
 def test_materialize_rejects_nan_weights():
     label = CoherentLabel(0.3)
-    bad = BranchDecomposition((Branch("g", math.nan, label), Branch("e", 0.5, label)))
+    bad = one_time([[math.nan, 0.0], [0.0, 0.5]], [label, label])
     with pytest.raises(NormalizationError, match="norm\\^2 = nan"):
         materialize(bad, 16)
 
@@ -864,7 +859,8 @@ def test_branch_decomposition_dict_round_trip(strong_device, strong_coupling):
         ),
     ):
         data = branch_decomposition_to_dict(state)
-        assert decomposition_from_dict(data) == state
+        rebuilt = sectors_from_dict(data)
+        assert rebuilt.branches() == state.branches() and branch_decomposition_to_dict(rebuilt) == data
 
 
 def test_post_pulse_squeezed_decomposition_json_round_trip(strong_device):
@@ -873,7 +869,8 @@ def test_post_pulse_squeezed_decomposition_json_round_trip(strong_device):
     state = flux_pi_pulse(squeezed_evolution(device, coupling, 0.8 + 0.3j, 1.1 / device.omega_cavity), device)
     data = json.loads(json.dumps(branch_decomposition_to_dict(state)))
     assert {branch["label"]["kind"] for branch in data["branches"]} == {"squeezed"}
-    assert decomposition_from_dict(data) == state
+    rebuilt = sectors_from_dict(data)
+    assert rebuilt.branches() == state.branches() and branch_decomposition_to_dict(rebuilt) == data
     # at t = 0 the labels are unsqueezed and unrotated, so they are written as coherent
     start = branch_decomposition_to_dict(squeezed_evolution(device, coupling, 0.8 + 0.3j, 0.0))
     assert {branch["label"]["kind"] for branch in start["branches"]} == {"coherent"}

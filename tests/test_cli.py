@@ -1,4 +1,5 @@
 import builtins
+import cmath
 import errno
 import io
 import json
@@ -32,9 +33,9 @@ from squidcat.errors import (
     NullOutcomeError,
 )
 from squidcat.hilbert import CavityState
-from squidcat.model import coupling_xi
+from squidcat.model import coupling_xi, flux_pulse
 
-from conftest import cat_wigner, decomposition_from_dict, make_strong_device
+from conftest import cat_wigner, make_strong_device, sectors_from_dict
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -128,8 +129,8 @@ def test_cat_output_round_trip(tmp_path):
     out = run(load_config(path))
     data = json.loads(out.read_text())
 
-    decomposition = decomposition_from_dict(data["branches"])
-    assert branch_decomposition_to_dict(decomposition) == data["branches"]
+    state = sectors_from_dict(data["branches"])
+    assert branch_decomposition_to_dict(state) == data["branches"]
 
     amplitudes = [
         complex(re, im)
@@ -178,6 +179,29 @@ def test_inject_run_measurement_structure(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-10)
     assert len(data["pre_pulse"]["branches"]) == 4
     assert len(data["post_pulse"]["branches"]) == 4
+
+
+def test_inject_at_tau_zero_pulses_every_pre_pulse_branch(tmp_path):
+    # at tau1 = 0 both sectors hold |alpha'>: post_pulse is the pulse of pre_pulse entry by
+    # entry, and each outcome post-selects that one label, as one term of unit norm
+    config = example_config("inject")
+    config["tau1"] = 0.0
+    config["output"] = {"path": str(tmp_path / "inject.json"), "format": "json"}
+    path = _write_config(tmp_path, config)
+    data = json.loads(run(load_config(path)).read_text())
+    pulse = flux_pulse(load_config(path).device)
+    assert len(data["pre_pulse"]["branches"]) == len(data["post_pulse"]["branches"]) == 4
+    pre, post = (sectors_from_dict(data[key]) for key in ("pre_pulse", "post_pulse"))
+    assert np.abs(post.weights - pulse.rotation @ pre.weights).max() <= 1e-15
+    turn = cmath.exp(-1j * pulse.angle)
+    for before, after in zip(pre.sectors.take((slice(None), 0)), post.sectors.take((slice(None), 0))):
+        assert abs(after.alpha - before.alpha * turn) <= 1e-15 and after.phase == before.phase == 0.0
+    assert data["post_pulse"]["dropped_global_phase"] == data["pre_pulse"]["dropped_global_phase"]
+    for record in data["measurements"]:
+        post_form = record["analytic_post"]
+        (term,) = post_form["terms"]
+        assert abs(post_form["constant"] * complex(*term["weight"])) == pytest.approx(1.0, abs=1e-12)
+        assert complex(*term["label"]["alpha"]) == post.sectors.alpha[0, 0]
 
 
 def test_squeeze_run_variance_section(tmp_path):

@@ -409,9 +409,9 @@ def test_verify_rejects_a_nan_closed_form_column(monkeypatch, strong_device, str
 
     def poisoned(*args):
         state = original(*args)
-        phase = state.labels.phase.copy()
+        phase = state.sectors.phase.copy()
         phase[0, 0] = math.nan
-        return replace(state, labels=replace(state.labels, phase=phase))
+        return replace(state, sectors=replace(state.sectors, phase=phase))
 
     monkeypatch.setattr(experiments, "_closed_forms", poisoned)
     with pytest.raises(NormalizationError, match="norm\\^2 = nan"):

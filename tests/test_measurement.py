@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from squidcat.analytic import (
-    Branch,
-    BranchDecomposition,
     CoherentLabel,
     coherent_overlap,
     evolve_vacuum,
@@ -20,15 +18,15 @@ from squidcat.analytic import (
 from squidcat.errors import NullOutcomeError
 from squidcat.hilbert import JointState, coherent_fock, fidelity, joint_state
 from squidcat.measurement import measure_qubit, measurement_record_to_dict
-from squidcat.model import Coupling
+from squidcat.model import Coupling, DeviceParams
 
-from conftest import cat_reference, make_strong_device
+from conftest import cat_reference, make_strong_device, one_time
 
 
 def _cat_run(strong_device, strong_coupling, omega_tau=math.pi):
     tau = omega_tau / strong_device.omega_cavity
     state = evolve_vacuum(strong_device, strong_coupling, tau)
-    alpha = next(iter(state.branches)).label.alpha
+    alpha = state.branches()[0].label.alpha
     return state, alpha
 
 
@@ -62,7 +60,7 @@ def test_measure_decomposition_reuses_a_given_joint_state(strong_device, strong_
     joint = materialize(state)
 
     def fail(*args, **kwargs):
-        raise AssertionError("the decomposition was materialized again")
+        raise AssertionError("the form was materialized again")
 
     monkeypatch.setattr(measurement, "materialize", fail)
     for outcome, record in zip(("g", "e"), expected):
@@ -90,22 +88,17 @@ def test_zero_time_post_selection_is_one_term(strong_coupling, evolve):
         state = squeezed_evolution(make_strong_device(phi_c_ratio=0.0), strong_coupling, 1.0 - 0.5j, 0.0)
     post = measure_qubit(state, "g").analytic_post
     (term,) = post.branches
-    assert (term.qubit, term.weight, term.label) == ("g", 1.0, state.branches[0].label)
+    assert (term.qubit, term.weight, term.label) == ("g", 1.0, state.branches()[0].label)
     assert post.constant == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_coherent_per_outcome_state():
-    # Decomposition with one coherent state per charge outcome: each outcome
+    # A form with one coherent state per charge outcome: each outcome
     # has probability 1/2 and post-selects a pure coherent state.
     phi = 0.37
     alpha_plus, alpha_minus = 1.2 + 0.4j, -0.9 + 0.1j
     w = 1.0 / math.sqrt(2.0)
-    state = BranchDecomposition(
-        (
-            Branch("g", w, CoherentLabel(alpha_minus, -phi)),
-            Branch("e", w, CoherentLabel(alpha_plus, phi)),
-        )
-    )
+    state = one_time([[w, 0.0], [0.0, w]], [CoherentLabel(alpha_minus, -phi), CoherentLabel(alpha_plus, phi)])
     rec_g = measure_qubit(state, "g")
     rec_e = measure_qubit(state, "e")
     assert rec_g.probability == pytest.approx(0.5, abs=1e-12)
@@ -119,7 +112,7 @@ def test_sigma_x_branches_collapse_with_their_charge_amplitudes():
     # |+>|a> + |->|b> over sqrt(2): g keeps (|a> + |b>)/2, e keeps (|a> - |b>)/2.
     a, b = CoherentLabel(1.5), CoherentLabel(-1.5)
     w = 1.0 / math.sqrt(2.0)
-    state = BranchDecomposition((Branch("+", w, a), Branch("-", w, b)))
+    state = one_time([[w * w, w * w], [w * w, -w * w]], [a, b])
     for outcome, sign in (("g", 1.0), ("e", -1.0)):
         record = measure_qubit(state, outcome)
         terms = [(t.qubit, t.weight, t.label) for t in record.analytic_post.branches]
@@ -186,11 +179,8 @@ def test_analytic_post_odd_constant_at_a_small_cat():
     # the --print-example cat's displacement: the Gram sum of the e outcome
     # must not cancel to 2 - 2 e^(-2|alpha|^2) in floating point
     alpha = 1.34e-5 * cmath.exp(0.7j)
-    branches = [
-        Branch(qubit, weight, CoherentLabel(sign * alpha))
-        for qubit, weight, sign in (("g", 0.5, 1), ("g", 0.5, -1), ("e", 0.5, 1), ("e", -0.5, -1))
-    ]
-    record = measure_qubit(BranchDecomposition(branches), "e")
+    state = one_time([[0.5, 0.5], [0.5, -0.5]], [CoherentLabel(alpha), CoherentLabel(-alpha)])
+    record = measure_qubit(state, "e")
     exact = 1.0 / math.sqrt(-math.expm1(-2.0 * abs(alpha) ** 2) / 2.0)
     assert abs(record.analytic_post.constant - exact) <= 1e-14 * exact
 
@@ -208,6 +198,19 @@ def test_analytic_post_constant_of_squeezed_branches(xi):
             for outcome in ("g", "e"):
                 record = measure_qubit(state, outcome, joint=joint)
                 assert record.analytic_post.constant**-2 == pytest.approx(record.probability, rel=1e-12)
+
+
+def test_squeezed_post_selection_keeps_phase_distinct_labels_apart():
+    # at xi = 0 both sectors turn |gamma> alike, so they share one Fock row, but their
+    # phases are -+E_J t/hbar (+-0.456 rad here): each outcome keeps both as two terms
+    params = DeviceParams(E_J=1e-5, E_ch=4e-5, n_g=0.5, phi_c_ratio=0.0, wavelength=0.01, omega=1e11)
+    state = squeezed_evolution(params, Coupling.from_xi(0.0), 1.0, 3e-11)
+    assert len(state.distinct_labels[0]) == 1
+    for outcome in ("g", "e"):
+        record = measure_qubit(state, outcome)
+        first, second = record.analytic_post.branches
+        assert first.label.phase == -second.label.phase == pytest.approx(0.4558, abs=1e-4)
+        assert abs(record.analytic_post.constant - record.probability**-0.5) <= 1e-12
 
 
 def test_analytic_post_matches_even_cat_constant(strong_device, strong_coupling):

@@ -43,7 +43,7 @@ def _grid(params, points=6):
 
 
 def _forms(target, params, coupling, taus):
-    """The grid form of ``target`` and its per-time decompositions."""
+    """The grid form of ``target`` and its per-time forms."""
     if target == "squeeze":
         grid = squeezed_sectors(params, coupling, GAMMA, taus)
         return grid, [squeezed_evolution(params, coupling, GAMMA, t) for t in taus]
@@ -69,12 +69,11 @@ def _assert_same_columns(grid, per_time, tol=0.0):
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_grid_columns_match_the_per_time_decompositions(target):
-    # the grid starts at t = 0, where both sectors hold the input state; the per-time
-    # pulse merges those two labels into one before it rotates the weights, so only
-    # its t = 0 column differs from the grid's, by rounding
+    # the grid starts at t = 0, where both sectors hold the input state; a per-time form
+    # is the grid form at one time, so every column matches bit for bit, pulsed or not
     params = _device(target)
     coupling = Coupling.from_xi(0.01 if target != "squeeze" else 0.02)
-    _assert_same_columns(*_forms(target, params, coupling, _grid(params)), 1e-15 if target == "pulse" else 0.0)
+    _assert_same_columns(*_forms(target, params, coupling, _grid(params)))
 
 
 def test_per_time_pulse_is_the_grid_pulse_past_tau_zero():
@@ -83,14 +82,14 @@ def test_per_time_pulse_is_the_grid_pulse_past_tau_zero():
     for t in _grid(params)[1:]:
         grid = pulse_sectors(linear_sectors(params, coupling, ALPHA_PRIME, [t]), params)
         after = flux_pi_pulse(evolve_coherent(params, coupling, ALPHA_PRIME, t), params)
-        assert after.branches == grid.branches()
+        assert after.branches() == grid.branches()
 
 
 def test_vacuum_sectors_coincide_at_tau_zero_and_share_one_row():
     params = _device("vacuum")
     grid = linear_sectors(params, Coupling.from_xi(0.01), 0.0, _grid(params, points=3))
     labels, index = grid.distinct_labels
-    assert grid.labels.alpha[0, 0] == grid.labels.alpha[1, 0] == 0.0
+    assert grid.sectors.alpha[0, 0] == grid.sectors.alpha[1, 0] == 0.0
     assert len(labels) == 5 and index[0, 0] == index[1, 0] == 0
     assert sorted(index.ravel().tolist()) == [0, 0, 1, 2, 3, 4]
 
@@ -104,7 +103,7 @@ def test_grid_columns_match_past_the_stable_range(omega_over_lam):
     params = dataclasses.replace(device, omega=omega_over_lam * lam)
     taus = np.linspace(0.0, 0.6 / lam, 4)
     grid, per_time = _forms("squeeze", params, coupling, taus)
-    assert grid.labels.squeezed[0, 1:].all()
+    assert grid.sectors.squeezed[0, 1:].all()
     _assert_same_columns(grid, per_time)
 
 
@@ -171,7 +170,7 @@ def test_verify_sees_a_wrong_grid_form(monkeypatch, target, mutate):
 
     def mutated(*args):
         state = original(*args)
-        return dataclasses.replace(state, labels=mutate(state.labels))
+        return dataclasses.replace(state, sectors=mutate(state.sectors))
 
     monkeypatch.setattr(experiments, "_closed_forms", mutated)
     params = _device(target)
