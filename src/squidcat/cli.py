@@ -12,12 +12,14 @@ followed by the old tail, and after a power loss or an OS crash the file
 may have the new length but hold some of the previous output's bytes.  All
 floating-point output is printed with 17 significant digits so emitted
 states reload bit-faithfully.  The JSON writer ``dumps17`` puts one item
-per line.  A float block, a row of floats or equal-length rows of them (a
-Wigner map, its axis, the [re, im] pairs of a state), is checked and
-formatted in one pass by one ``%`` call, with the same bytes as item by
-item: ``-0`` stays ``-0`` and any NaN or infinity raises NonFiniteError
-(exit 3).  The cat scenario's Wigner maps, one per possible outcome, come
-from one ``wigner_maps`` call on one grid.
+per line.  A float block, a row of floats or equal-length rows of them
+(the [re, im] pairs of a state) or a 1-D or 2-D float64 array (a Wigner
+map, its axis), is checked and formatted in one pass by one ``%`` call,
+with the same bytes as item by item: ``-0`` stays ``-0`` and any NaN or
+infinity raises NonFiniteError (exit 3).  The cat scenario's Wigner maps,
+one per possible outcome, come from one ``wigner_maps`` call on one grid,
+which for two or more points per axis is symmetric about the origin, so
+each map is summed on half its points.
 
 Exit codes: 0 success, 2 configuration error (an output path that cannot
 be written included), 3 numerical-contract failure.  Any other OSError from
@@ -162,7 +164,10 @@ def dumps17(obj, indent: int = 0) -> str:
     in one pass: its item types and finiteness are checked once, in
     row-major order, and every item is formatted by one ``%`` call on a
     ``"%.17g"`` template cached by (rows, columns, indent).  A row is the
-    one-row case.  The bytes are those of the recursive path, which writes
+    one-row case.  A 1-D or 2-D float64 ndarray, such as a cat Wigner map
+    and its axis, is written as the same float block, with one
+    ``np.isfinite`` check; other arrays raise TypeError.  The bytes are
+    those of the recursive path on the same floats in lists, which writes
     everything else.
     """
     pad = "  " * indent
@@ -176,6 +181,13 @@ def dumps17(obj, indent: int = 0) -> str:
         return _fmt(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        if not obj.size:
+            return dumps17(obj.tolist(), indent)
+        finite = np.isfinite(obj)
+        if not finite.all():
+            _fmt(float(obj[~finite][0]))  # raises, naming the first non-finite item
+        return _float_template(obj.shape, indent) % tuple(obj.ravel().tolist())
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -412,8 +424,8 @@ def _wigner_section(records: list[MeasurementRecord | None], args) -> list[dict]
             "outcome": record.outcome,
             "extent": extent,
             "points": points,
-            "axis": axis.tolist(),
-            "values": values.reshape(points, points).tolist(),
+            "axis": axis,
+            "values": values.reshape(points, points),
         }
         for record, values in zip(records, maps)
     ]

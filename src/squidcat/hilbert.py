@@ -17,8 +17,9 @@ recurrence of the associated Laguerre polynomials (Johansson, Nation &
 Nori, Comput. Phys. Commun. 184, 1234 (2013)): one backward sweep per state
 evaluates every diagonal of rho at each distinct radius |2 beta|^2, leaving
 out trailing levels and each diagonal's highest entries while they sum
-below one rounding floor, and a Horner step in 2 beta combines the
-diagonals at the points.  Both carry base-2 exponents, so nothing
+below one rounding floor, and a Horner step in (2 beta)^2 per order
+parity combines the diagonals at the points, on half of them when they
+come in +- pairs.  Both carry base-2 exponents, so nothing
 overflows, and no state is displaced, so a map is exact at any grid extent,
 whatever the truncation (see ``wigner_maps``; ``wigner`` is its one-state
 case).
@@ -711,6 +712,41 @@ def _laguerre_sweep(amp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mantissa, exponent
 
 
+def _parity_series(terms, exponent, parity, x, log2x, radius, turn):
+    """One order parity of the Horner sum of ``wigner_maps``, at its points.
+
+    ``terms`` and ``exponent`` hold the orders L = parity, parity + 2, ...
+    of ``_laguerre_sweep``; ``terms`` is rescaled in place.  Returns
+    (acc, peak, level), each per radius or point, such that the
+    parity's part of sum over L of f_L (2 beta)^L / sqrt(L!) is
+    acc 2^level[radius], times |2 beta| e^(i arg beta) for the odd parity;
+    peak is log2 of the largest |f_L| |2 beta|^L / sqrt(L!) of the parity.
+    """
+    order = parity + 2.0 * np.arange(terms.shape[0] - 1)  # the orders below the highest
+    pair = np.sqrt((order + 1.0) * (order + 2.0))[:, None]
+    # acc_L = f_L + acc_(L+2) (2 beta)^2 / sqrt((L + 1)(L + 2)), held as a
+    # mantissa times 2^level[L].  level[L] is log2 of the largest
+    # |f_L'| |2 beta|^(L' - L) sqrt(L! / L'!) over L' >= L of the parity, so
+    # each term of the mantissa sum is at most 2 and each ratio at most 2.
+    climb = np.empty_like(exponent, dtype=float)
+    climb[0] = 0.5 * log2x if parity else 0.0  # log2 |2 beta|^L / sqrt(L!)
+    np.cumsum(log2x - np.log2(pair), axis=0, out=climb[1:])
+    climb[1:] += climb[0]
+    peak = np.maximum.accumulate((exponent + climb)[::-1], axis=0)[::-1]
+    level = np.rint(peak - climb).astype(int)
+    for part in (terms.real, terms.imag):  # now f_L = terms 2^level
+        np.ldexp(part, exponent - level, out=part)
+    ratios = np.ldexp(x / pair, level[1:] - level[:-1])
+    ratio = np.empty(radius.size)
+    term = np.empty(radius.size, dtype=complex)
+    acc = terms[-1, radius]
+    for k in range(terms.shape[0] - 2, -1, -1):  # "clip": the indices are in range, and it skips a copy
+        acc *= ratios[k].take(radius, out=ratio, mode="clip")
+        acc *= turn
+        acc += terms[k].take(radius, out=term, mode="clip")
+    return acc, peak[0], level[0]
+
+
 def wigner_maps(states, points) -> list[np.ndarray]:
     """Wigner functions W(beta) = (2/pi) <D(beta) Pi D(beta)^dag> of states at complex points.
 
@@ -727,11 +763,24 @@ def wigner_maps(states, points) -> list[np.ndarray]:
       Each Fock cross term (2/pi) <n| D Pi D^dag |m> is at most 2/pi, as
       D Pi D^dag is unitary, so this moves a map by at most
       (2/pi) WIGNER_TRIM_TOL;
-    - the points: the diagonals are combined Horner-style in 2 beta.
+    - the points: the diagonals of order L = m - n are combined
+      Horner-style in (2 beta)^2, one series per order parity, E over the
+      even orders and O over the odd ones (``_parity_series``), and
+      W = (2/pi) Re(E + O) exp(-x/2).  A parity with no entry left, such
+      as the odd one of any state of definite photon parity, is skipped.
 
-    The grid's radii, their index per point, exp(i arg beta) and the Horner
-    buffers are formed once per call and shared by the states.  Every sum
-    carries base-2 exponents, and exp(-x/2) is applied last, so no
+    E is even in beta and O odd, so when the points come in +- pairs
+    (``points[::-1] == -points``, as on any grid symmetric about the
+    origin; a centre point is its own partner) both series are summed on
+    the first half of the points only, and the mirrored half is
+    (2/pi) Re(E - O) exp(-x/2).  A state of definite photon parity then
+    has W(-beta) = W(beta) exactly.  Other point sets are summed point by
+    point.
+
+    The radii, their index per point, exp(2i arg beta) and the pairing are
+    formed once per call and shared by the states.  Every sum carries
+    base-2 exponents, the two series are brought to one power of two
+    before they are added, and exp(-x/2) is applied last, so no
     intermediate overflows, and only negligible ones underflow.  No state
     is displaced, so each map is exact to rounding at any grid extent and
     any truncation.  Each map is the one-state map of ``wigner``.
@@ -742,44 +791,48 @@ def wigner_maps(states, points) -> list[np.ndarray]:
     beta = np.asarray(points, dtype=complex).ravel()
     if not states or beta.size == 0:
         return [np.zeros(0) for _ in states]
+    n = beta.size
+    paired = np.array_equal(beta[::-1], -beta)
+    half = (n + 1) // 2 if paired else n
+    beta = beta[:half]
     with np.errstate(over="ignore"):
         x, radius = np.unique(np.abs(2.0 * beta) ** 2, return_inverse=True)
     if not np.isfinite(x[-1]):
         raise ValueError(f"Wigner points need a finite |2 beta|^2, got {x[-1]!r}")
+    with np.errstate(divide="ignore"):
+        log2x = np.maximum(np.log2(x), -2200.0)  # x = 0 at beta = 0
     phase = np.exp(1j * np.angle(beta))
-    ratio = np.empty(beta.size)  # each order's Horner operands at the points
-    term = np.empty(beta.size, dtype=complex)
+    turn = phase * phase
     maps = []
     for state in states:
         terms, exponent = _laguerre_sweep(state.amplitudes, x)
-        s = terms.shape[0]  # f_L = terms 2^exponent
-
-        # W = (2/pi) Re(acc_0) exp(-x/2), with acc_L = f_L + acc_(L+1) 2 beta / sqrt(L + 1)
-        # held as a mantissa times 2^level[L].  level[L] is log2 of the largest
-        # |f_L'| |2 beta|^(L' - L) sqrt(L! / L'!) over L' >= L, so each term of
-        # the mantissa sum is at most 2.
-        zabs = np.sqrt(x) / np.sqrt(np.arange(1.0, s + 1.0))[:, None]
-        with np.errstate(divide="ignore"):
-            log2z = np.maximum(np.log2(zabs[:-1]), -1100.0)  # zabs = 0 at beta = 0
-        climb = np.zeros_like(zabs)
-        np.cumsum(log2z, axis=0, out=climb[1:])
-        peak = np.maximum.accumulate((exponent + climb)[::-1], axis=0)[::-1]
-        level = np.rint(peak - climb).astype(int)
-        for part in (terms.real, terms.imag):  # now f_L = terms 2^level
-            np.ldexp(part, exponent - level, out=part)
-        ratios = np.ldexp(zabs[:-1], level[1:] - level[:-1])
-        acc = terms[-1, radius]
-        for order in range(s - 2, -1, -1):  # "clip": the indices are in range, and it skips a copy
-            acc *= ratios[order].take(radius, out=ratio, mode="clip")
-            acc *= phase
-            acc += terms[order].take(radius, out=term, mode="clip")
-        # 2^level[0] exp(-x/2) is about the largest |f_L| |2 beta|^L / sqrt(L!) exp(-x/2),
+        even, peak, even_level = _parity_series(terms[::2], exponent[::2], 0, x, log2x, radius, turn)
+        has_odd = terms[1::2].any()
+        if has_odd:
+            odd, odd_peak, odd_level = _parity_series(
+                terms[1::2], exponent[1::2], 1, x, log2x, radius, turn
+            )
+            peak = np.maximum(peak, odd_peak)
+        # 2^level exp(-x/2) is about the largest |f_L| |2 beta|^L / sqrt(L!) exp(-x/2),
         # the size of an order's part of W, at most 2.  It is formed as
-        # 2^(level[0] - q) exp(q ln 2 - x/2), with q > 0 only where exp(-x/2)
-        # alone underflows, and q at most level[0] + 2000, past which both do.
-        q = np.clip(np.ceil((0.5 * x - 700.0) / math.log(2.0)), 0.0, level[0] + 2000.0)
-        scale = np.ldexp(np.exp(q * math.log(2.0) - 0.5 * x), level[0] - q.astype(int))
-        maps.append((2.0 / math.pi) * acc.real * scale[radius])
+        # 2^(level - q) exp(q ln 2 - x/2), with q > 0 only where exp(-x/2)
+        # alone underflows, and q at most level + 2000, past which both do.
+        level = np.rint(peak).astype(int)
+        q = np.clip(np.ceil((0.5 * x - 700.0) / math.log(2.0)), 0.0, level + 2000.0)
+        scale = np.ldexp(np.exp(q * math.log(2.0) - 0.5 * x), level - q.astype(int))
+        scale *= 2.0 / math.pi
+        values = np.empty(n)
+        front = even.real * np.ldexp(scale, even_level - level)[radius]
+        if has_odd:  # odd_level - level <= 1 - log2 |2 beta|, so this is at most 2 scale
+            odd *= phase
+            odd = odd.real * (np.ldexp(np.sqrt(x), odd_level - level) * scale)[radius]
+            if paired:
+                values[n - half :] = (front - odd)[::-1]
+            front += odd  # a centre point is beta = 0, where odd is 0
+        elif paired:
+            values[n - half :] = front[::-1]
+        values[:half] = front
+        maps.append(values)
     return maps
 
 

@@ -954,6 +954,8 @@ def _reference_dumps17(obj, indent: int = 0) -> str:
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        return _reference_dumps17(obj.tolist(), indent)  # written as the same floats in lists
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -1057,6 +1059,43 @@ def test_dumps17_float_rows_match_the_reference(row):
 def test_dumps17_float_row_rejects_non_finite(row):
     with pytest.raises(NonFiniteError) as reference:
         _reference_dumps17({"row": row})
-    with pytest.raises(NonFiniteError) as err:
-        dumps17({"row": row})
-    assert str(err.value) == str(reference.value)  # names the first non-finite item
+    for obj in (row, np.array(row, dtype=float)):
+        with pytest.raises(NonFiniteError) as err:
+            dumps17({"row": obj})
+        assert str(err.value) == str(reference.value)  # names the first non-finite item
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([-0.0]),
+        np.array([0.1, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1.0 / 3.0]),
+        np.array([[0.25]]),
+        np.linspace(-2.0, 2.0, 41 * 41).reshape(41, 41),
+        np.geomspace(1e-300, 1e300, 128).reshape(64, 2),
+        np.arange(12.0).reshape(3, 4).T,  # not C-contiguous
+        np.zeros(0),
+        np.zeros((2, 0)),
+    ],
+)
+def test_dumps17_float_arrays_match_their_lists(array):
+    for indent in range(4):
+        assert dumps17(array, indent) == dumps17(array.tolist(), indent)
+    assert dumps17({"array": array}) == dumps17({"array": array.tolist()})
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.arange(3),
+        np.array([True, False]),
+        np.array([1.0 + 2.0j]),
+        np.zeros(2, dtype=np.float32),
+        np.array(1.5),
+        np.zeros((2, 2, 2)),
+    ],
+    ids=["int", "bool", "complex", "float32", "0-d", "3-d"],
+)
+def test_dumps17_rejects_other_arrays(array):
+    with pytest.raises(TypeError, match="ndarray"):
+        dumps17({"array": array})

@@ -836,10 +836,21 @@ def test_wigner_grid_normalization(state_fn):
     assert abs(total - 1.0) <= 0.02
 
 
-# The CLI's default map: 41 x 41 points at extent 3, values[i_im][i_re].
+# The CLI's default map size, 41 x 41 points at extent 3, values[i_im][i_re].
+# Unlike the CLI's axis (``_cli_grid``), linspace is not exactly
+# antisymmetric, so these points are summed unpaired.
 _AXIS = np.linspace(-3.0, 3.0, 41)
 _GRID = (_AXIS[None, :] + 1j * _AXIS[:, None]).ravel()
 _DIAGONAL_ALPHA = -math.sqrt(2.0) * (1.0 + 1.0j)  # |alpha| = 2 towards a grid corner
+
+
+def _cli_grid(points, extent):
+    """The CLI cat's grid, values[i_im][i_re]: +- pairs, but for one point."""
+    if points == 1:
+        axis = np.array([-extent])
+    else:
+        axis = extent * np.arange(1 - points, points, 2) / (points - 1)
+    return (axis[:, None] * 1j + axis[None, :]).ravel()
 
 
 @pytest.mark.parametrize("alpha", [2.0, _DIAGONAL_ALPHA], ids=["axis", "diagonal"])
@@ -986,7 +997,7 @@ _MAP_STATES = {
 )
 def test_wigner_maps_equal_the_one_state_maps(names):
     states = [_MAP_STATES[name]() for name in names]
-    for grid in (_GRID, _ORACLE_GRID, [0.0, 20.0 + 15.0j]):  # the last rescales "flat-200"
+    for grid in (_GRID, _ORACLE_GRID, _cli_grid(41, 3.0), [0.0, 20.0 + 15.0j]):  # the last rescales "flat-200"
         maps = wigner_maps(states, grid)
         assert len(maps) == len(states)
         for state, values in zip(states, maps):
@@ -1002,6 +1013,37 @@ def test_wigner_maps_of_no_states_sweep_nothing(monkeypatch):
     monkeypatch.setattr(hilbert, "_laguerre_sweep", never)
     assert wigner_maps([], _GRID) == []
     assert [m.shape for m in wigner_maps([coherent_fock(1.0, 16)] * 2, [])] == [(0,), (0,)]
+
+
+def _parity_cats():
+    amp = np.zeros(16, dtype=complex)
+    amp[[1, 5, 9]] = [0.6, 0.48j, -0.64]  # odd photon numbers only
+    return {
+        "even-cat": cat_reference(_DIAGONAL_ALPHA, "even", 64),
+        "odd-cat": cat_reference(_DIAGONAL_ALPHA, "odd", 64),
+        "odd-fock": CavityState(amp),
+    }
+
+
+@pytest.mark.parametrize("points", [2, 3, 41])
+def test_wigner_of_a_parity_state_is_exactly_inversion_symmetric(points):
+    grid = _cli_grid(points, 3.0)
+    for name, state in _parity_cats().items():
+        values = wigner(state, grid).reshape(points, points)
+        assert np.array_equal(values, values[::-1, ::-1]), name
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 41])
+@pytest.mark.parametrize("extent", [3.0, 25.0])
+@pytest.mark.parametrize("dim", [10, 64, 300])
+def test_wigner_on_paired_points_matches_the_unpaired_sum(dim, extent, points):
+    grid = _cli_grid(points, extent)
+    shuffle = np.random.default_rng(dim).permutation(grid.size)
+    for seed in (0, 1):
+        state = CavityState(_random_amplitudes(10 * dim + seed, dim))  # both order parities
+        values = wigner(state, grid)
+        assert np.all(np.isfinite(values))
+        assert np.abs(values[shuffle] - wigner(state, grid[shuffle])).max() <= 4e-15
 
 
 # ---------------------------------------------------------------- diagnostics
