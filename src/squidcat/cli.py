@@ -16,10 +16,11 @@ per line.  A float block, a row of floats or equal-length rows of them
 (the [re, im] pairs of a state) or a 1-D or 2-D float64 array (a Wigner
 map, its axis), is checked and formatted in one pass by one ``%`` call,
 with the same bytes as item by item: ``-0`` stays ``-0`` and any NaN or
-infinity raises NonFiniteError (exit 3).  The cat scenario's Wigner maps,
-one per possible outcome, come from one ``wigner_maps`` call on one grid,
-which for two or more points per axis is symmetric about the origin, so
-each map is summed on half its points.
+infinity raises NonFiniteError (exit 3).  An array formats each of its
+distinct floats once, which does not change the bytes.  The cat
+scenario's Wigner maps, one per possible outcome, come from one
+``wigner_maps`` call on one grid, which for two or more points per axis
+is symmetric about the origin, so each map is summed on half its points.
 
 Exit codes: 0 success, 2 configuration error (an output path that cannot
 be written included), 3 numerical-contract failure.  Any other OSError from
@@ -38,6 +39,7 @@ import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +133,13 @@ def _fmt(x: float) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _float_template(shape: tuple[int, ...], indent: int) -> str:
-    """The ``%`` template of a float row (shape (columns,)) or block (rows, columns)."""
+def _float_template(shape: tuple[int, ...], indent: int, item: str = "%.17g") -> str:
+    """The ``%`` template of a float row (shape (columns,)) or block (rows, columns),
+    one ``item`` conversion per float."""
     if not shape:
-        return "%.17g"
+        return item
     pad = "  " * indent
-    item = _float_template(shape[1:], indent + 1)
+    item = _float_template(shape[1:], indent + 1, item)
     return "[\n" + pad + "  " + (",\n" + pad + "  ").join([item] * shape[0]) + "\n" + pad + "]"
 
 
@@ -165,10 +168,14 @@ def dumps17(obj, indent: int = 0) -> str:
     row-major order, and every item is formatted by one ``%`` call on a
     ``"%.17g"`` template cached by (rows, columns, indent).  A row is the
     one-row case.  A 1-D or 2-D float64 ndarray, such as a cat Wigner map
-    and its axis, is written as the same float block, with one
-    ``np.isfinite`` check; other arrays raise TypeError.  The bytes are
-    those of the recursive path on the same floats in lists, which writes
-    everything else.
+    and its axis, is written as the same float block, but each distinct
+    float is checked and formatted once: ``np.unique`` of its bit patterns
+    (so ``0.0`` and ``-0.0`` stay apart) goes through one ``%`` call, and the
+    strings fill the template's ``"%s"`` twin.  An inversion-symmetric map
+    formats about half its floats.  Other arrays raise TypeError.  Strings
+    and keys go through ``json``'s ASCII string encoder, the one
+    ``json.dumps`` ends in.  The bytes are those of the recursive path on
+    the same floats in lists, which writes everything else.
     """
     pad = "  " * indent
     if obj is None:
@@ -180,14 +187,19 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
         if not obj.size:
             return dumps17(obj.tolist(), indent)
-        finite = np.isfinite(obj)
-        if not finite.all():
-            _fmt(float(obj[~finite][0]))  # raises, naming the first non-finite item
-        return _float_template(obj.shape, indent) % tuple(obj.ravel().tolist())
+        # bit patterns, not values, so that 0.0 and -0.0 stay apart
+        bits, inverse = np.unique(obj.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        if not np.isfinite(distinct).all():
+            _fmt(float(obj[~np.isfinite(obj)][0]))  # raises, naming the first non-finite item
+        text = ("%.17g," * distinct.size % tuple(distinct.tolist())).split(",")
+        return _float_template(obj.shape, indent, "%s") % tuple(
+            np.array(text, dtype=object)[inverse.ravel()].tolist()
+        )
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -203,7 +215,7 @@ def dumps17(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + dumps17(v, indent + 1)
+            "  " * (indent + 1) + encode_basestring_ascii(str(k)) + ": " + dumps17(v, indent + 1)
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"

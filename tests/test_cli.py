@@ -1065,6 +1065,12 @@ def test_dumps17_float_row_rejects_non_finite(row):
         assert str(err.value) == str(reference.value)  # names the first non-finite item
 
 
+def _inversion_symmetric(points):
+    """A (points x points) map equal to its own [::-1, ::-1], as a parity cat's is."""
+    half = np.random.default_rng(points).normal(size=(points, points))
+    return half + half[::-1, ::-1]  # each pair adds the same two floats
+
+
 @pytest.mark.parametrize(
     "array",
     [
@@ -1076,12 +1082,41 @@ def test_dumps17_float_row_rejects_non_finite(row):
         np.arange(12.0).reshape(3, 4).T,  # not C-contiguous
         np.zeros(0),
         np.zeros((2, 0)),
+        # 0.0 and -0.0 are equal as values: a writer keyed on values prints one for both
+        np.array([0.0, -0.0, 0.0, -0.0]),
+        np.array([[-0.0, 1.5, 0.0], [0.0, 1.5, -0.0]]),
+        np.array([0.1, 1.0 / 3.0, 0.1, 0.1, -2.5, 1.0 / 3.0]),
+        np.full((3, 5), 1.0 / 3.0),
+        _inversion_symmetric(41),
+        np.array([5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 5e-324, -5e-324]),
+        np.linspace(-3.0, 3.0, 41)[::3],
+        np.linspace(-1.0, 1.0, 80).reshape(8, 10)[::-2, 1::3],
     ],
 )
 def test_dumps17_float_arrays_match_their_lists(array):
     for indent in range(4):
         assert dumps17(array, indent) == dumps17(array.tolist(), indent)
+        assert dumps17(array, indent) == _reference_dumps17(array.tolist(), indent)
     assert dumps17({"array": array}) == dumps17({"array": array.tolist()})
+    assert dumps17({"array": array}) == _reference_dumps17({"array": array})
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        # the first two put nan first in row-major order, an infinity first in memory or bit order
+        np.array([[1.0, math.inf], [math.nan, 2.0]]).T,
+        np.array([2.0, math.nan, -math.inf, math.nan, 2.0]),
+        np.array([[math.nan, 1.0], [1.0, math.nan]])[:, ::-1],
+        np.where(_inversion_symmetric(41) > 0.9, math.inf, _inversion_symmetric(41)),
+    ],
+)
+def test_dumps17_array_names_its_first_non_finite_item_in_row_major_order(array):
+    with pytest.raises(NonFiniteError) as reference:
+        _reference_dumps17({"array": array.tolist()})
+    with pytest.raises(NonFiniteError) as err:
+        dumps17({"array": array})
+    assert str(err.value) == str(reference.value)
 
 
 @pytest.mark.parametrize(

@@ -1046,6 +1046,33 @@ def test_wigner_on_paired_points_matches_the_unpaired_sum(dim, extent, points):
         assert np.abs(values[shuffle] - wigner(state, grid[shuffle])).max() <= 4e-15
 
 
+def _coherent_sum_wigner(alphas, coefficients, beta):
+    """Wigner map of sum_j c_j |alpha_j> from its cross terms, sum_jk c_j conj(c_k)
+    (2/pi) <alpha_k|alpha_j> exp(-2 (conj(beta) - conj(alpha_k))(beta - alpha_j))."""
+    total = np.zeros(np.shape(beta), dtype=complex)
+    for a_j, c_j in zip(alphas, coefficients):
+        for a_k, c_k in zip(alphas, coefficients):
+            overlap = cmath.exp(-0.5 * abs(a_j) ** 2 - 0.5 * abs(a_k) ** 2 + a_k.conjugate() * a_j)
+            total += c_j * c_k.conjugate() * overlap * np.exp(
+                -2.0 * (np.conj(beta) - a_k.conjugate()) * (beta - a_j)
+            )
+    return (2.0 / math.pi) * total.real
+
+
+@pytest.mark.parametrize("extent", [3.0, 25.0])
+@pytest.mark.parametrize(
+    "alpha", [0.5, 0.8j, 1.2 * cmath.exp(0.7j), -1.6 + 0.3j, 2.0, _DIAGONAL_ALPHA]
+)
+def test_wigner_maps_of_cats_match_the_cross_term_closed_form(alpha, extent):
+    grid = _cli_grid(41, extent)
+    maps = wigner_maps([cat_reference(alpha, "even", 64), cat_reference(alpha, "odd", 64)], grid)
+    overlap = math.exp(-2.0 * abs(alpha) ** 2)  # <-alpha|alpha>
+    for values, sign in zip(maps, (1.0, -1.0)):
+        coefficients = np.array([1.0, sign]) / math.sqrt(2.0 + 2.0 * sign * overlap)
+        exact = _coherent_sum_wigner([complex(alpha), -complex(alpha)], coefficients, grid)
+        assert np.abs(values - exact).max() <= 1e-14
+
+
 # ---------------------------------------------------------------- diagnostics
 
 def test_quadrature_covariance_vacuum_and_coherent():
